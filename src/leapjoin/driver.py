@@ -1,14 +1,19 @@
 """The maintenance cycle.
 
 bootstrap: full-evaluate the rule, populate heads from the assignment
-stream and sensitivity indices from the recorded iterator transitions.
+stream and sensitivity indices from the recorded iterator transitions
+(buffered during the evaluation and bulk-built into the fresh indices
+once the stream is exhausted).
 
 maintain: turn version deltas into trie surgeries, match them against
 the sensitivity indices (consuming every hit) to build the change
 oracle, evaluate the body over the old and the new versions restricted
 by the oracle, diff the two assignment streams in key order, route the
 differences to each head's update action, and let the new-side
-evaluation refill the indices for the next round.
+evaluation refill the indices for the next round: it buffers the records
+it emits and merges them into the indices once, in one descent per
+index, when its stream is exhausted.  Nothing reads an index while an
+evaluation runs, because the oracle is built before either side starts.
 
 Atoms whose key arguments prefix the join order carry no indices; their
 surgeries contribute their own key as a point interval, which names the

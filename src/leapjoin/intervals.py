@@ -10,6 +10,11 @@ Records live in a max-scan tree ordered by (prefix, lo, hi, context);
 interval ends aggregate as MAX while interval starts are ordered by the
 key itself, so a stabbing query can prune every subtree whose max end is
 below the probe or whose min start is above it.
+
+Records arrive in batches: an evaluation buffers the records it emits
+and merges them once, when its stream is exhausted.  ``add_batch``
+sorts and dedupes a batch in place and merges it into the tree in one
+descent; ``add`` is the batch of one.
 """
 
 from typing import NamedTuple
@@ -52,16 +57,29 @@ class IntervalIndex:
             sort_key[:p], sort_key[p], sort_key[p + 1], sort_key[p + 2 :]
         )
 
-    def add(self, rec: SensitivityRecord):
-        if rec.lo > rec.hi:
-            raise UserError(f"interval lo > hi: {rec}")
+    def add(self, rec: SensitivityRecord) -> bool:
         if len(rec.prefix) != self.prefix_len or len(rec.context) != self.context_len:
             raise UserError("sensitivity record shape mismatch")
-        key = rec.sort_key()
-        if self.tree.get(key) is not None:
-            return False  # identical interval already indexed
-        self.tree.insert(key, rec.hi)
-        return True
+        return self.add_batch([(rec.sort_key(), rec.hi)]) == 1
+
+    def add_batch(self, records) -> int:
+        """Merge (sort key, hi) pairs into the index; returns how many were new.
+
+        Sorts ``records`` in place and drops its duplicates; pairs already
+        indexed are skipped.
+        """
+        records.sort()
+        p = self.prefix_len
+        kept, prev = 0, None
+        for rec in records:
+            if rec == prev:
+                continue
+            if rec[0][p] > rec[1]:
+                raise UserError(f"interval lo > hi: {self._record_of(rec[0])}")
+            records[kept] = prev = rec
+            kept += 1
+        del records[kept:]
+        return self.tree.insert_sorted(records)
 
     def enumerate(self):
         for key, _ in self.tree.items():
@@ -107,8 +125,3 @@ class IntervalIndex:
         for rec in hits:
             self.tree.erase(rec.sort_key())
         return hits
-
-    def clone(self) -> "IntervalIndex":
-        other = IntervalIndex(self.prefix_len, self.context_len)
-        other.tree.build_from([(k, v) for k, v in self.tree.items()])
-        return other

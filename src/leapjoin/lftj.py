@@ -12,13 +12,15 @@ optionally converted into a sensitivity interval:
 
 with v' = +inf when the transition runs off the end of the level.  Each
 interval is stored under the owning atom's argument prefix together with
-the other key variables bound at shallower depths.
+the other key variables bound at shallower depths.  Emitted intervals are
+buffered per index while the evaluation runs and merged into the
+indices once, when the assignment stream is exhausted.
 """
 
 import heapq
+from operator import itemgetter
 
 from .errors import UserError
-from .intervals import SensitivityRecord
 from .keys import KEY_MAX, KEY_MIN
 from .trace import NEXT, OPEN, SEEK, UP
 
@@ -31,11 +33,24 @@ class Counter:
 
 
 class SensitivityRecorder:
-    """Routes emitted intervals into the per-(atom, level) indices."""
+    """Buffers emitted intervals for the per-(branch, atom, level) indices.
+
+    ``pending`` holds one list of (sort key, hi) pairs per index;
+    ``flush`` merges each into its index and counts the new records in
+    ``added``.  An evaluation flushes its recorder when its stream is
+    exhausted, so a stream closed early adds nothing.
+    """
 
     def __init__(self, indices):
         self.indices = indices
+        self.pending = {key: [] for key in indices}
         self.added = 0
+
+    def flush(self):
+        for key, records in self.pending.items():
+            if records:
+                self.added += self.indices[key].add_batch(records)
+                records.clear()
 
 
 class _OracleCursor:
@@ -155,7 +170,8 @@ def evaluate(
     ``oracle`` set, evaluation at each depth is intersected with the
     oracle's intervals for the bound prefix until some shallower key
     landed inside an admitting interval.  With ``recorder`` set, fresh
-    sensitivity intervals are accumulated into its indices.
+    sensitivity intervals are buffered in it and merged into its indices
+    once the stream is exhausted; until then the indices are untouched.
     """
     for bp in plan.branches:
         for ap in bp.atoms:
@@ -171,12 +187,14 @@ def evaluate(
     ]
     if len(gens) == 1:
         yield from gens[0]
-        return
-    last = None
-    for item in heapq.merge(*gens):
-        if item != last:
-            yield item
-            last = item
+    else:
+        last = None
+        for item in heapq.merge(*gens):
+            if item != last:
+                yield item
+                last = item
+    if recorder is not None:
+        recorder.flush()
 
 
 def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_depth):
@@ -191,7 +209,19 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
         oracle_name = "oracle"
     keystack = [None] * K
     vslots = [None] * len(plan.value_order)
-    indices = recorder.indices if recorder is not None else None
+    # (atom, level) -> (buffer, sort key getter over (*keystack, lo, hi))
+    sens = None
+    if recorder is not None:
+        sens = {}
+        for (b, pos, lvl), records in recorder.pending.items():
+            if b == bi:
+                ap = atoms[pos]
+                prefix = [d - 1 for d in ap.depths[: lvl - 1]]
+                context = [d - 1 for d in ap.context_depths[lvl - 1]]
+                sens[(pos, lvl)] = (
+                    records,
+                    itemgetter(*prefix, K, K + 1, *context),
+                )
 
     def record_op(name, op, depth, frm, arg, it):
         counter.ops += 1
@@ -201,15 +231,12 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
         return to
 
     def emit_sens(pos, lvl, lo, to):
-        idx = indices.get((bi, pos, lvl))
-        if idx is None:
+        slot = sens.get((pos, lvl))
+        if slot is None:
             return
-        ap = atoms[pos]
-        alpha = tuple(keystack[d - 1] for d in ap.depths[: lvl - 1])
-        gamma = tuple(keystack[d - 1] for d in ap.context_depths[lvl - 1])
+        records, sort_key = slot
         hi = KEY_MAX if to is None else to
-        if idx.add(SensitivityRecord(alpha, lo, hi, gamma)):
-            recorder.added += 1
+        records.append((sort_key((*keystack, lo, hi)), hi))
 
     def fetch(src):
         tag, i = src
@@ -248,7 +275,7 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
             cur.open()
             opened.append(pos)
             to = record_op(names[pos], OPEN, d, None, None, cur)
-            if indices is not None:
+            if sens:
                 emit_sens(pos, lvl, KEY_MIN, to)
             if cur.at_end():
                 ended = True
@@ -281,7 +308,7 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
                     arg = cur_max
                     cur.seek_lub(arg)
                     to = record_op(names[pos], SEEK, d, k, arg, cur)
-                    if indices is not None:
+                    if sens:
                         emit_sens(pos, lvl, arg, to)
                     if cur.at_end():
                         return
@@ -318,7 +345,7 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
             frm = first.key()
             first.next()
             to = record_op(names[first_pos], NEXT, d, frm, None, first)
-            if indices is not None:
+            if sens:
                 emit_sens(first_pos, first_lvl, frm, to)
             if first.at_end():
                 return

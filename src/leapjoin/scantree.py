@@ -6,8 +6,10 @@ their children, so the aggregate of any key interval folds at most
 O(log n) cached values.  Counts are cached alongside, which also powers
 count-pruned complement iteration.
 
-Rebalancing: a leaf splits when it exceeds twice the bucket target and
-triggers a parent rebuild when it falls under half of it; an internal
+Insertion merges a sorted batch of records in one descent (a single
+insert is the batch of one).  Rebalancing: a leaf splits in halves,
+recursively, while it exceeds twice the bucket target and triggers a
+parent rebuild when it falls under half of it; an internal
 node whose child holds more than twice as many records as its sibling is
 rebuilt (perfectly balanced) on the spot.
 """
@@ -119,9 +121,28 @@ class ScanTree:
     def insert(self, key, value=None):
         if self.get(key) is not None:
             raise UserError(f"scan-tree key already present: {key}")
+        self.insert_sorted([(key, value)])
+
+    def insert_sorted(self, records):
+        """Merge sorted, key-distinct (key, value) records in one descent.
+
+        Records whose key is already present are skipped; returns how
+        many were added.  The batch is split at each node's left max key,
+        merged at the leaves (an overflowing leaf splits in halves,
+        recursively), and each touched node is refreshed and
+        rebalance-checked once on the way up.  Into an empty tree the
+        batch is bulk-built.
+        """
         self.last_recomputed = []
-        self.root = self._edit(self.root, key, ("+", value))
-        self.size += 1
+        if not records:
+            return 0
+        before = self.size
+        if self.root is None:
+            self.root = self._build(records)
+            self.size = len(records)
+        else:
+            self.root = self._merge(self.root, records, 0, len(records))
+        return self.size - before
 
     def erase(self, key):
         if self.get(key) is None:
@@ -137,27 +158,17 @@ class ScanTree:
         self.root = self._edit(self.root, key, ("=", value))
 
     def _edit(self, node, key, change):
-        op = self.op
-        if node is None:
-            return _SLeaf([(key, change[1])], op)
+        """Erase ("-") or replace ("=") the record of a present key."""
         if isinstance(node, _SLeaf):
             recs = node.records
             i = bisect_left(recs, key, key=_rec_key)
-            kind = change[0]
-            if kind == "+":
-                recs.insert(i, (key, change[1]))
-            elif kind == "-":
+            if change[0] == "-":
                 del recs[i]
+                if not recs:
+                    return None
             else:
                 recs[i] = (key, change[1])
-            if not recs:
-                return None
-            if len(recs) > 2 * self.leaf_target:
-                mid = len(recs) // 2
-                return _SNode(
-                    _SLeaf(recs[:mid], op), _SLeaf(recs[mid:], op), op
-                )
-            node.refresh(op)
+            node.refresh(self.op)
             return node
         if key <= node.left.max_key:
             node.left = self._edit(node.left, key, change)
@@ -167,7 +178,43 @@ class ScanTree:
             return node.right
         if node.right is None:
             return node.left
-        node.refresh(op)
+        return self._settle(node)
+
+    def _merge(self, node, records, lo, hi):
+        if isinstance(node, _SLeaf):
+            old = node.records
+            n = len(old)
+            out, at = [], 0
+            for j in range(lo, hi):
+                rec = records[j]
+                i = bisect_left(old, rec[0], at, n, key=_rec_key)
+                out.extend(old[at:i])
+                at = i
+                if i == n or old[i][0] != rec[0]:
+                    out.append(rec)
+            out.extend(old[at:])
+            self.size += len(out) - n
+            if len(out) > 2 * self.leaf_target:
+                return self._split(out)
+            node.records = out
+            node.refresh(self.op)
+            return node
+        mid = bisect_right(records, node.left.max_key, lo, hi, key=_rec_key)
+        if mid > lo:
+            node.left = self._merge(node.left, records, lo, mid)
+        if mid < hi:
+            node.right = self._merge(node.right, records, mid, hi)
+        return self._settle(node)
+
+    def _split(self, records):
+        if len(records) <= 2 * self.leaf_target:
+            return _SLeaf(records, self.op)
+        mid = len(records) // 2
+        return _SNode(self._split(records[:mid]), self._split(records[mid:]), self.op)
+
+    def _settle(self, node):
+        """Refresh an edited internal node and rebalance it if needed."""
+        node.refresh(self.op)
         self.last_recomputed.append((node.min_key, node.max_key))
         if _violates(node.left, node.right) or self._leaf_underflow(node):
             return self._rebuild(node)

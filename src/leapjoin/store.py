@@ -93,9 +93,6 @@ class RelationVersion:
                 stack.extend(reversed(node.children))
         return iter(out)
 
-    def record_set(self):
-        return set(self.records())
-
     def locate_ge(self, target: tuple) -> Optional[tuple]:
         """Least record whose keys are >= target (tuple order), or None."""
         node = self.root

@@ -131,3 +131,51 @@ class TestStabAndRemove:
         got = ix.stab((7,), 3)
         assert [r.context for r in got] == [(3, 4), (8, 9)]
         assert ix.stab((8,), 3) == []
+
+
+class TestAddBatch:
+    SHAPES = [(0, 0), (1, 1), (1, 2)]
+
+    def random_records(self, rng, plen, clen, n):
+        out = []
+        for _ in range(n):
+            lo = rng.randrange(200)
+            hi = lo if rng.random() < 0.2 else lo + rng.randrange(30)
+            r = rec(
+                lo,
+                hi,
+                tuple(rng.randrange(3) for _ in range(plen)),
+                tuple(rng.randrange(3) for _ in range(clen)),
+            )
+            out.append(r)
+            if rng.random() < 0.15:
+                out.append(r)  # duplicate inside the batch
+        return out
+
+    @pytest.mark.parametrize("plen,clen", SHAPES)
+    def test_batch_equals_sequential_add(self, plen, clen):
+        rng = random.Random(23 + 10 * plen + clen)
+        for trial in range(40):
+            seq = IntervalIndex(plen, clen, leaf_target=rng.choice((1, 3, 12)))
+            bat = IntervalIndex(plen, clen, leaf_target=seq.tree.leaf_target)
+            if trial % 2:  # non-empty index: the batch overlaps what is there
+                start = self.random_records(rng, plen, clen, rng.randrange(1, 200))
+                for r in start:
+                    seq.add(r)
+                bat.add_batch([(r.sort_key(), r.hi) for r in start])
+            recs = self.random_records(rng, plen, clen, rng.randrange(0, 300))
+            want = sum(seq.add(r) for r in recs)
+            got = bat.add_batch([(r.sort_key(), r.hi) for r in recs])
+            assert got == want
+            assert list(bat.enumerate()) == list(seq.enumerate())
+            bat.tree.audit()
+            for _ in range(50):
+                p = tuple(rng.randrange(3) for _ in range(plen))
+                x = rng.randrange(-5, 240)
+                assert bat.stab(p, x) == seq.stab(p, x)
+
+    def test_inverted_interval_rejected(self):
+        ix = IntervalIndex(1, 0)
+        batch = [(r.sort_key(), r.hi) for r in (rec(1, 2, (0,)), rec(5, 4, (0,)))]
+        with pytest.raises(UserError):
+            ix.add_batch(batch)

@@ -84,6 +84,31 @@ class TestFullEvaluate:
         assert a_sens == [(KEY_MIN, KEY_MAX)]
         assert b_sens == [(KEY_MIN, 3)]
 
+    def test_recorder_merges_only_when_stream_is_exhausted(self):
+        eng = Engine("C(x) <- A(x), B(x). @force_sens", {"A": (1, False), "B": (1, False)})
+        eng.load("A", [(0,), (2,), (4,), (5,), (6,)])
+        eng.load("B", [(1,), (2,), (6,), (7,)])
+        indices = eng.inst.fresh_indices()
+        rec = SensitivityRecorder(indices)
+        stream = evaluate(eng.plan, eng.versions(), recorder=rec)
+        assert next(stream)[0] == (2,)
+        assert next(stream)[0] == (6,)
+        assert all(len(ix) == 0 for ix in indices.values())
+        assert next(stream, None) is None
+        assert rec.added == sum(len(ix) for ix in indices.values()) == 8
+
+    def test_stream_closed_early_adds_nothing(self):
+        eng = Engine("C(x) <- A(x), B(x). @force_sens", {"A": (1, False), "B": (1, False)})
+        eng.load("A", [(0,), (2,), (4,), (5,), (6,)])
+        eng.load("B", [(1,), (2,), (6,), (7,)])
+        indices = eng.inst.fresh_indices()
+        rec = SensitivityRecorder(indices)
+        stream = evaluate(eng.plan, eng.versions(), recorder=rec)
+        next(stream)
+        stream.close()
+        assert rec.added == 0
+        assert all(len(ix) == 0 for ix in indices.values())
+
     @pytest.mark.parametrize(
         "rule,spec",
         [

@@ -215,3 +215,82 @@ class TestComplement:
         with pytest.raises(IntegrityError) as err:
             list(complement_iter(t, s))
         assert "[" in str(err.value)
+
+
+class TestInsertSorted:
+    def check(self, t, ref):
+        t.audit()
+        got = t.range_scan((KEY_MIN,), (KEY_MAX,))
+        assert dict(t.items()) == ref
+        assert (got is EMPTY) == (not ref)
+
+    @pytest.mark.parametrize("op", [MAX_OP, GROUP_SUM_OP])
+    def test_random_batches_match_reference(self, op):
+        rng = random.Random(18)
+        for leaf_target in (1, 3, 12):
+            t = ScanTree(op, leaf_target=leaf_target)
+            ref = {}
+            for step in range(60):
+                shape = step % 4
+                if shape == 0 and ref:  # all on one side of the tree
+                    top = max(ref)[0]
+                    keys = {top + rng.randrange(1, 500) for _ in range(rng.randrange(1, 60))}
+                elif shape == 1 and ref:  # many keys into one leaf's gap
+                    lo = rng.choice(list(ref))[0]
+                    keys = {lo + rng.random() for _ in range(5 * leaf_target)}
+                elif shape == 2 and ref:  # keys already present mixed in
+                    keys = set(rng.sample([k[0] for k in ref], min(len(ref), 20)))
+                    keys |= {rng.randrange(10**4) for _ in range(20)}
+                else:
+                    keys = {rng.randrange(10**4) for _ in range(rng.randrange(0, 80))}
+                batch = [((k,), rng.randrange(-(2**62), 2**62)) for k in sorted(keys)]
+                want = sum(1 for k, _ in batch if k not in ref)
+                for k, v in batch:
+                    ref.setdefault(k, v)
+                assert t.insert_sorted(batch) == want
+                assert t.size == len(ref)
+                self.check(t, ref)
+            for _ in range(200):
+                a, b = sorted((rng.randrange(10**4), rng.randrange(10**4)))
+                want = [v for (k,), v in ref.items() if a <= k <= b]
+                got = t.range_scan((a,), (b,))
+                if not want:
+                    assert got is EMPTY
+                elif op is MAX_OP:
+                    assert got == max(want)
+                else:
+                    total = 0
+                    for v in want:
+                        total = wrap64(total + v)
+                    assert got == total
+
+    def test_batch_into_empty_tree_is_bulk_built(self):
+        t = ScanTree(COUNT_OP, leaf_target=4)
+        assert t.insert_sorted([((k,), None) for k in range(100)]) == 100
+        t.audit()
+        assert t.stats["rebuilds"] == 0
+        assert t.height() <= math.ceil(math.log2(100 / 4)) + 1
+
+    def test_single_insert_splits_a_full_leaf_in_halves(self):
+        t = ScanTree(COUNT_OP, leaf_target=2)
+        for k in (1, 2, 3, 4):
+            t.insert((k,))
+        assert t.root.count == 4 and not hasattr(t.root, "left")
+        t.insert((5,))
+        assert [lf.count for lf in (t.root.left, t.root.right)] == [2, 3]
+        assert t.last_recomputed == []
+
+    def test_overflowing_leaf_splits_recursively(self):
+        t = ScanTree(COUNT_OP, leaf_target=2)
+        t.insert_sorted([((0,), None), ((100,), None)])
+        assert t.insert_sorted([((k,), None) for k in range(1, 21)]) == 20
+        t.audit()
+        leaves = []
+        stack = [t.root]
+        while stack:
+            node = stack.pop()
+            if hasattr(node, "left"):
+                stack += [node.left, node.right]
+            else:
+                leaves.append(node.count)
+        assert sum(leaves) == 22 and max(leaves) <= 4
