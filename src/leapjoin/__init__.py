@@ -3,7 +3,7 @@
 from .driver import MaintenanceReport, RuleInstance, bootstrap, build_oracle, maintain
 from .errors import EngineError, IntegrityError, UserError
 from .keys import KEY_MAX, KEY_MIN
-from .lftj import evaluate, leapfrog_join
+from .lftj import evaluate
 from .parser import parse_rule
 from .rules import classify_variables, is_projection_free, validate_key_order
 from .store import Relation, delta_iter, surgery_iter
@@ -23,7 +23,6 @@ __all__ = [
     "is_projection_free",
     "validate_key_order",
     "evaluate",
-    "leapfrog_join",
     "trace_distance",
     "RuleInstance",
     "MaintenanceReport",

@@ -26,7 +26,7 @@ import sys
 
 from .driver import RuleInstance, bootstrap, maintain
 from .errors import IntegrityError, UserError
-from .heads import SegmentedFloat
+from .heads import render_record, render_value
 from .keys import parse_key
 from .scantree import EMPTY
 from .parser import parse_rule
@@ -69,10 +69,6 @@ def _parse_keys(parts, where):
         except ValueError:
             raise UserError(f"{where}: bad key {p!r}") from None
     return tuple(keys)
-
-
-def _render_value(v):
-    return repr(v) if isinstance(v, float) else str(v)
 
 
 class Workspace:
@@ -238,36 +234,14 @@ class Workspace:
         rel = self.relations.get(name)
         if rel is None:
             raise UserError(f"unknown relation {name}")
-        kind = None
+        render = render_record
         if name in self.idb:
             rid, hi = self.idb[name]
-            kind = self.rules[rid][1].heads[hi].kind
-        out = []
-        for keys, value in rel.current.records():
-            cols = [str(k) for k in keys]
-            if kind in (None, "DIRECT", "MIN", "MAX"):
-                if rel.is_function:
-                    cols.append(_render_value(value))
-            elif kind in ("COUNTED",):
-                if isinstance(value, tuple):  # function head: (value, eta)
-                    cols.append(_render_value(value[0]))
-                    if eta:
-                        cols.append(f"#{value[1]}")
-                elif eta:
-                    cols.append(f"#{value}")
-            elif kind == "COUNT":
-                cols.append(str(value))
-            elif kind == "GROUP_SUM":
-                cols.append(str(value[0]))
-                if eta:
-                    cols.append(f"#{value[1]}")
-            elif kind == "FLOAT_TOTAL":
-                total, _overflow = SegmentedFloat(dict(value[0])).to_float()
-                cols.append(_render_value(total))
-                if eta:
-                    cols.append(f"#{value[1]}")
-            out.append("\t".join(cols))
-        return out
+            render = self.rules[rid][1].heads[hi].render
+        return [
+            "\t".join([*map(str, keys), *render(value, eta)])
+            for keys, value in rel.current.records()
+        ]
 
     def cmd_scan(self, name, lo_text, hi_text):
         """Debug probe: range scan over a min/max head's intermediate."""
@@ -287,7 +261,7 @@ class Workspace:
             return keys
 
         value = tree.range_scan(parse_endpoint(lo_text), parse_endpoint(hi_text))
-        return [f"scan {name} = {'EMPTY' if value is EMPTY else _render_value(value)}"]
+        return [f"scan {name} = {'EMPTY' if value is EMPTY else render_value(value)}"]
 
     def cmd_dump_sens(self, rid):
         inst = self._instance(rid)

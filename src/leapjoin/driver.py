@@ -22,20 +22,23 @@ changed region directly in join-order coordinates.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 from .errors import UserError
 from .heads import (
+    FUNCTION_VALUE,
+    GROUPS,
     ScanBackedAggregate,
-    apply_counted,
     apply_direct,
-    apply_float_total,
-    apply_group_sum,
+    apply_group,
     apply_semigroup,
+    render_record,
 )
 from .intervals import IntervalIndex
 from .keys import render_key
 from .lftj import Counter, SensitivityRecorder, evaluate
-from .scantree import MAX_OP, MIN_OP
+from .scantree import MAX_OP, MIN_OP, ScanTree
 from .store import ERASE, INSERT, surgery_iter
 
 
@@ -140,19 +143,56 @@ class ChangeOracle:
             yield f"oracle depth={depth} prefix={ptxt} {e.render()}"
 
 
+def _extractor(head_plan, key_depth_count, scan_backed):
+    """Map an assignment (keys, values) to one head's (target keys, payload).
+
+    Both are read by position from keys + values; a scan-backed head's
+    intermediate is keyed by the full binding.
+    """
+
+    def at(src):
+        tag, i = src
+        return i - 1 if tag == "k" else key_depth_count + i
+
+    keys = [at(src) for src in head_plan.key_sources]
+    if scan_backed:
+        target = itemgetter(slice(0, key_depth_count))
+    elif len(keys) == 1:  # one itemgetter index would give a scalar
+        target = itemgetter(slice(keys[0], keys[0] + 1))
+    else:
+        target = itemgetter(*keys)
+    vs = head_plan.value_source
+    payload = (lambda row: None) if vs is None else itemgetter(at(vs))
+
+    def extract(assignment):
+        row = assignment[0] + assignment[1]
+        return target(row), payload(row)
+
+    return extract
+
+
 class HeadState:
-    """One head atom's store plus its update action."""
+    """One head atom's store; its kind picks extract, update and render once."""
 
     def __init__(self, head_plan, relation, key_depth_count):
         self.plan = head_plan
         self.relation = relation
-        self.kind = head_plan.kind
-        self.is_func_atom = bool(head_plan.atom.value_args)
-        if self.kind in ("MIN", "MAX"):
-            op = MAX_OP if self.kind == "MAX" else MIN_OP
+        self.kind = kind = head_plan.kind
+        self.agg = None
+        self.render = render_record
+        if kind in ("MIN", "MAX"):
+            op = MAX_OP if kind == "MAX" else MIN_OP
             self.agg = ScanBackedAggregate(op, key_depth_count)
+            n = len(head_plan.key_sources)
+            self._update = partial(apply_semigroup, self.agg, prefix_len=n)
+        elif kind == "DIRECT":
+            self._update = apply_direct
         else:
-            self.agg = None
+            fd = kind == "COUNTED" and head_plan.atom.value_args
+            group = FUNCTION_VALUE if fd else GROUPS[kind]
+            self._update = partial(apply_group, group=group)
+            self.render = group.render
+        self.extract = _extractor(head_plan, key_depth_count, self.agg is not None)
 
     def reset(self):
         txn = self.relation.begin()
@@ -160,42 +200,14 @@ class HeadState:
             txn.erase(keys)
         txn.commit()
         if self.agg is not None:
-            self.agg = ScanBackedAggregate(self.agg.tree.op, self.agg.arity)
-
-    def extract(self, assignment):
-        keys, values = assignment
-
-        def fetch(src):
-            tag, i = src
-            return keys[i - 1] if tag == "k" else values[i]
-
-        hk = tuple(fetch(s) for s in self.plan.key_sources)
-        payload = None
-        if self.plan.value_source is not None:
-            payload = fetch(self.plan.value_source)
-        if self.kind in ("MIN", "MAX"):
-            return (keys, payload)  # intermediate is keyed by the full binding
-        if self.kind == "COUNTED" and not self.is_func_atom:
-            payload = None
-        return (hk, payload)
+            self.agg.tree = ScanTree(self.agg.tree.op)
 
     def apply(self, deltas):
         """Apply (target_keys, payload, delta) updates; erases first per key."""
         deltas = sorted(deltas, key=lambda d: (d[0], d[2] != ERASE))
         txn = self.relation.begin()
         try:
-            if self.kind == "DIRECT":
-                apply_direct(txn, deltas)
-            elif self.kind == "COUNTED":
-                apply_counted(txn, deltas, func_payload=self.is_func_atom)
-            elif self.kind == "COUNT":
-                apply_counted(txn, deltas, func_payload=False)
-            elif self.kind == "GROUP_SUM":
-                apply_group_sum(txn, deltas)
-            elif self.kind == "FLOAT_TOTAL":
-                apply_float_total(txn, deltas)
-            else:
-                apply_semigroup(self.agg, txn, deltas, len(self.plan.key_sources))
+            self._update(txn, deltas)
         except BaseException:
             txn.abort()
             raise
@@ -279,36 +291,31 @@ def build_oracle(inst, old_versions, new_versions, consume=True):
     return oracle, consumed
 
 
-def _route(inst, stream, delta, out):
-    n = 0
-    for assignment in stream:
-        n += 1
-        for i, head in enumerate(inst.heads):
-            target, payload = head.extract(assignment)
-            out[i].append((target, payload, delta))
-    return n
-
-
-def _diff_route(inst, old_stream, new_stream, out):
+def _diff_route(inst, old_stream, new_stream):
+    """Apply old-only assignments as erases, new-only ones as inserts."""
+    per_head = [[] for _ in inst.heads]
+    routes = [(h.extract, deltas.append) for h, deltas in zip(inst.heads, per_head)]
     inserts = erases = 0
     a = next(old_stream, None)
     b = next(new_stream, None)
     while a is not None or b is not None:
         if b is None or (a is not None and a < b):
+            assignment, delta = a, ERASE
             erases += 1
-            for i, head in enumerate(inst.heads):
-                target, payload = head.extract(a)
-                out[i].append((target, payload, ERASE))
             a = next(old_stream, None)
         elif a is None or b < a:
+            assignment, delta = b, INSERT
             inserts += 1
-            for i, head in enumerate(inst.heads):
-                target, payload = head.extract(b)
-                out[i].append((target, payload, INSERT))
             b = next(new_stream, None)
         else:
             a = next(old_stream, None)
             b = next(new_stream, None)
+            continue
+        for extract, append in routes:
+            target, payload = extract(assignment)
+            append((target, payload, delta))
+    for head, deltas in zip(inst.heads, per_head):
+        head.apply(deltas)
     return inserts, erases
 
 
@@ -322,15 +329,11 @@ def bootstrap(inst, versions, with_trace=True):
     for head in inst.heads:
         if head.relation.current.count:
             head.reset()
-    per_head = [[] for _ in inst.heads]
-    n = _route(
+    n, _ = _diff_route(
         inst,
+        iter(()),
         evaluate(plan, versions, recorder=recorder, trace=trace, counter=counter),
-        INSERT,
-        per_head,
     )
-    for head, deltas in zip(inst.heads, per_head):
-        head.apply(deltas)
     inst.bound_versions = dict(versions)
     inst.bootstrapped = True
     inst.last_trace = trace
@@ -364,10 +367,7 @@ def maintain(inst, new_versions, use_oracle=True, with_trace=False):
         counter=c_new,
         trace=trace,
     )
-    per_head = [[] for _ in inst.heads]
-    inserts, erases = _diff_route(inst, old_stream, new_stream, per_head)
-    for head, deltas in zip(inst.heads, per_head):
-        head.apply(deltas)
+    inserts, erases = _diff_route(inst, old_stream, new_stream)
     inst.bound_versions = dict(new_versions)
     if trace is not None:
         inst.last_trace = trace

@@ -1,23 +1,26 @@
 """Head predicate maintenance.
 
-Assignment deltas reach a head in one of five regimes:
+Assignment deltas reach a head through one of three mechanisms:
 
 * direct -- projection-free rules insert/remove head records 1:1;
-* counted -- projected rules keep a support count per head key, dropping
-  the record when it reaches zero (erases apply before inserts per key,
-  so a changed function value never conflicts with itself);
-* group sum -- 64-bit wrapping totals adjusted by the summand or its
-  negation, plus a support count;
+* support-counted groups -- every other head but min/max keeps a group
+  value and a support count eta per head key, and drops the record when
+  the count reaches zero (erases apply before inserts per key, so a
+  changed function value never conflicts with itself).  One update,
+  ``apply_group``, serves every group; a small group table supplies the
+  value: none (relation heads and count(), which store eta alone), the
+  functional-dependency value of a function head, a 64-bit wrapping
+  sum, or an exact float total in a segmented representation of
+  X + sum(s_i), X a fixed constant with a 1-bit every fourth position,
+  so borrows stay local and the total is exact in any insert/erase
+  order.  Each group also renders its stored value for ``dump``;
 * scan-backed min/max -- an intermediate full-key relation with a
-  min/max scan-tree; touched group prefixes recompute by range scan;
-* exact float totals -- group sums whose accumulator is a segmented
-  exact representation of X + sum(s_i), X a fixed constant with a 1-bit
-  every fourth position, so borrows stay local and the running total is
-  exact regardless of insert/erase order.
+  min/max scan-tree; touched group prefixes recompute by range scan.
 """
 
 import math
 from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 from .errors import IntegrityError, UserError
 from .keys import KEY_MAX, KEY_MIN
@@ -153,98 +156,96 @@ def apply_direct(txn, deltas):
             txn.erase(keys)
 
 
-def apply_counted(txn, deltas, func_payload: bool):
-    """Support-counted updates.
+def render_value(v):
+    """A stored value as dump prints it: floats by repr, the rest by str."""
+    return repr(v) if isinstance(v, float) else str(v)
 
-    Relation heads (and count aggregations) store eta as the record
-    value; function heads store (value, eta).  Deltas must order erases
-    before inserts per key.
+
+def render_record(value, eta=False):
+    """Dump columns of a record stored as is, with no support count."""
+    return [] if value is None else [render_value(value)]
+
+
+class Group(NamedTuple):
+    """A value kept next to the support count eta of each head record.
+
+    step(name, keys, value, payload, sign) folds one payload into the
+    value (sign +1) or out of it (sign -1), None standing for an empty
+    group.  Records store (value, eta), or eta alone for a group without
+    a step.  render(stored, eta) gives dump's columns for a record value.
+    """
+
+    step: Optional[Callable]
+    render: Callable
+
+
+def _function_value(name, keys, value, payload, sign):
+    if value is not None and value != payload:
+        if sign > 0:
+            raise IntegrityError(
+                f"{name}: functional dependency violated at {keys}: "
+                f"{value!r} vs {payload!r}"
+            )
+        raise IntegrityError(f"{name}: erase of unknown value at {keys}")
+    return payload
+
+
+def _wrapping_sum(name, keys, total, summand, sign):
+    if not isinstance(summand, int):
+        raise UserError(f"{name}: sum() needs integer summands, got {summand!r}")
+    return wrap64((total or 0) + sign * summand)
+
+
+def _float_total(name, keys, segments, summand, sign):
+    acc = SegmentedFloat(segments)
+    acc.add(float(summand), sign)
+    return acc.frozen()
+
+
+def _render_pair(shown):
+    def render(stored, eta=False):
+        cols = [render_value(shown(stored[0]))]
+        return cols + [f"#{stored[1]}"] if eta else cols
+
+    return render
+
+
+GROUPS = {
+    "COUNTED": Group(None, lambda n, eta=False: [f"#{n}"] if eta else []),
+    "COUNT": Group(None, lambda n, eta=False: [str(n)]),
+    "GROUP_SUM": Group(_wrapping_sum, _render_pair(lambda total: total)),
+    "FLOAT_TOTAL": Group(
+        _float_total, _render_pair(lambda segs: SegmentedFloat(segs).to_float()[0])
+    ),
+}
+FUNCTION_VALUE = Group(_function_value, _render_pair(lambda value: value))
+
+
+def apply_group(txn, deltas, group):
+    """Support-counted updates: a group value and a count eta per head key.
+
+    A key's record goes when its count reaches zero.  Deltas must order
+    erases before inserts per key, so a changed function value never
+    conflicts with itself.
     """
     name = txn.relation.name
+    step = group.step
     for keys, payload, delta in deltas:
+        sign = 1 if delta == INSERT else -1
         cur = txn.lookup(keys)
-        if delta == INSERT:
-            if cur is None:
-                _set_value(txn, keys, (payload, 1) if func_payload else 1)
-            elif func_payload:
-                value, eta = cur[0]
-                if value != payload:
-                    raise IntegrityError(
-                        f"{name}: functional dependency violated at {keys}: "
-                        f"{value!r} vs {payload!r}"
-                    )
-                _set_value(txn, keys, (value, eta + 1))
-            else:
-                _set_value(txn, keys, cur[0] + 1)
+        if cur is not None:
+            value, eta = cur[0] if step else (None, cur[0])
+        elif sign > 0:
+            value, eta = None, 0
         else:
-            if cur is None:
-                raise IntegrityError(f"{name}: support underflow at {keys}")
-            if func_payload:
-                value, eta = cur[0]
-                if value != payload:
-                    raise IntegrityError(
-                        f"{name}: erase of unknown value at {keys}"
-                    )
-                if eta == 1:
-                    txn.erase(keys)
-                else:
-                    _set_value(txn, keys, (value, eta - 1))
-            else:
-                if cur[0] == 1:
-                    txn.erase(keys)
-                else:
-                    _set_value(txn, keys, cur[0] - 1)
-
-
-def apply_group_sum(txn, deltas):
-    """Abelian-group totals over 64-bit wrapping integers."""
-    name = txn.relation.name
-    for keys, summand, delta in deltas:
-        if not isinstance(summand, int):
-            raise UserError(f"{name}: sum() needs integer summands, got {summand!r}")
-        cur = txn.lookup(keys)
-        if delta == INSERT:
-            if cur is None:
-                _set_value(txn, keys, (wrap64(summand), 1))
-            else:
-                total, eta = cur[0]
-                _set_value(txn, keys, (wrap64(total + summand), eta + 1))
-        else:
-            if cur is None:
-                raise IntegrityError(f"{name}: support underflow at {keys}")
-            total, eta = cur[0]
-            if eta == 1:
-                txn.erase(keys)
-            else:
-                _set_value(txn, keys, (wrap64(total - summand), eta - 1))
-
-
-def apply_float_total(txn, deltas):
-    """Exact float totals: (frozen segments, eta) per group."""
-    name = txn.relation.name
-    for keys, summand, delta in deltas:
-        summand = float(summand)
-        cur = txn.lookup(keys)
-        if delta == INSERT:
-            if cur is None:
-                acc = SegmentedFloat()
-                acc.add(summand)
-                _set_value(txn, keys, (acc.frozen(), 1))
-            else:
-                segs, eta = cur[0]
-                acc = SegmentedFloat(segs)
-                acc.add(summand)
-                _set_value(txn, keys, (acc.frozen(), eta + 1))
-        else:
-            if cur is None:
-                raise IntegrityError(f"{name}: support underflow at {keys}")
-            segs, eta = cur[0]
-            if eta == 1:
-                txn.erase(keys)
-            else:
-                acc = SegmentedFloat(segs)
-                acc.add(summand, sign=-1)
-                _set_value(txn, keys, (acc.frozen(), eta - 1))
+            raise IntegrityError(f"{name}: support underflow at {keys}")
+        if step:
+            value = step(name, keys, value, payload, sign)
+        eta += sign
+        if cur is not None:
+            txn.erase(keys)
+        if eta:
+            txn.insert(keys, (value, eta) if step else eta)
 
 
 class ScanBackedAggregate:

@@ -95,37 +95,6 @@ class _OracleCursor:
         return self.ended
 
 
-def leapfrog_join(cursors, advance_first=True):
-    """Intersect iterators positioned at a common level; yields keys.
-
-    After emitting a match the first iterator is incremented, keeping
-    traces reproducible.
-    """
-    if not cursors:
-        raise UserError("leapfrog_join needs at least one iterator")
-    if any(c.at_end() for c in cursors):
-        return
-    cur_max = max(c.key() for c in cursors)
-    while True:
-        aligned = True
-        for c in cursors:
-            if c.key() < cur_max:
-                c.seek_lub(cur_max)
-                if c.at_end():
-                    return
-                if c.key() > cur_max:
-                    cur_max = c.key()
-                    aligned = False
-        if not aligned:
-            continue
-        yield cur_max
-        first = cursors[0] if advance_first else cursors[-1]
-        first.next()
-        if first.at_end():
-            return
-        cur_max = first.key()
-
-
 def _check_short_circuit(plan):
     sc = plan.short_circuit_depth
     if plan.rule.agg is not None:

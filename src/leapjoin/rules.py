@@ -104,15 +104,6 @@ def _walk_atoms(form):
         yield from _walk_atoms(form.body)
 
 
-def body_variables(body: Conj):
-    out = []
-    for atom in _walk_atoms(body):
-        for v in atom.key_args + atom.value_args:
-            if v not in out:
-                out.append(v)
-    return out
-
-
 def infer_quantifiers(heads, body: Conj, agg=None):
     """Rebuild the body with existential blocks on the smallest
     conjunction encompassing each body-only variable's occurrences."""

@@ -214,6 +214,105 @@ class TestDump:
             ws.run_command(["dump", "Nope"])
 
 
+def install_head(ws, tmp_path, spec, rows, rule):
+    """Load one function relation, install RULE over it and evaluate it."""
+    name = spec.partition("/")[0]
+    p = write(tmp_path / f"{name}.tsv", rows)
+    ws.run_command(["load", spec, p, "--function"])
+    ws.run_command(["rule", rule])
+    ws.run_command(["eval", "r1"])
+
+
+def maintain_with(ws, tmp_path, name, edits):
+    p = write(tmp_path / f"d{name}.txt", edits)
+    ws.run_command(["delta", name, p])
+    ws.run_command(["maintain", "r1"])
+
+
+def dumps(ws, name):
+    return ws.run_command(["dump", name]), ws.run_command(["dump", name, "--eta"])
+
+
+class TestDumpHeadKinds:
+    """Each head kind's stored record, as `dump` and `dump --eta` print it."""
+
+    def test_counted_function_head(self, ws, tmp_path):
+        install_head(
+            ws, tmp_path, "F/2", "1\t1\t5\n1\t2\t5\n2\t3\t2.5\n",
+            "Q[x]=v <- F[x,y]=v.",
+        )
+        assert dumps(ws, "Q") == (
+            ["1\t5", "2\t2.5"],
+            ["1\t5\t#2", "2\t2.5\t#1"],
+        )
+        maintain_with(ws, tmp_path, "F", "-1\t2\t5\n+3\t1\t-4\n")
+        assert dumps(ws, "Q") == (
+            ["1\t5", "2\t2.5", "3\t-4"],
+            ["1\t5\t#1", "2\t2.5\t#1", "3\t-4\t#1"],
+        )
+
+    def test_count(self, ws, tmp_path):
+        p = write(tmp_path / "E.tsv", "1\t1\n1\t2\n2\t5\n")
+        ws.run_command(["load", "E/2", p])
+        ws.run_command(["rule", "D[x]=c <- agg<< c=count() >> E(x,y)."])
+        ws.run_command(["eval", "r1"])
+        assert dumps(ws, "D") == (["1\t2", "2\t1"], ["1\t2", "2\t1"])
+        maintain_with(ws, tmp_path, "E", "-2\t5\n+1\t3\n")
+        assert dumps(ws, "D") == (["1\t3"], ["1\t3"])
+
+    def test_wrapping_sum(self, ws, tmp_path):
+        install_head(
+            ws, tmp_path, "E2/2",
+            "1\t1\t3\n1\t2\t-5\n2\t1\t9223372036854775807\n2\t2\t1\n",
+            "T[x]=s <- agg<< s=sum(v) >> E2[x,y]=v.",
+        )
+        assert dumps(ws, "T") == (
+            ["1\t-2", "2\t-9223372036854775808"],
+            ["1\t-2\t#2", "2\t-9223372036854775808\t#2"],
+        )
+        maintain_with(ws, tmp_path, "E2", "-1\t2\t-5\n")
+        assert dumps(ws, "T") == (
+            ["1\t3", "2\t-9223372036854775808"],
+            ["1\t3\t#1", "2\t-9223372036854775808\t#2"],
+        )
+
+    def test_float_total(self, ws, tmp_path):
+        install_head(
+            ws, tmp_path, "EF/2",
+            "1\t1\t0.1\n1\t2\t0.2\n2\t1\t1e308\n2\t2\t1e308\n"
+            "3\t1\t1.5\n3\t2\t-1.5\n4\t1\t1\n4\t2\t2\n",
+            "FT[x]=t <- agg<< t=total(v) >> EF[x,y]=v.",
+        )
+        assert dumps(ws, "FT") == (
+            ["1\t0.30000000000000004", "2\tinf", "3\t0.0", "4\t3.0"],
+            [
+                "1\t0.30000000000000004\t#2",
+                "2\tinf\t#2",
+                "3\t0.0\t#2",
+                "4\t3.0\t#2",
+            ],
+        )
+        maintain_with(ws, tmp_path, "EF", "-2\t2\t1e308\n-3\t2\t-1.5\n")
+        assert dumps(ws, "FT") == (
+            ["1\t0.30000000000000004", "2\t1e+308", "3\t1.5", "4\t3.0"],
+            [
+                "1\t0.30000000000000004\t#2",
+                "2\t1e+308\t#1",
+                "3\t1.5\t#1",
+                "4\t3.0\t#2",
+            ],
+        )
+
+    def test_max(self, ws, tmp_path):
+        install_head(
+            ws, tmp_path, "E2/2", "1\t1\t3\n1\t2\t-5\n2\t1\t2.5\n2\t2\t1\n",
+            "M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.",
+        )
+        assert dumps(ws, "M") == (["1\t3", "2\t2.5"], ["1\t3", "2\t2.5"])
+        maintain_with(ws, tmp_path, "E2", "-1\t1\t3\n-2\t1\t2.5\n")
+        assert dumps(ws, "M") == (["1\t-5", "2\t1"], ["1\t-5", "2\t1"])
+
+
 class TestScan:
     def test_range_scan_over_max_head(self, ws, tmp_path):
         p = write(tmp_path / "s.tsv", "1\t1\t1000\n1\t2\t1500\n2\t3\t9000\n2\t4\t7024\n")

@@ -7,17 +7,20 @@ import pytest
 
 from leapjoin.errors import IntegrityError, UserError
 from leapjoin.heads import (
+    FUNCTION_VALUE,
+    GROUPS,
     ScanBackedAggregate,
     SegmentedFloat,
-    apply_counted,
     apply_direct,
-    apply_float_total,
-    apply_group_sum,
+    apply_group,
     apply_semigroup,
     x_segment,
 )
-from leapjoin.scantree import MAX_OP
+from leapjoin.scantree import MAX_OP, wrap64
 from leapjoin.store import ERASE, INSERT, Relation
+
+
+SUPPORT, SUM = GROUPS["COUNTED"], GROUPS["GROUP_SUM"]
 
 
 def store(name, arity, func=False):
@@ -66,52 +69,46 @@ class TestCounted:
     def test_two_witnesses_erase_one_keeps_record(self):
         rel = store("S", 2, func=True)
         txn = rel.begin()
-        apply_counted(
-            txn,
-            [((1, 2), None, INSERT), ((1, 2), None, INSERT)],
-            func_payload=False,
-        )
+        apply_group(txn, [((1, 2), None, INSERT), ((1, 2), None, INSERT)], SUPPORT)
         txn.commit()
         assert records(rel) == [((1, 2), 2)]
         txn = rel.begin()
-        apply_counted(txn, [((1, 2), None, ERASE)], func_payload=False)
+        apply_group(txn, [((1, 2), None, ERASE)], SUPPORT)
         txn.commit()
         assert records(rel) == [((1, 2), 1)]
 
     def test_last_witness_removes_record(self):
         rel = store("S", 1, func=True)
         txn = rel.begin()
-        apply_counted(txn, [((1,), None, INSERT)], func_payload=False)
-        apply_counted(txn, [((1,), None, ERASE)], func_payload=False)
+        apply_group(txn, [((1,), None, INSERT)], SUPPORT)
+        apply_group(txn, [((1,), None, ERASE)], SUPPORT)
         txn.commit()
         assert records(rel) == []
 
     def test_function_value_change_erase_first(self):
         rel = store("F", 1, func=True)
         txn = rel.begin()
-        apply_counted(txn, [((7,), 10, INSERT)], func_payload=True)
+        apply_group(txn, [((7,), 10, INSERT)], FUNCTION_VALUE)
         txn.commit()
         # the routed deltas for a changed value: erase old, insert new
         txn = rel.begin()
-        apply_counted(
-            txn, [((7,), 10, ERASE), ((7,), 20, INSERT)], func_payload=True
-        )
+        apply_group(txn, [((7,), 10, ERASE), ((7,), 20, INSERT)], FUNCTION_VALUE)
         txn.commit()
         assert records(rel) == [((7,), (20, 1))]
 
     def test_conflicting_value_while_supported_is_fd_error(self):
         rel = store("F", 1, func=True)
         txn = rel.begin()
-        apply_counted(txn, [((7,), 10, INSERT)], func_payload=True)
+        apply_group(txn, [((7,), 10, INSERT)], FUNCTION_VALUE)
         with pytest.raises(IntegrityError, match="functional"):
-            apply_counted(txn, [((7,), 11, INSERT)], func_payload=True)
+            apply_group(txn, [((7,), 11, INSERT)], FUNCTION_VALUE)
         txn.abort()
 
     def test_underflow_is_integrity_error(self):
         rel = store("S", 1, func=True)
         txn = rel.begin()
         with pytest.raises(IntegrityError):
-            apply_counted(txn, [((1,), None, ERASE)], func_payload=False)
+            apply_group(txn, [((1,), None, ERASE)], SUPPORT)
         txn.abort()
 
 
@@ -119,9 +116,8 @@ class TestGroupSum:
     def test_insert_insert_erase(self):
         rel = store("T", 1, func=True)
         txn = rel.begin()
-        apply_group_sum(
-            txn,
-            [((1,), 3, INSERT), ((1,), 5, INSERT), ((1,), 3, ERASE)],
+        apply_group(
+            txn, [((1,), 3, INSERT), ((1,), 5, INSERT), ((1,), 3, ERASE)], SUM
         )
         txn.commit()
         assert records(rel) == [((1,), (5, 1))]
@@ -129,7 +125,7 @@ class TestGroupSum:
     def test_inverse_pair_removes_record(self):
         rel = store("T", 1, func=True)
         txn = rel.begin()
-        apply_group_sum(txn, [((1,), 9, INSERT), ((1,), 9, ERASE)])
+        apply_group(txn, [((1,), 9, INSERT), ((1,), 9, ERASE)], SUM)
         txn.commit()
         assert records(rel) == []
 
@@ -138,7 +134,7 @@ class TestGroupSum:
         edges = {(rng.randrange(5), rng.randrange(30)) for _ in range(60)}
         rel = store("D", 1, func=True)
         txn = rel.begin()
-        apply_group_sum(txn, [((x,), 1, INSERT) for x, _ in edges])
+        apply_group(txn, [((x,), 1, INSERT) for x, _ in edges], SUM)
         txn.commit()
         want = {}
         for x, _ in edges:
@@ -155,7 +151,7 @@ class TestGroupSum:
             txn = rel.begin()
             shuffled = deltas[:]
             random.Random(perm_seed).shuffle(shuffled)
-            apply_group_sum(txn, shuffled)
+            apply_group(txn, shuffled, SUM)
             txn.commit()
             if perm_seed == 0:
                 baseline = records(rel)
@@ -328,10 +324,73 @@ class TestFloatTotalAction:
                     tot, eta = oracle.get(g, (Fraction(0), 0))
                     oracle[g] = (tot + Fraction(s), eta + 1)
             txn = rel.begin()
-            apply_float_total(txn, deltas)
+            apply_group(txn, deltas, GROUPS["FLOAT_TOTAL"])
             txn.commit()
             got = {}
             for keys, (segs, eta) in rel.current.records():
                 got[keys] = (SegmentedFloat(dict(segs)).to_exact(), eta)
             want = {g: v for g, v in oracle.items() if v[1] > 0}
             assert got == want
+
+
+def exact_float(stored):
+    segs, eta = stored
+    return SegmentedFloat(segs).to_exact(), eta
+
+
+# group name -> (group, payload draw, expected record from the live
+# payloads of a key, stored record decoded for comparison)
+GROUP_CASES = {
+    "support": (GROUPS["COUNTED"], lambda rng: None, len, lambda v: v),
+    "count": (GROUPS["COUNT"], lambda rng: None, len, lambda v: v),
+    "function_value": (
+        FUNCTION_VALUE,
+        lambda rng: rng.choice([rng.randrange(-3, 4), rng.uniform(-1, 1)]),
+        lambda ps: (ps[0], len(ps)),
+        lambda v: v,
+    ),
+    "wrapping_sum": (
+        SUM,
+        lambda rng: rng.randrange(-(2**63), 2**63),
+        lambda ps: (wrap64(sum(ps)), len(ps)),
+        lambda v: v,
+    ),
+    "float_total": (
+        GROUPS["FLOAT_TOTAL"],
+        lambda rng: math.ldexp(rng.uniform(-1, 1), rng.randint(-60, 60)),
+        lambda ps: (sum(map(Fraction, ps)), len(ps)),
+        exact_float,
+    ),
+}
+
+
+class TestGroupsRandomized:
+    @pytest.mark.parametrize("case", sorted(GROUP_CASES))
+    def test_random_streams_match_dict_reference(self, case):
+        group, draw, expect, decode = GROUP_CASES[case]
+        rng = random.Random(f"groups-{case}")
+        rel = store("G", 1, func=True)
+        live = {}  # key -> live payloads, one per supporting witness
+        for round_ in range(60):
+            deltas = []
+            for k, ps in live.items():
+                # erase only what was live before the round, as the
+                # sorted stream applies erases before inserts per key
+                for p in [p for p in ps if rng.random() < 0.3]:
+                    ps.remove(p)
+                    deltas.append(((k,), p, ERASE))
+            for _ in range(rng.randrange(0, 12)):
+                k = rng.randrange(6)
+                ps = live.setdefault(k, [])
+                # a function head's witnesses all name its current value
+                p = ps[0] if ps and group is FUNCTION_VALUE else draw(rng)
+                ps.append(p)
+                deltas.append(((k,), p, INSERT))
+            rng.shuffle(deltas)
+            deltas.sort(key=lambda d: (d[0], d[2] != ERASE))
+            txn = rel.begin()
+            apply_group(txn, deltas, group)
+            txn.commit()
+            want = {(k,): expect(ps) for k, ps in live.items() if ps}
+            got = {k: decode(v) for k, v in rel.current.records()}
+            assert got == want, f"round {round_}"

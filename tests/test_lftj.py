@@ -6,7 +6,9 @@ from conftest import Engine, naive_assignments
 from leapjoin.driver import bootstrap
 from leapjoin.errors import UserError
 from leapjoin.keys import KEY_MAX, KEY_MIN
-from leapjoin.lftj import Counter, SensitivityRecorder, evaluate, leapfrog_join
+from leapjoin.lftj import Counter, SensitivityRecorder, evaluate
+from leapjoin.parser import parse_rule
+from leapjoin.rules import validate_key_order
 from leapjoin.store import Relation
 from leapjoin.trace import (
     NEXT,
@@ -27,33 +29,31 @@ def unary(name, keys):
     return txn.commit()
 
 
+def intersect(rule, sets):
+    """The keys evaluate yields for a rule over unary relations."""
+    plan = validate_key_order(parse_rule(rule, {n: (1, False) for n in sets}))
+    versions = {name: unary(name, keys) for name, keys in sets.items()}
+    return [k for (k,), _ in evaluate(plan, versions)]
+
+
 class TestLeapfrogJoin:
     def test_worked_example(self):
-        a, b = unary("A", [0, 2, 4, 5, 6]), unary("B", [1, 2, 6, 7])
-        ca, cb = a.cursor(), b.cursor()
-        ca.open()
-        cb.open()
-        assert list(leapfrog_join([ca, cb])) == [2, 6]
+        sets = {"A": [0, 2, 4, 5, 6], "B": [1, 2, 6, 7]}
+        assert intersect("C(x) <- A(x), B(x).", sets) == [2, 6]
 
     def test_single_iterator_identity(self):
-        a = unary("A", [3, 1, 4, 1, 5])
-        c = a.cursor()
-        c.open()
-        assert list(leapfrog_join([c])) == [1, 3, 4, 5]
+        assert intersect("C(x) <- A(x).", {"A": [3, 1, 4, 1, 5]}) == [1, 3, 4, 5]
 
     def test_three_random_sets_match_intersection(self):
         rng = random.Random(31)
         for _ in range(30):
             sets = [set(rng.sample(range(60), rng.randrange(1, 40))) for _ in range(3)]
-            cursors = []
-            for i, s in enumerate(sets):
-                c = unary(f"S{i}", s).cursor()
-                c.open()
-                cursors.append(c)
-            if any(c.at_end() for c in cursors):
-                continue
             want = sorted(sets[0] & sets[1] & sets[2])
-            assert list(leapfrog_join(cursors)) == want
+            got = intersect(
+                "C(x) <- S0(x), S1(x), S2(x).",
+                {f"S{i}": s for i, s in enumerate(sets)},
+            )
+            assert got == want
 
 
 class TestFullEvaluate:
