@@ -196,8 +196,7 @@ class HeadState:
 
     def reset(self):
         txn = self.relation.begin()
-        for keys, _ in self.relation.current.records():
-            txn.erase(keys)
+        txn.clear()
         txn.commit()
         if self.agg is not None:
             self.agg.tree = ScanTree(self.agg.tree.op)

@@ -1,25 +1,32 @@
 """Head predicate maintenance.
 
-Assignment deltas reach a head through one of three mechanisms:
+Assignment deltas reach a head as one batch per round (bootstrap is the
+round in which every assignment is an insert), through one of three
+mechanisms:
 
 * direct -- projection-free rules insert/remove head records 1:1;
 * support-counted groups -- every other head but min/max keeps a group
   value and a support count eta per head key, and drops the record when
   the count reaches zero (erases apply before inserts per key, so a
   changed function value never conflicts with itself).  One update,
-  ``apply_group``, serves every group; a small group table supplies the
-  value: none (relation heads and count(), which store eta alone), the
+  ``apply_group``, serves every group and touches the transaction once
+  per run of equal keys; a small group table supplies the value: none
+  (relation heads and count(), which store eta alone), the
   functional-dependency value of a function head, a 64-bit wrapping
   sum, or an exact float total in a segmented representation of
   X + sum(s_i), X a fixed constant with a 1-bit every fourth position,
   so borrows stay local and the total is exact in any insert/erase
   order.  Each group also renders its stored value for ``dump``;
 * scan-backed min/max -- an intermediate full-key relation with a
-  min/max scan-tree; touched group prefixes recompute by range scan.
+  min/max scan-tree; a batch's inserts merge into the tree in one
+  descent (a bulk build into an empty tree), and touched group prefixes
+  recompute by range scan.
 """
 
 import math
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .errors import IntegrityError, UserError
@@ -33,8 +40,7 @@ _X_LOW_BIT = -2048  # X = sum of 2**(4k) for k in -512..512
 _X_HIGH_BIT = 2048
 
 
-def x_segment(j: int) -> int:
-    """Bits [52j, 52j+52) of the reference constant X."""
+def _x_bits(j: int) -> int:
     lo = max(52 * j, _X_LOW_BIT)
     hi = min(52 * j + 51, _X_HIGH_BIT)
     seg = 0
@@ -43,6 +49,18 @@ def x_segment(j: int) -> int:
         seg |= 1 << (p - 52 * j)
         p += 4
     return seg
+
+
+# X has bits only in segments _X_LOW_BIT // 52 .. _X_HIGH_BIT // 52
+_X_SEGMENTS = {
+    j: _x_bits(j)
+    for j in range(_X_LOW_BIT // _SEG_BITS, _X_HIGH_BIT // _SEG_BITS + 1)
+}
+
+
+def x_segment(j: int) -> int:
+    """Bits [52j, 52j+52) of the reference constant X."""
+    return _X_SEGMENTS.get(j, 0)
 
 
 class SegmentedFloat:
@@ -86,7 +104,7 @@ class SegmentedFloat:
         touched = 0
         segs = self.segments
         while delta:
-            ref = x_segment(j)
+            ref = _X_SEGMENTS.get(j, 0)
             cur = segs.get(j, ref)
             carry, new = divmod(cur + delta, _SEG_BASE)
             if new == ref:
@@ -224,24 +242,30 @@ FUNCTION_VALUE = Group(_function_value, _render_pair(lambda value: value))
 def apply_group(txn, deltas, group):
     """Support-counted updates: a group value and a count eta per head key.
 
-    A key's record goes when its count reaches zero.  Deltas must order
-    erases before inserts per key, so a changed function value never
-    conflicts with itself.
+    A key's record goes when its count reaches zero.  A round's deltas
+    arrive as one batch; each run of deltas with equal keys touches the
+    transaction once: one lookup, every delta folded into a local
+    (value, eta) by the group's step, then at most one erase and one
+    insert.  Deltas must order erases before inserts per key, so a
+    changed function value never conflicts with itself.
     """
     name = txn.relation.name
     step = group.step
-    for keys, payload, delta in deltas:
-        sign = 1 if delta == INSERT else -1
+    for keys, run in groupby(deltas, key=itemgetter(0)):
         cur = txn.lookup(keys)
-        if cur is not None:
-            value, eta = cur[0] if step else (None, cur[0])
-        elif sign > 0:
+        if cur is None:
             value, eta = None, 0
         else:
-            raise IntegrityError(f"{name}: support underflow at {keys}")
-        if step:
-            value = step(name, keys, value, payload, sign)
-        eta += sign
+            value, eta = cur[0] if step else (None, cur[0])
+        for _, payload, delta in run:
+            sign = 1 if delta == INSERT else -1
+            if sign < 0 and not eta:
+                raise IntegrityError(f"{name}: support underflow at {keys}")
+            if step:
+                value = step(name, keys, value, payload, sign)
+            eta += sign
+            if not eta:
+                value = None
         if cur is not None:
             txn.erase(keys)
         if eta:
@@ -260,22 +284,33 @@ class ScanBackedAggregate:
         self.arity = arity
 
     def apply_deltas(self, deltas):
-        touched = set()
+        """Apply a round's (keys, value, delta) batch; returns its keys.
+
+        Erases go to the tree as they come; inserts wait in ``pending``
+        and merge in one ``ScanTree.insert_sorted`` descent at the end,
+        which bulk-builds an empty tree.  Contents and errors equal
+        those of applying the deltas one by one, in any order.
+        """
+        tree = self.tree
+        pending = {}
         for keys, value, delta in deltas:
             if delta == INSERT:
-                try:
-                    self.tree.insert(keys, value)
-                except UserError:
-                    raise IntegrityError(
-                        f"aggregate insert of live record {keys}"
-                    ) from None
+                if keys in pending or tree.get(keys) is not None:
+                    raise IntegrityError(f"aggregate insert of live record {keys}")
+                pending[keys] = value
+            elif keys in pending:
+                if pending[keys] != value:
+                    raise IntegrityError(f"aggregate erase of absent record {keys}")
+                del pending[keys]
             else:
-                cur = self.tree.get(keys)
+                cur = tree.get(keys)
                 if cur is None or cur[0] != value:
                     raise IntegrityError(f"aggregate erase of absent record {keys}")
-                self.tree.erase(keys)
-            touched.add(keys)
-        return touched
+                tree.erase(keys)
+        tree.insert_sorted(sorted(pending.items()))
+        # refresh_head dedupes by group prefix; a list of the keys takes
+        # a fifth of the memory of a set of them
+        return [keys for keys, _, _ in deltas]
 
     def refresh_head(self, txn, touched, prefix_len):
         pad = self.arity - prefix_len

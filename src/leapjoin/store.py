@@ -194,7 +194,13 @@ class Transaction:
                 raise UserError(f"{rel.name}: function tuple requires a value")
         elif value is not None:
             raise UserError(f"{rel.name}: relation tuples carry no value")
-        cur = self.lookup(keys)
+        edit = self._edits.get(keys)
+        if edit is None:
+            cur = base = self.base.lookup(keys)
+        elif edit[0] == "+":
+            cur, base = (edit[1],), None
+        else:  # a pending erase hides the base record
+            cur, base = None, self.base.lookup(keys)
         if cur is not None:
             if cur[0] != value:
                 raise UserError(
@@ -202,7 +208,6 @@ class Transaction:
                     f"{cur[0]!r} vs {value!r}"
                 )
             return  # duplicate insert is a no-op
-        base = self.base.lookup(keys)
         if base is not None and base[0] == value:
             self._edits.pop(keys, None)  # erase+insert cancels out
         else:
@@ -226,6 +231,12 @@ class Transaction:
                 return True
         self._edits[keys] = ("-", cur[0])
         return True
+
+    def clear(self):
+        """Erase every record: the commit starts from an empty relation."""
+        self._check_open()
+        self.base = RelationVersion(self.relation, self.base.version_id, None, 0)
+        self._edits = {}
 
     def abort(self):
         self._check_open()

@@ -68,6 +68,27 @@ class TestBootstrap:
         )
         assert head_snapshot(eng.inst.heads[0]) == want
 
+    @pytest.mark.parametrize(
+        "rule,spec",
+        [
+            ("S(x,y) <- A2(x,y), B2(y,z).", {"A2": (2, False), "B2": (2, False)}),
+            ("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)}),
+        ],
+    )
+    def test_second_eval_starts_from_an_empty_version(self, rule, spec):
+        eng = Engine(rule, spec)
+        eng.random_fill(random.Random(52), per_relation=60, dom=7)
+        bootstrap(eng.inst, eng.versions())
+        rel = eng.inst.heads[0].relation
+        first = list(rel.current.records())
+        assert first
+        n = len(rel.versions)
+        bootstrap(eng.inst, eng.versions())
+        emptied, refilled = rel.versions[n:]
+        assert (emptied.version_id, emptied.count) == (n, 0)
+        assert refilled.count == len(first)
+        assert list(refilled.records()) == first
+
 
 class TestBuildOracle:
     def test_worked_example_contributions(self):

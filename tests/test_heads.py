@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import Engine, expected_head, head_snapshot, naive_assignments
+from leapjoin.driver import bootstrap
 from leapjoin.errors import IntegrityError, UserError
 from leapjoin.heads import (
     FUNCTION_VALUE,
@@ -16,7 +18,7 @@ from leapjoin.heads import (
     apply_semigroup,
     x_segment,
 )
-from leapjoin.scantree import MAX_OP, wrap64
+from leapjoin.scantree import MAX_OP, ScanTree, wrap64
 from leapjoin.store import ERASE, INSERT, Relation
 
 
@@ -109,6 +111,48 @@ class TestCounted:
         txn = rel.begin()
         with pytest.raises(IntegrityError):
             apply_group(txn, [((1,), None, ERASE)], SUPPORT)
+        txn.abort()
+
+    def test_run_replaces_last_witnesses_of_a_value(self):
+        rel = store("F", 1, func=True)
+        txn = rel.begin()
+        apply_group(txn, [((7,), 10, INSERT), ((7,), 10, INSERT)], FUNCTION_VALUE)
+        txn.commit()
+        # one run: both witnesses of 10 go, then 20 arrives twice
+        txn = rel.begin()
+        run = [((7,), 10, ERASE)] * 2 + [((7,), 20, INSERT)] * 2
+        apply_group(txn, run, FUNCTION_VALUE)
+        txn.commit()
+        assert records(rel) == [((7,), (20, 2))]
+        # within one run the count reaches zero and the key starts afresh
+        txn = rel.begin()
+        run = [((8,), 1, INSERT), ((8,), 1, ERASE), ((8,), 2, INSERT)]
+        apply_group(txn, run, FUNCTION_VALUE)
+        txn.commit()
+        assert records(rel) == [((7,), (20, 2)), ((8,), (2, 1))]
+
+    def test_underflow_at_second_delta_of_run(self):
+        rel = store("S", 1, func=True)
+        txn = rel.begin()
+        apply_group(txn, [((1,), None, INSERT)], SUPPORT)
+        txn.commit()
+        txn = rel.begin()
+        with pytest.raises(IntegrityError, match=r"S: support underflow at \(1,\)"):
+            apply_group(txn, [((1,), None, ERASE), ((1,), None, ERASE)], SUPPORT)
+        txn.abort()
+        assert records(rel) == [((1,), 1)]
+
+    def test_fd_violation_mid_run_names_the_first_bad_delta(self):
+        rel = store("F", 1, func=True)
+        txn = rel.begin()
+        run = [((7,), 10, INSERT), ((7,), 10, INSERT), ((7,), 11, INSERT)]
+        # a later delta of the run would raise otherwise; the first error wins
+        run.append(((7,), 12, ERASE))
+        with pytest.raises(
+            IntegrityError,
+            match=r"F: functional dependency violated at \(7,\): 10 vs 11",
+        ):
+            apply_group(txn, run, FUNCTION_VALUE)
         txn.abort()
 
 
@@ -237,6 +281,88 @@ class TestSemigroup:
                 by2[(x, y)] = max(by2.get((x, y), v), v)
             assert dict(records(coarse)) == by1
             assert dict(records(fine)) == by2
+
+    def test_batches_match_sequential_dict_reference(self):
+        rng = random.Random(46)
+        grid = [(x, y) for x in range(5) for y in range(8)]
+        agg = ScanBackedAggregate(MAX_OP, 2)
+        ref = {k: rng.randrange(100) for k in grid[::2]}
+        agg.apply_deltas([(k, v, INSERT) for k, v in ref.items()])
+        for round_ in range(50):
+            # apply moves in order against `live`, so the list is valid
+            # when read one delta at a time; its keys come in random order
+            live = dict(ref)
+            deltas = []
+            moves = ["insert-erase", "erase-insert"] + ["any"] * rng.randrange(20)
+            rng.shuffle(moves)
+            for move in moves:
+                absent = [k for k in grid if k not in live]
+                # "any" inserts with the absent share, so `live` stays
+                # near half the grid
+                grow = rng.random() * len(grid) < len(absent)
+                if move == "insert-erase" or (move == "any" and grow):
+                    k, v = rng.choice(absent), rng.randrange(100)
+                    deltas.append((k, v, INSERT))
+                    live[k] = v
+                    if move == "insert-erase":
+                        deltas.append((k, live.pop(k), ERASE))
+                else:
+                    k = rng.choice(sorted(live))
+                    deltas.append((k, live.pop(k), ERASE))
+                    if move == "erase-insert":
+                        live[k] = rng.randrange(100)
+                        deltas.append((k, live[k], INSERT))
+            touched = agg.apply_deltas(deltas)
+            agg.tree.audit()
+            assert dict(agg.tree.items()) == live, f"round {round_}"
+            assert sorted(touched) == sorted(d[0] for d in deltas)
+            ref = live
+
+    @pytest.mark.parametrize(
+        "deltas,message",
+        [
+            # an insert whose key is pending, or in the tree
+            ([((1, 1), 5, INSERT), ((1, 1), 6, INSERT)], "insert of live record"),
+            ([((2, 2), 8, INSERT)], "insert of live record"),
+            (
+                [((2, 2), 9, ERASE), ((2, 2), 8, INSERT), ((2, 2), 7, INSERT)],
+                "insert of live record",
+            ),
+            # an erase whose value differs from the pending or tree one,
+            # or whose key is already erased
+            ([((1, 1), 5, INSERT), ((1, 1), 6, ERASE)], "erase of absent record"),
+            ([((2, 2), 8, ERASE)], "erase of absent record"),
+            ([((2, 2), 9, ERASE), ((2, 2), 9, ERASE)], "erase of absent record"),
+            (
+                [((1, 1), 5, INSERT), ((1, 1), 5, ERASE), ((1, 1), 5, ERASE)],
+                "erase of absent record",
+            ),
+        ],
+    )
+    def test_batch_errors_from_pending_and_tree(self, deltas, message):
+        agg = ScanBackedAggregate(MAX_OP, 2)
+        agg.apply_deltas([((2, 2), 9, INSERT)])
+        with pytest.raises(IntegrityError, match=f"aggregate {message}"):
+            agg.apply_deltas(deltas)
+
+    def test_max_bootstrap_builds_the_tree_in_bulk(self, monkeypatch):
+        inserts = []
+        single = ScanTree.insert
+
+        def counted(tree, key, value=None):
+            inserts.append(key)
+            return single(tree, key, value)
+
+        monkeypatch.setattr(ScanTree, "insert", counted)
+        eng = Engine("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)})
+        eng.random_fill(random.Random(47), per_relation=400, dom=30)
+        bootstrap(eng.inst, eng.versions())
+        assert inserts == []
+        agg = eng.inst.heads[0].agg
+        agg.tree.audit()
+        assert agg.tree.size == eng.relations["E2"].current.count
+        want = expected_head(eng.plan, 0, naive_assignments(eng.plan, eng.versions()))
+        assert head_snapshot(eng.inst.heads[0]) == want
 
 
 class TestSegmentedFloat:

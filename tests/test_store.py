@@ -55,6 +55,33 @@ class TestTransactions:
         v2 = txn.commit()
         assert v2.root is v1.root
 
+    def test_erase_then_reinsert_same_value_cancels(self):
+        rel = Relation("F", 1, is_function=True)
+        v1 = fill(rel, [(1,), (2,)], value=10)
+        txn = rel.begin()
+        txn.erase((1,))
+        assert txn.lookup((1,)) is None
+        txn.insert((1,), 10)
+        assert txn.lookup((1,)) == (10,)
+        v2 = txn.commit()
+        assert v2.root is v1.root
+
+    def test_clear_commits_an_empty_version(self):
+        rel = Relation("R", 1, leaf_capacity=4)
+        v1 = fill(rel, [(k,) for k in range(50)])
+        txn = rel.begin()
+        txn.insert((99,))
+        txn.clear()
+        assert txn.lookup((7,)) is None and txn.lookup((99,)) is None
+        v2 = txn.commit()
+        assert (v2.version_id, v2.root, v2.count) == (v1.version_id + 1, None, 0)
+        assert [d.delta for d in delta_iter(v1, v2)] == [ERASE] * 50
+        txn = rel.begin()
+        txn.clear()
+        txn.insert((3,))
+        v3 = txn.commit()
+        assert list(v3.records()) == [((3,), None)]
+
     def test_arity_mismatch_rejected(self):
         rel = Relation("R", 2)
         txn = rel.begin()
