@@ -36,7 +36,7 @@ from .heads import (
     render_record,
 )
 from .intervals import IntervalIndex
-from .keys import render_key
+from .keys import KEY_MAX, render_key
 from .lftj import Counter, SensitivityRecorder, evaluate
 from .scantree import MAX_OP, MIN_OP, ScanTree
 from .store import ERASE, INSERT, surgery_iter
@@ -86,7 +86,7 @@ class OracleEntry:
         self.admit = admit
 
     def admits(self, k) -> bool:
-        i = bisect_right(self.admit, (k, float("inf")))
+        i = bisect_right(self.admit, (k, KEY_MAX))
         return i > 0 and self.admit[i - 1][1] >= k
 
     def render(self) -> str:

@@ -16,7 +16,9 @@ mechanisms:
   sum, or an exact float total in a segmented representation of
   X + sum(s_i), X a fixed constant with a 1-bit every fourth position,
   so borrows stay local and the total is exact in any insert/erase
-  order.  Each group also renders its stored value for ``dump``;
+  order (a run of one key's deltas folds into one accumulator, frozen
+  once when the record is written).  Each group also renders its stored
+  value for ``dump``;
 * scan-backed min/max -- an intermediate full-key relation with a
   min/max scan-tree; a batch's inserts merge into the tree in one
   descent (a bulk build into an empty tree), and touched group prefixes
@@ -26,7 +28,7 @@ mechanisms:
 import math
 from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import Callable, NamedTuple, Optional
 
 from .errors import IntegrityError, UserError
@@ -191,10 +193,15 @@ class Group(NamedTuple):
     value (sign +1) or out of it (sign -1), None standing for an empty
     group.  Records store (value, eta), or eta alone for a group without
     a step.  render(stored, eta) gives dump's columns for a record value.
+    A group that folds into a mutable accumulator names thaw(stored),
+    which opens the accumulator for a run of one key's deltas, and
+    freeze(acc), which gives the value to store once the run is folded.
     """
 
     step: Optional[Callable]
     render: Callable
+    thaw: Optional[Callable] = None
+    freeze: Optional[Callable] = None
 
 
 def _function_value(name, keys, value, payload, sign):
@@ -214,10 +221,11 @@ def _wrapping_sum(name, keys, total, summand, sign):
     return wrap64((total or 0) + sign * summand)
 
 
-def _float_total(name, keys, segments, summand, sign):
-    acc = SegmentedFloat(segments)
+def _float_total(name, keys, acc, summand, sign):
+    if acc is None:
+        acc = SegmentedFloat()
     acc.add(float(summand), sign)
-    return acc.frozen()
+    return acc
 
 
 def _render_pair(shown):
@@ -233,7 +241,10 @@ GROUPS = {
     "COUNT": Group(None, lambda n, eta=False: [str(n)]),
     "GROUP_SUM": Group(_wrapping_sum, _render_pair(lambda total: total)),
     "FLOAT_TOTAL": Group(
-        _float_total, _render_pair(lambda segs: SegmentedFloat(segs).to_float()[0])
+        _float_total,
+        _render_pair(lambda segs: SegmentedFloat(segs).to_float()[0]),
+        thaw=SegmentedFloat,
+        freeze=methodcaller("frozen"),
     ),
 }
 FUNCTION_VALUE = Group(_function_value, _render_pair(lambda value: value))
@@ -245,18 +256,21 @@ def apply_group(txn, deltas, group):
     A key's record goes when its count reaches zero.  A round's deltas
     arrive as one batch; each run of deltas with equal keys touches the
     transaction once: one lookup, every delta folded into a local
-    (value, eta) by the group's step, then at most one erase and one
-    insert.  Deltas must order erases before inserts per key, so a
-    changed function value never conflicts with itself.
+    (value, eta) by the group's step (through one thawed accumulator
+    for a group with thaw), then at most one erase and one insert.
+    Deltas must order erases before inserts per key, so a changed
+    function value never conflicts with itself.
     """
     name = txn.relation.name
-    step = group.step
+    step, thaw, freeze = group.step, group.thaw, group.freeze
     for keys, run in groupby(deltas, key=itemgetter(0)):
         cur = txn.lookup(keys)
         if cur is None:
             value, eta = None, 0
         else:
             value, eta = cur[0] if step else (None, cur[0])
+            if thaw is not None:
+                value = thaw(value)
         for _, payload, delta in run:
             sign = 1 if delta == INSERT else -1
             if sign < 0 and not eta:
@@ -269,6 +283,8 @@ def apply_group(txn, deltas, group):
         if cur is not None:
             txn.erase(keys)
         if eta:
+            if freeze is not None:
+                value = freeze(value)
             txn.insert(keys, (value, eta) if step else eta)
 
 

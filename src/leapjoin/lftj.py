@@ -15,14 +15,25 @@ interval is stored under the owning atom's argument prefix together with
 the other key variables bound at shallower depths.  Emitted intervals are
 buffered per index while the evaluation runs and merged into the
 indices once, when the assignment stream is exhausted.
+
+The accounting is inline: each move reads its cursor's landing key once
+(None when next/seek_lub report the end), keeps it as that cursor's key
+for the rest of the intersection, and from it bumps the op count,
+appends the trace event and emits the interval.  Each depth's
+participants carry their sensitivity buffer and sort-key getter, looked
+up once per evaluation.  The trie cursors step within their leaf at the
+last level (see ``store.TrieCursor``).
 """
 
 import heapq
+from bisect import bisect_left
 from operator import itemgetter
 
 from .errors import UserError
 from .keys import KEY_MAX, KEY_MIN
 from .trace import NEXT, OPEN, SEEK, UP
+
+_interval_hi = itemgetter(1)
 
 
 class Counter:
@@ -54,45 +65,27 @@ class SensitivityRecorder:
 
 
 class _OracleCursor:
-    """Presents a merged interval list as an ascending key iterator."""
+    """Presents a merged interval list as an ascending key iterator.
 
-    __slots__ = ("entry", "iv", "i", "pos", "ended")
+    ``pos`` is the current key.  The evaluator only seeks it forward.
+    """
+
+    __slots__ = ("entry", "iv", "i", "pos")
 
     def __init__(self, entry):
         self.entry = entry
         self.iv = entry.merged
         self.i = 0
         self.pos = self.iv[0][0]
-        self.ended = False
-
-    def key(self):
-        return self.pos
-
-    def at_end(self):
-        return self.ended
-
-    def next(self):
-        if self.pos < self.iv[self.i][1]:
-            self.pos += 1
-        else:
-            self.i += 1
-            if self.i >= len(self.iv):
-                self.ended = True
-            else:
-                self.pos = self.iv[self.i][0]
-        return self.ended
 
     def seek_lub(self, k):
-        if k <= self.pos:
-            return self.ended
+        """Move to the least key >= k (k > pos); True when none is left."""
         iv = self.iv
-        while self.i < len(iv) and iv[self.i][1] < k:
-            self.i += 1
-        if self.i >= len(iv):
-            self.ended = True
-        else:
-            self.pos = max(iv[self.i][0], k)
-        return self.ended
+        i = self.i = bisect_left(iv, k, self.i, key=_interval_hi)
+        if i == len(iv):
+            return True
+        self.pos = max(iv[i][0], k)
+        return False
 
 
 def _check_short_circuit(plan):
@@ -167,9 +160,10 @@ def evaluate(
 
 
 def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_depth):
+    """The assignment stream of one branch: a generator over depth 1."""
     K = len(plan.key_order)
-    cursors = [versions[ap.atom.pred].cursor() for ap in bp.atoms]
     atoms = bp.atoms
+    cursors = [versions[ap.atom.pred].cursor() for ap in atoms]
     if len(plan.branches) > 1:
         names = [f"b{bi}.{ap.name}" for ap in atoms]
         oracle_name = f"b{bi}.oracle"
@@ -178,41 +172,31 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
         oracle_name = "oracle"
     keystack = [None] * K
     vslots = [None] * len(plan.value_order)
-    # (atom, level) -> (buffer, sort key getter over (*keystack, lo, hi))
-    sens = None
+    # (atom, level) -> (buffer append, sort key getter over (*keystack, lo, hi))
+    sens = {}
     if recorder is not None:
-        sens = {}
         for (b, pos, lvl), records in recorder.pending.items():
             if b == bi:
                 ap = atoms[pos]
                 prefix = [d - 1 for d in ap.depths[: lvl - 1]]
                 context = [d - 1 for d in ap.context_depths[lvl - 1]]
                 sens[(pos, lvl)] = (
-                    records,
+                    records.append,
                     itemgetter(*prefix, K, K + 1, *context),
                 )
-
-    def record_op(name, op, depth, frm, arg, it):
-        counter.ops += 1
-        to = None if it.at_end() else it.key()
-        if trace is not None:
-            trace.append((name, op, depth, frm, arg, to))
-        return to
-
-    def emit_sens(pos, lvl, lo, to):
-        slot = sens.get((pos, lvl))
-        if slot is None:
-            return
-        records, sort_key = slot
-        hi = KEY_MAX if to is None else to
-        records.append((sort_key((*keystack, lo, hi)), hi))
+    # per depth: (cursor, iterator name, sensitivity slot or None) of
+    # each participating atom
+    levels = [None] + [
+        [(cursors[pos], names[pos], sens.get((pos, lvl))) for pos, lvl in parts]
+        for parts in bp.participants[1:]
+    ]
 
     def fetch(src):
         tag, i = src
         return keystack[i - 1] if tag == "k" else vslots[i]
 
-    def run_steps(d):
-        for step in bp.steps[d]:
+    def run_steps(steps):
+        for step in steps:
             tag = step[0]
             if tag == "bindval":
                 vslots[step[2]] = cursors[step[1]].value()
@@ -229,95 +213,109 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
                     return False
         return True
 
-    def descend(d, admitted):
+    # descend recurses through its argument, not through its own name: no
+    # closure cell refers back to it, so reference counting frees an
+    # evaluation's closures and cursors without the cyclic collector
+    def descend(d, admitted, deeper):
+        """Open depth d, leapfrog its participants, go deeper, close it."""
         oc = None
         if not admitted:
             entry = oracle.entry(d, tuple(keystack[: d - 1]))
             if entry is None:
                 return
             oc = _OracleCursor(entry)
-        parts = bp.participants[d]
-        opened = []
-        ended = False
-        for pos, lvl in parts:
-            cur = cursors[pos]
+        parts = levels[d]
+        steps = bp.steps[d]
+        keys = []  # keys[j]: the key parts[j]'s cursor stands at, or None
+        for cur, name, slot in parts:
             cur.open()
-            opened.append(pos)
-            to = record_op(names[pos], OPEN, d, None, None, cur)
-            if sens:
-                emit_sens(pos, lvl, KEY_MIN, to)
-            if cur.at_end():
-                ended = True
+            to = None if cur.at_end() else cur.key()
+            keys.append(to)
+            counter.ops += 1
+            if trace is not None:
+                trace.append((name, OPEN, d, None, None, to))
+            if slot is not None:
+                append, sort_key = slot
+                hi = KEY_MAX if to is None else to
+                append((sort_key((*keystack, KEY_MIN, hi)), hi))
         if oc is not None:
-            record_op(oracle_name, OPEN, d, None, None, oc)
+            counter.ops += 1
+            if trace is not None:
+                trace.append((oracle_name, OPEN, d, None, None, oc.pos))
         try:
-            if not ended:
-                yield from leapfrog(d, parts, oc, admitted)
+            if None in keys:
+                return
+            first, first_name, first_slot = parts[0]
+            cur_max = max(keys)
+            if oc is not None and oc.pos > cur_max:
+                cur_max = oc.pos
+            while True:
+                aligned = True
+                for j, k in enumerate(keys):
+                    if k < cur_max:
+                        cur, name, slot = parts[j]
+                        to = None if cur.seek_lub(cur_max) else cur.key()
+                        counter.ops += 1
+                        if trace is not None:
+                            trace.append((name, SEEK, d, k, cur_max, to))
+                        if slot is not None:
+                            append, sort_key = slot
+                            hi = KEY_MAX if to is None else to
+                            append((sort_key((*keystack, cur_max, hi)), hi))
+                        if to is None:
+                            return
+                        keys[j] = to
+                        if to > cur_max:
+                            cur_max = to
+                            aligned = False
+                if oc is not None and oc.pos < cur_max:
+                    frm = oc.pos
+                    to = None if oc.seek_lub(cur_max) else oc.pos
+                    counter.ops += 1
+                    if trace is not None:
+                        trace.append((oracle_name, SEEK, d, frm, cur_max, to))
+                    if to is None:
+                        return
+                    if to > cur_max:
+                        cur_max = to
+                        aligned = False
+                if not aligned:
+                    continue
+                keystack[d - 1] = cur_max
+                if not steps or run_steps(steps):
+                    if d == K:
+                        yield (tuple(keystack), tuple(vslots))
+                    else:
+                        adm = admitted or oc.entry.admits(cur_max)
+                        sub = deeper(d + 1, adm, deeper)
+                        if d == sc_depth:
+                            # one witness per head prefix: close the rest away
+                            try:
+                                for item in sub:
+                                    yield item
+                                    break
+                            finally:
+                                sub.close()
+                        else:
+                            yield from sub
+                frm = keys[0]
+                to = None if first.next() else first.key()
+                counter.ops += 1
+                if trace is not None:
+                    trace.append((first_name, NEXT, d, frm, None, to))
+                if first_slot is not None:
+                    append, sort_key = first_slot
+                    hi = KEY_MAX if to is None else to
+                    append((sort_key((*keystack, frm, hi)), hi))
+                if to is None:
+                    return
+                keys[0] = cur_max = to
         finally:
-            for pos in reversed(opened):
-                cur = cursors[pos]
+            for cur, name, _ in reversed(parts):
                 cur.up()
                 counter.ops += 1
                 if trace is not None:
                     to = None if cur.depth == 0 or cur.at_end() else cur.key()
-                    trace.append((names[pos], UP, d, None, None, to))
+                    trace.append((name, UP, d, None, None, to))
 
-    def leapfrog(d, parts, oc, admitted):
-        first_pos, first_lvl = parts[0]
-        first = cursors[first_pos]
-        cur_max = max(cursors[pos].key() for pos, _ in parts)
-        if oc is not None and oc.key() > cur_max:
-            cur_max = oc.key()
-        while True:
-            aligned = True
-            for pos, lvl in parts:
-                cur = cursors[pos]
-                k = cur.key()
-                if k < cur_max:
-                    arg = cur_max
-                    cur.seek_lub(arg)
-                    to = record_op(names[pos], SEEK, d, k, arg, cur)
-                    if sens:
-                        emit_sens(pos, lvl, arg, to)
-                    if cur.at_end():
-                        return
-                    if cur.key() > cur_max:
-                        cur_max = cur.key()
-                        aligned = False
-            if oc is not None and oc.key() < cur_max:
-                frm = oc.key()
-                oc.seek_lub(cur_max)
-                record_op(oracle_name, SEEK, d, frm, cur_max, oc)
-                if oc.at_end():
-                    return
-                if oc.key() > cur_max:
-                    cur_max = oc.key()
-                    aligned = False
-            if not aligned:
-                continue
-            keystack[d - 1] = cur_max
-            if run_steps(d):
-                adm2 = admitted or (oc is not None and oc.entry.admits(cur_max))
-                if d == K:
-                    yield (tuple(keystack), tuple(vslots))
-                elif d == sc_depth:
-                    # one witness per head prefix: close the rest away
-                    sub = descend(d + 1, adm2)
-                    try:
-                        for item in sub:
-                            yield item
-                            break
-                    finally:
-                        sub.close()
-                else:
-                    yield from descend(d + 1, adm2)
-            frm = first.key()
-            first.next()
-            to = record_op(names[first_pos], NEXT, d, frm, None, first)
-            if sens:
-                emit_sens(first_pos, first_lvl, frm, to)
-            if first.at_end():
-                return
-            cur_max = first.key()
-
-    yield from descend(1, oracle is None)
+    return descend(1, oracle is None, descend)

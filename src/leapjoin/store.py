@@ -509,6 +509,14 @@ class TrieCursor:
     prefix.  Positions are backed by a root-to-leaf path into the page
     tree; open() snapshots the path so up() can restore the outer level
     even after the inner level ran to its end.
+
+    At the last level (depth == arity) full keys are distinct, so next()
+    steps to the following record of the current leaf and leaves the leaf,
+    through _seek_record, only at its end; seek_lub() there seeks the full
+    key itself, with no KEY_MIN padding.  A shallower move seeks the least
+    record under the successor prefix.  Neither compares prefixes at
+    depth 1, where there is none.  A seek within the current leaf bisects
+    only when the target lies beyond the next record.
     """
 
     __slots__ = ("version", "arity", "depth", "_path", "_rec", "_ended", "_snaps")
@@ -570,10 +578,25 @@ class TrieCursor:
         if self._ended:
             raise IntegrityError("next() at end")
         d = self.depth
-        prefix = self._rec[0][: d - 1]
-        target = self._rec[0][:d-1] + (self._rec[0][d - 1] + 1,)
-        rec = self._seek_record(target + (KEY_MIN,) * (self.arity - d))
-        if rec is None or rec[0][: d - 1] != prefix:
+        keys = self._rec[0]
+        if d == self.arity:
+            path = self._path
+            leaf, i = path[-1]
+            i += 1
+            if i < len(leaf.records):
+                rec = leaf.records[i]
+                if d == 1 or rec[0][:-1] == keys[:-1]:
+                    path[-1] = (leaf, i)
+                    self._rec = rec
+                    return False
+                self._ended = True
+                return True
+            rec = self._seek_record(keys[:-1] + (keys[-1] + 1,))
+        else:
+            rec = self._seek_record(
+                keys[: d - 1] + (keys[d - 1] + 1,) + (KEY_MIN,) * (self.arity - d)
+            )
+        if rec is None or (d > 1 and rec[0][: d - 1] != keys[: d - 1]):
             self._ended = True
         else:
             self._rec = rec
@@ -584,11 +607,15 @@ class TrieCursor:
         if self._ended:
             raise IntegrityError("seek_lub() at end")
         d = self.depth
-        if k <= self._rec[0][d - 1]:
+        keys = self._rec[0]
+        if k <= keys[d - 1]:
             return False
-        prefix = self._rec[0][: d - 1]
-        rec = self._seek_record(prefix + (k,) + (KEY_MIN,) * (self.arity - d))
-        if rec is None or rec[0][: d - 1] != prefix:
+        prefix = keys[: d - 1]
+        target = prefix + (k,)
+        if d < self.arity:
+            target += (KEY_MIN,) * (self.arity - d)
+        rec = self._seek_record(target)
+        if rec is None or (d > 1 and rec[0][: d - 1] != prefix):
             self._ended = True
         else:
             self._rec = rec
@@ -600,7 +627,9 @@ class TrieCursor:
         if path:
             leaf, idx = path[-1]
             recs = leaf.records
-            j = bisect_left(recs, target, idx + 1, len(recs), key=_rec_keys)
+            j = idx + 1  # a short hop lands on the next record: no bisect
+            if j < len(recs) and recs[j][0] < target:
+                j = bisect_left(recs, target, j + 1, len(recs), key=_rec_keys)
             if j < len(recs):
                 path[-1] = (leaf, j)
                 return recs[j]

@@ -459,6 +459,39 @@ class TestFloatTotalAction:
             assert got == want
 
 
+    def test_run_of_one_key_freezes_once(self, monkeypatch):
+        calls = {"frozen": 0, "init": 0}
+        frozen, init = SegmentedFloat.frozen, SegmentedFloat.__init__
+
+        def counting_frozen(acc):
+            calls["frozen"] += 1
+            return frozen(acc)
+
+        def counting_init(acc, segments=None):
+            calls["init"] += 1
+            init(acc, segments)
+
+        monkeypatch.setattr(SegmentedFloat, "frozen", counting_frozen)
+        monkeypatch.setattr(SegmentedFloat, "__init__", counting_init)
+        rel = store("FT", 1, func=True)
+        k = 12
+        summands = [0.1 * (i + 1) for i in range(k)]
+        rounds = [
+            [((7,), s, INSERT) for s in summands],
+            [((7,), s, ERASE) for s in summands[:3]] + [((7,), 2.5, INSERT)],
+        ]
+        for deltas in rounds:
+            calls.update(frozen=0, init=0)
+            txn = rel.begin()
+            apply_group(txn, deltas, GROUPS["FLOAT_TOTAL"])
+            txn.commit()
+            assert calls == {"frozen": 1, "init": 1}
+        segs, eta = rel.current.lookup((7,))[0]
+        assert eta == k - 3 + 1
+        want = sum(map(Fraction, summands[3:])) + Fraction(2.5)
+        assert SegmentedFloat(segs).to_exact() == want
+
+
 def exact_float(stored):
     segs, eta = stored
     return SegmentedFloat(segs).to_exact(), eta

@@ -1,9 +1,11 @@
+import gc
+import hashlib
 import random
 
 import pytest
 
 from conftest import Engine, naive_assignments
-from leapjoin.driver import bootstrap
+from leapjoin.driver import bootstrap, maintain
 from leapjoin.errors import UserError
 from leapjoin.keys import KEY_MAX, KEY_MIN
 from leapjoin.lftj import Counter, SensitivityRecorder, evaluate
@@ -108,6 +110,21 @@ class TestFullEvaluate:
         stream.close()
         assert rec.added == 0
         assert all(len(ix) == 0 for ix in indices.values())
+
+    def test_evaluation_leaves_no_cyclic_garbage(self):
+        rng = random.Random(17)
+        eng = Engine("T(x,y,z) <- E(x,y), E(y,z), E(x,z).", {"E": (2, False)})
+        eng.random_fill(rng, per_relation=60, dom=10)
+        gc.collect()
+        gc.disable()
+        try:
+            list(evaluate(eng.plan, eng.versions(), trace=[], counter=Counter()))
+            stream = evaluate(eng.plan, eng.versions())
+            next(stream)
+            stream.close()
+            assert gc.collect() == 0  # reference counting freed it all
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize(
         "rule,spec",
@@ -346,3 +363,57 @@ def _all_tuples(arity, dom):
     if arity == 1:
         return [(k,) for k in range(dom)]
     return [t + (k,) for t in _all_tuples(arity - 1, dom) for k in range(dom)]
+
+
+DIGEST_CASES = [
+    ("T(x,y,z) <- E(x,y), E(y,z), E(x,z).", {"E": (2, False)}, 12),
+    ("P(x,z) <- E(x,y), E(y,z).", {"E": (2, False)}, 12),
+    ("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)}, 12),
+    ("U(x) <- (A(x) ; B(x)).", {"A": (1, False), "B": (1, False)}, 40),
+    ("U(x) <- (A(x) ; B(x)). @force_sens", {"A": (1, False), "B": (1, False)}, 40),
+]
+
+# sha256 of everything evaluator_digest() feeds it; a change to the
+# evaluator that moves one trace event, op count or interval moves this
+EVALUATOR_DIGEST = "ca63aa5e5cc6b0462d46319b4b630d42b6f822cc9d64db85f1f0ae84dda0bf16"
+
+
+def evaluator_digest():
+    """Hash the evaluator's outputs over bootstrap and five maintain rounds.
+
+    Per case and round: the report, the new-side trace, every
+    sensitivity index's sorted records, the oracle, the head records,
+    and a plain evaluate's assignments, trace and op count.
+    """
+    h = hashlib.sha256()
+
+    def put(*items):
+        h.update(repr(items).encode())
+        h.update(b"\n")
+
+    for i, (rule, spec, dom) in enumerate(DIGEST_CASES):
+        rng = random.Random(900 + i)
+        eng = Engine(rule, spec, leaf_capacity=4)
+        eng.random_fill(rng, per_relation=60, dom=dom)
+        for rnd in range(6):
+            if rnd == 0:
+                report = bootstrap(eng.inst, eng.versions())
+            else:
+                eng.random_edits(rng, rng.randrange(2, 9), dom)
+                report = maintain(eng.inst, eng.versions(), with_trace=True)
+            put(rule, rnd, report.to_text(), eng.inst.last_trace)
+            for key in sorted(eng.inst.indices):
+                put(key, sorted(eng.inst.indices[key].enumerate()))
+            if eng.inst.last_oracle is not None:
+                put(list(eng.inst.last_oracle.render_lines()))
+            for head in eng.inst.heads:
+                put(list(head.relation.current.records()))
+            ctr, tr = Counter(), []
+            out = list(evaluate(eng.plan, eng.versions(), counter=ctr, trace=tr))
+            put(out, tr, ctr.ops)
+    return h.hexdigest()
+
+
+class TestEvaluatorDigest:
+    def test_outputs_match_pinned_digest(self):
+        assert evaluator_digest() == EVALUATOR_DIGEST

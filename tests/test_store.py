@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from leapjoin.errors import UserError
+from leapjoin.errors import IntegrityError, UserError
 from leapjoin.store import ERASE, INSERT, Relation, delta_iter, surgery_iter
 
 
@@ -382,3 +382,85 @@ class TestTrieCursor:
         c.open()
         c.open()
         assert c.key() == 2 and c.value() == 42
+
+
+class _LevelModel:
+    """A sorted-list model of one trie level under a fixed prefix."""
+
+    def __init__(self, keys, prefix):
+        d = len(prefix)
+        self.prefix = prefix
+        self.keys = sorted({t[d] for t in keys if t[:d] == prefix})
+        self.i = 0
+
+    def ended(self):
+        return self.i >= len(self.keys)
+
+    def key(self):
+        return self.keys[self.i]
+
+
+class TestTrieCursorRandomized:
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_random_calls_match_sorted_list_model(self, arity):
+        rng = random.Random(71 + arity)
+        dom = {1: 40, 2: 9, 3: 5}[arity]
+        for _ in range(30):
+            rel = Relation("R", arity, is_function=True, leaf_capacity=2)
+            rows = {
+                tuple(rng.randrange(dom) for _ in range(arity))
+                for _ in range(rng.randrange(0, 50))
+            }
+            v = fill(rel, rows, value=1)
+            # a second commit reshapes pages by copy-on-write merge and split
+            txn = rel.begin()
+            for _ in range(rng.randrange(0, 20)):
+                keys = tuple(rng.randrange(dom) for _ in range(arity))
+                if rng.random() < 0.5:
+                    txn.erase(keys)
+                elif txn.lookup(keys) is None:
+                    txn.insert(keys, rng.randrange(100))
+            v = txn.commit()
+            records = dict(v.records())
+            c = v.cursor()
+            stack = []  # one _LevelModel per open level
+            for _ in range(200):
+                top = stack[-1] if stack else None
+                moves = []
+                if len(stack) < arity and (top is None or not top.ended()):
+                    moves.append("open")
+                if stack:
+                    moves.append("up")
+                if top is not None and not top.ended():
+                    moves += ["next", "next", "seek", "seek"]
+                move = rng.choice(moves)
+                if move == "open":
+                    c.open()
+                    prefix = () if top is None else top.prefix + (top.key(),)
+                    stack.append(_LevelModel(records, prefix))
+                elif move == "up":
+                    c.up()
+                    stack.pop()
+                elif move == "next":
+                    got = c.next()
+                    top.i += 1
+                    assert got == top.ended()
+                else:
+                    k = rng.randrange(-2, dom + 2)
+                    got = c.seek_lub(k)
+                    if k > top.key():
+                        while not top.ended() and top.key() < k:
+                            top.i += 1
+                    assert got == top.ended()
+                assert c.depth == len(stack)
+                if stack:
+                    top = stack[-1]
+                    assert c.at_end() == top.ended()
+                    if not top.ended():
+                        assert c.key() == top.key()
+                        if c.depth == arity:
+                            full = top.prefix + (top.key(),)
+                            assert c.value() == records[full]
+                    else:
+                        with pytest.raises(IntegrityError):
+                            c.key()
