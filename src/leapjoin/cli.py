@@ -71,6 +71,34 @@ def _parse_keys(parts, where):
     return tuple(keys)
 
 
+def _read_rows(path, function, signed=False):
+    """Yield (where, sign, keys, value) for each non-empty line of a tuple file.
+
+    Columns are tab-separated; a function row ends in its value column.
+    A signed (delta) line starts with + or -, given back as sign; an
+    unsigned row's sign is None.
+    """
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            sign = None
+            if signed:
+                sign, line = line[0], line[1:]
+                if sign not in "+-":
+                    raise UserError(f"{where}: lines must start with + or -")
+            parts = line.split("\t")
+            if not function:
+                yield where, sign, _parse_keys(parts, where), None
+            elif len(parts) < 2:
+                raise UserError(f"{where}: function rows need a value column")
+            else:
+                keys = _parse_keys(parts[:-1], where)
+                yield where, sign, keys, _parse_value(parts[-1], where)
+
+
 class Workspace:
     def __init__(self):
         self.relations = {}
@@ -91,28 +119,14 @@ class Workspace:
         if name in self.relations:
             raise UserError(f"{name} already exists; use delta to change it")
         rows = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                where = f"{path}:{lineno}"
-                if function:
-                    if len(parts) < 2:
-                        raise UserError(f"{where}: function rows need a value column")
-                    keys = _parse_keys(parts[:-1], where)
-                    value = _parse_value(parts[-1], where)
-                else:
-                    keys = _parse_keys(parts, where)
-                    value = None
-                if arity is None:
-                    arity = len(keys)
-                if len(keys) != arity:
-                    raise UserError(
-                        f"{where}: expected {arity} key columns, found {len(keys)}"
-                    )
-                rows.append((keys, value))
+        for where, _, keys, value in _read_rows(path, function):
+            if arity is None:
+                arity = len(keys)
+            if len(keys) != arity:
+                raise UserError(
+                    f"{where}: expected {arity} key columns, found {len(keys)}"
+                )
+            rows.append((keys, value))
         if arity is None:
             raise UserError(f"{path}: empty file needs an explicit arity (NAME/N)")
         rel = Relation(name, arity, is_function=function)
@@ -167,32 +181,16 @@ class Workspace:
         inserts = erases = noops = 0
         txn = rel.begin()
         try:
-            with open(path) as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    where = f"{path}:{lineno}"
-                    sign = line[0]
-                    if sign not in "+-":
-                        raise UserError(f"{where}: lines must start with + or -")
-                    parts = line[1:].split("\t")
-                    if rel.is_function:
-                        keys = _parse_keys(parts[:-1], where)
-                        value = _parse_value(parts[-1], where)
-                    else:
-                        keys = _parse_keys(parts, where)
-                        value = None
-                    if sign == "+":
-                        txn.insert(keys, value)
-                        inserts += 1
-                    elif txn.erase(keys, value):
-                        erases += 1
-                    else:
-                        noops += 1
-                        out.append(
-                            f"warning: {where}: erase of absent tuple is a no-op"
-                        )
+            rows = _read_rows(path, rel.is_function, signed=True)
+            for where, sign, keys, value in rows:
+                if sign == "+":
+                    txn.insert(keys, value)
+                    inserts += 1
+                elif txn.erase(keys, value):
+                    erases += 1
+                else:
+                    noops += 1
+                    out.append(f"warning: {where}: erase of absent tuple is a no-op")
         except BaseException:
             txn.abort()
             raise

@@ -3,7 +3,9 @@
 bootstrap: full-evaluate the rule, populate heads from the assignment
 stream and sensitivity indices from the recorded iterator transitions
 (buffered during the evaluation and bulk-built into the fresh indices
-once the stream is exhausted).
+once the stream is exhausted).  The old side is empty, so every
+assignment routes to the heads as an insert, with no diff; a head whose
+keys prefix the join order then receives its batch already sorted.
 
 maintain: turn version deltas into trie surgeries, match them against
 the sensitivity indices (consuming every hit) to build the change
@@ -15,6 +17,12 @@ it emits and merges them into the indices once, in one descent per
 index, when its stream is exhausted.  Nothing reads an index while an
 evaluation runs, because the oracle is built before either side starts.
 
+Each head stages a round in its own open transaction.  The heads commit
+together once every one of them has succeeded; a raise aborts them all
+and leaves the bound versions as they were.  Index hits consumed by the
+oracle, the new side's index merge and min/max scan-tree edits are not
+staged: a raise after them still leaves them applied.
+
 Atoms whose key arguments prefix the join order carry no indices; their
 surgeries contribute their own key as a point interval, which names the
 changed region directly in join-order coordinates.
@@ -23,6 +31,7 @@ changed region directly in join-order coordinates.
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import UserError
@@ -40,6 +49,8 @@ from .keys import KEY_MAX, render_key
 from .lftj import Counter, SensitivityRecorder, evaluate
 from .scantree import MAX_OP, MIN_OP, ScanTree
 from .store import ERASE, INSERT, surgery_iter
+
+_delta_kind = itemgetter(2)
 
 
 @dataclass
@@ -193,6 +204,11 @@ class HeadState:
             self._update = partial(apply_group, group=group)
             self.render = group.render
         self.extract = _extractor(head_plan, key_depth_count, self.agg is not None)
+        # targets that prefix the join order (a scan-backed head's target
+        # is the whole binding) follow the evaluation's order
+        self.key_prefix = self.agg is not None or head_plan.key_sources == tuple(
+            ("k", d) for d in range(1, len(head_plan.key_sources) + 1)
+        )
 
     def reset(self):
         txn = self.relation.begin()
@@ -202,15 +218,23 @@ class HeadState:
             self.agg.tree = ScanTree(self.agg.tree.op)
 
     def apply(self, deltas):
-        """Apply (target_keys, payload, delta) updates; erases first per key."""
-        deltas = sorted(deltas, key=lambda d: (d[0], d[2] != ERASE))
+        """Stage (target_keys, payload, delta) updates; returns the open txn.
+
+        Deltas are sorted by target keys, erases first per key, except
+        for a batch of inserts alone into a head whose keys prefix the
+        join order: routed in evaluation order, it is sorted already.
+        The caller commits the transaction, or aborts it; a raise aborts
+        it here.
+        """
+        if not self.key_prefix or ERASE in map(_delta_kind, deltas):
+            deltas = sorted(deltas, key=lambda d: (d[0], d[2] != ERASE))
         txn = self.relation.begin()
         try:
             self._update(txn, deltas)
         except BaseException:
             txn.abort()
             raise
-        txn.commit()
+        return txn
 
 
 class RuleInstance:
@@ -290,32 +314,50 @@ def build_oracle(inst, old_versions, new_versions, consume=True):
     return oracle, consumed
 
 
-def _diff_route(inst, old_stream, new_stream):
-    """Apply old-only assignments as erases, new-only ones as inserts."""
-    per_head = [[] for _ in inst.heads]
-    routes = [(h.extract, deltas.append) for h, deltas in zip(inst.heads, per_head)]
-    inserts = erases = 0
+def _diff(old_stream, new_stream, counts):
+    """Old-only assignments as erases, new-only ones as inserts, in order.
+
+    counts[0] and counts[1] tally the inserts and erases.
+    """
     a = next(old_stream, None)
     b = next(new_stream, None)
     while a is not None or b is not None:
         if b is None or (a is not None and a < b):
-            assignment, delta = a, ERASE
-            erases += 1
+            counts[1] += 1
+            yield a, ERASE
             a = next(old_stream, None)
         elif a is None or b < a:
-            assignment, delta = b, INSERT
-            inserts += 1
+            counts[0] += 1
+            yield b, INSERT
             b = next(new_stream, None)
         else:
             a = next(old_stream, None)
             b = next(new_stream, None)
-            continue
+
+
+def _route(inst, changes):
+    """Apply (assignment, delta) changes to every head, committing none.
+
+    Each head stages its batch in its own open transaction; when one
+    head raises, every transaction staged so far is aborted, so a round
+    either commits every head or none.  Returns the open transactions
+    and the number of changes routed.
+    """
+    per_head = [[] for _ in inst.heads]
+    routes = [(h.extract, deltas.append) for h, deltas in zip(inst.heads, per_head)]
+    for assignment, delta in changes:
         for extract, append in routes:
             target, payload = extract(assignment)
             append((target, payload, delta))
-    for head, deltas in zip(inst.heads, per_head):
-        head.apply(deltas)
-    return inserts, erases
+    staged = []
+    try:
+        for head, deltas in zip(inst.heads, per_head):
+            staged.append(head.apply(deltas))
+    except BaseException:
+        for txn in staged:
+            txn.abort()
+        raise
+    return staged, len(per_head[0])  # every head takes one delta per change
 
 
 def bootstrap(inst, versions, with_trace=True):
@@ -328,11 +370,11 @@ def bootstrap(inst, versions, with_trace=True):
     for head in inst.heads:
         if head.relation.current.count:
             head.reset()
-    n, _ = _diff_route(
-        inst,
-        iter(()),
-        evaluate(plan, versions, recorder=recorder, trace=trace, counter=counter),
-    )
+    # the old side is empty: every assignment routes as an insert
+    stream = evaluate(plan, versions, recorder=recorder, trace=trace, counter=counter)
+    staged, n = _route(inst, zip(stream, repeat(INSERT)))
+    for txn in staged:
+        txn.commit()
     inst.bound_versions = dict(versions)
     inst.bootstrapped = True
     inst.last_trace = trace
@@ -366,7 +408,10 @@ def maintain(inst, new_versions, use_oracle=True, with_trace=False):
         counter=c_new,
         trace=trace,
     )
-    inserts, erases = _diff_route(inst, old_stream, new_stream)
+    counts = [0, 0]
+    staged, _ = _route(inst, _diff(old_stream, new_stream, counts))
+    for txn in staged:
+        txn.commit()
     inst.bound_versions = dict(new_versions)
     if trace is not None:
         inst.last_trace = trace
@@ -377,6 +422,6 @@ def maintain(inst, new_versions, use_oracle=True, with_trace=False):
         oracle_intervals=oracle.interval_count() if oracle is not None else 0,
         sens_consumed=consumed,
         sens_added=recorder.added,
-        head_inserts=inserts,
-        head_erases=erases,
+        head_inserts=counts[0],
+        head_erases=counts[1],
     )

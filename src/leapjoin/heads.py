@@ -2,16 +2,19 @@
 
 Assignment deltas reach a head as one batch per round (bootstrap is the
 round in which every assignment is an insert), through one of three
-mechanisms:
+mechanisms.  None of them writes key by key: each reads the batch in key
+order, looks each run of equal keys up once (not at all while the head
+reads as empty, as at bootstrap), folds the run locally, and hands the
+transaction one sorted batch of final writes, one per changed key,
+through ``Transaction.write_sorted``:
 
 * direct -- projection-free rules insert/remove head records 1:1;
 * support-counted groups -- every other head but min/max keeps a group
   value and a support count eta per head key, and drops the record when
   the count reaches zero (erases apply before inserts per key, so a
   changed function value never conflicts with itself).  One update,
-  ``apply_group``, serves every group and touches the transaction once
-  per run of equal keys; a small group table supplies the value: none
-  (relation heads and count(), which store eta alone), the
+  ``apply_group``, serves every group; a small group table supplies the
+  value: none (relation heads and count(), which store eta alone), the
   functional-dependency value of a function head, a 64-bit wrapping
   sum, or an exact float total in a segmented representation of
   X + sum(s_i), X a fixed constant with a 1-bit every fourth position,
@@ -22,13 +25,13 @@ mechanisms:
 * scan-backed min/max -- an intermediate full-key relation with a
   min/max scan-tree; a batch's inserts merge into the tree in one
   descent (a bulk build into an empty tree), and touched group prefixes
-  recompute by range scan.
+  recompute by range scan into the head's batch.
 """
 
 import math
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter, methodcaller
+from itertools import groupby, islice
+from operator import gt, itemgetter, methodcaller
 from typing import Callable, NamedTuple, Optional
 
 from .errors import IntegrityError, UserError
@@ -147,33 +150,49 @@ class SegmentedFloat:
 
 
 # -- update actions ----------------------------------------------------------
+#
+# Each writer below folds a key-ordered batch of deltas into final writes.
+# get is the transaction's reader(): a key's current (value,) or None, and
+# itself None when the head reads as empty.
+
+_delta_keys = itemgetter(0)
 
 
-def _set_value(txn, keys, value):
-    cur = txn.lookup(keys)
-    if cur is not None:
-        if cur[0] == value:
-            return
-        txn.erase(keys)
-    txn.insert(keys, value)
+def _key_order(deltas):
+    """deltas as given when their keys never decrease, else stably sorted.
+
+    The stable sort keeps each key's deltas in their given order.
+    """
+    keys = list(map(_delta_keys, deltas))
+    if any(map(gt, keys, islice(keys, 1, None))):
+        return sorted(deltas, key=_delta_keys)
+    return deltas
+
+
+def _direct_writes(name, get, deltas):
+    keys, start, cur = (), None, None  # the current run: (value,) or None
+    for k, value, delta in deltas:
+        if k != keys:
+            if cur != start:
+                yield (keys, "+", cur[0]) if cur else (keys, "-", start[0])
+            keys = k
+            start = cur = None if get is None else get(k)
+        if delta == INSERT:
+            if cur is not None:
+                raise IntegrityError(f"{name}: direct insert of live record {k}")
+            cur = (value,)
+        else:
+            if cur is None or cur[0] != value:
+                raise IntegrityError(f"{name}: direct erase of absent record {k}")
+            cur = None
+    if cur != start:
+        yield (keys, "+", cur[0]) if cur else (keys, "-", start[0])
 
 
 def apply_direct(txn, deltas):
     """1:1 head updates for projection-free rules."""
-    for keys, value, delta in deltas:
-        if delta == INSERT:
-            if txn.lookup(keys) is not None:
-                raise IntegrityError(
-                    f"{txn.relation.name}: direct insert of live record {keys}"
-                )
-            txn.insert(keys, value)
-        else:
-            cur = txn.lookup(keys)
-            if cur is None or cur[0] != value:
-                raise IntegrityError(
-                    f"{txn.relation.name}: direct erase of absent record {keys}"
-                )
-            txn.erase(keys)
+    writes = _direct_writes(txn.relation.name, txn.reader(), _key_order(deltas))
+    txn.write_sorted(writes)
 
 
 def render_value(v):
@@ -250,21 +269,10 @@ GROUPS = {
 FUNCTION_VALUE = Group(_function_value, _render_pair(lambda value: value))
 
 
-def apply_group(txn, deltas, group):
-    """Support-counted updates: a group value and a count eta per head key.
-
-    A key's record goes when its count reaches zero.  A round's deltas
-    arrive as one batch; each run of deltas with equal keys touches the
-    transaction once: one lookup, every delta folded into a local
-    (value, eta) by the group's step (through one thawed accumulator
-    for a group with thaw), then at most one erase and one insert.
-    Deltas must order erases before inserts per key, so a changed
-    function value never conflicts with itself.
-    """
-    name = txn.relation.name
+def _group_writes(name, get, deltas, group):
     step, thaw, freeze = group.step, group.thaw, group.freeze
-    for keys, run in groupby(deltas, key=itemgetter(0)):
-        cur = txn.lookup(keys)
+    for keys, run in groupby(deltas, key=_delta_keys):
+        cur = None if get is None else get(keys)
         if cur is None:
             value, eta = None, 0
         else:
@@ -280,12 +288,28 @@ def apply_group(txn, deltas, group):
             eta += sign
             if not eta:
                 value = None
-        if cur is not None:
-            txn.erase(keys)
         if eta:
             if freeze is not None:
                 value = freeze(value)
-            txn.insert(keys, (value, eta) if step else eta)
+            stored = (value, eta) if step else eta
+            if cur is None or cur[0] != stored:
+                yield keys, "+", stored
+        elif cur is not None:
+            yield keys, "-", cur[0]
+
+
+def apply_group(txn, deltas, group):
+    """Support-counted updates: a group value and a count eta per head key.
+
+    A key's record goes when its count reaches zero.  A round's deltas
+    arrive as one batch; each run of deltas with equal keys reads the
+    transaction once, folds every delta into a local (value, eta) by the
+    group's step (through one thawed accumulator for a group with thaw),
+    and writes at most once.  Deltas must order erases before inserts
+    per key, so a changed function value never conflicts with itself.
+    """
+    writes = _group_writes(txn.relation.name, txn.reader(), _key_order(deltas), group)
+    txn.write_sorted(writes)
 
 
 class ScanBackedAggregate:
@@ -329,16 +353,21 @@ class ScanBackedAggregate:
         return [keys for keys, _, _ in deltas]
 
     def refresh_head(self, txn, touched, prefix_len):
+        """Write each touched group's range-scanned value to the head."""
+        txn.write_sorted(self._refreshed(txn.reader(), touched, prefix_len))
+
+    def _refreshed(self, get, touched, prefix_len):
         pad = self.arity - prefix_len
         for full_keys in sorted({k[:prefix_len] for k in touched}):
             lo = full_keys + (KEY_MIN,) * pad
             hi = full_keys + (KEY_MAX,) * pad
             agg = self.tree.range_scan(lo, hi)
+            cur = None if get is None else get(full_keys)
             if agg is EMPTY:
-                if txn.lookup(full_keys) is not None:
-                    txn.erase(full_keys)
-            else:
-                _set_value(txn, full_keys, agg)
+                if cur is not None:
+                    yield full_keys, "-", cur[0]
+            elif cur is None or cur[0] != agg:
+                yield full_keys, "+", agg
 
 
 def apply_semigroup(agg: ScanBackedAggregate, txn, deltas, prefix_len: int):

@@ -97,7 +97,7 @@ class IntervalIndex:
         phi = prefix + (KEY_MAX,) * tail
         stats = self.stats
 
-        def visit(node):
+        def visit(visit, node):  # recurses through its argument: no cycle
             stats["visits"] += 1
             if node.max_key < plo or node.min_key > phi:
                 return
@@ -114,10 +114,10 @@ class IntervalIndex:
                     if key[:plen] == prefix and key[plen] <= x <= hi:
                         out.append(self._record_of(key))
                 return
-            visit(node.left)
-            visit(node.right)
+            visit(visit, node.left)
+            visit(visit, node.right)
 
-        visit(root)
+        visit(visit, root)
         return out
 
     def stab_and_remove(self, prefix: tuple, x: int):

@@ -12,13 +12,9 @@ KEY_MIN = -(1 << 63)
 KEY_MAX = (1 << 63) - 1
 
 
-def is_storable(k) -> bool:
-    return isinstance(k, int) and KEY_MIN < k < KEY_MAX
-
-
 def check_storable_tuple(keys):
     for k in keys:
-        if not is_storable(k):
+        if not (isinstance(k, int) and KEY_MIN < k < KEY_MAX):
             raise UserError(f"key {k!r} outside storable range")
     return keys
 

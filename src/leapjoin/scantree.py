@@ -261,7 +261,9 @@ class ScanTree:
         for lf in leaves:
             weights.append(weights[-1] + lf.count)
 
-        def make(lo, hi):
+        # make recurses through its argument, not through its own name: no
+        # closure cycle is left for the collector
+        def make(make, lo, hi):
             # split by record weight so neither side exceeds twice the other
             if hi - lo == 1:
                 return leaves[lo]
@@ -271,9 +273,9 @@ class ScanTree:
                 mid -= 1
             if mid >= hi:
                 mid = hi - 1
-            return _SNode(make(lo, mid), make(mid, hi), op)
+            return _SNode(make(make, lo, mid), make(make, mid, hi), op)
 
-        return make(0, parts)
+        return make(make, 0, parts)
 
     def build_from(self, records):
         """Bulk-load sorted (key, value) records into a fresh balanced tree."""
@@ -428,7 +430,7 @@ def complement_iter(big: ScanTree, small: ScanTree, stats=None):
             f"[{big.root.min_key}, {big.root.max_key}]"
         )
 
-    def visit(node):
+    def visit(visit, node):  # recurses through its argument: no cycle
         stats["visits"] += 1
         in_small = small.range_count(node.min_key, node.max_key)
         if in_small == node.count:
@@ -438,8 +440,8 @@ def complement_iter(big: ScanTree, small: ScanTree, stats=None):
                 f"complement: subset violation in [{node.min_key}, {node.max_key}]"
             )
         if isinstance(node, _SNode):
-            yield from visit(node.left)
-            yield from visit(node.right)
+            yield from visit(visit, node.left)
+            yield from visit(visit, node.right)
             return
         others = iter(small.iter_range(node.min_key, node.max_key))
         other = next(others, None)
@@ -458,4 +460,4 @@ def complement_iter(big: ScanTree, small: ScanTree, stats=None):
                 f"complement: subset violation in [{node.min_key}, {node.max_key}]"
             )
 
-    yield from visit(big.root)
+    yield from visit(visit, big.root)

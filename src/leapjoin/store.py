@@ -6,6 +6,12 @@ inside an immutable copy-on-write page tree.  Committing a transaction
 builds a new version that structurally shares every untouched page with
 its predecessor; versions form a linear chain per relation.
 
+A transaction takes writes key by key (``insert``/``erase``, as loads
+and input deltas do) or as one sorted batch of final writes
+(``write_sorted``, as rule heads do).  Either way ``commit`` merges the
+sorted edits into the page tree through the same ``_apply``, which
+builds leaves and branches bottom-up when the base is empty.
+
 Three access paths matter downstream:
 
 * ``TrieCursor`` -- the trie iterator (open/up/next/seek_lub) used by the
@@ -163,29 +169,29 @@ class Relation:
 
 
 class Transaction:
-    """Mutable single-writer workspace over a base version."""
+    """Mutable single-writer workspace over a base version.
+
+    Writes stage in one of two forms: per-key edits (``insert``/``erase``)
+    in a map from keys to ("+", value) | ("-", old_value), or one sorted
+    batch of final writes (``write_sorted``), which is kept as the list it
+    arrived as.  A second batch, or a per-key call after a batch, folds
+    the batch into the map first, so every call sees what is pending.
+    ``commit`` hands the batch, or the sorted map, to the same ``_apply``.
+    """
 
     def __init__(self, relation, base):
         self.relation = relation
         self.base = base
         self._edits = {}  # keys -> ("+", value) | ("-", old_value)
+        self._batch = []  # sorted (keys, op, value); empty while _edits is not
         self._done = False
 
     def _check_open(self):
         if self._done:
             raise UserError("transaction already closed")
 
-    def lookup(self, keys: tuple):
-        """Effective (value,) under pending edits, or None if absent."""
-        e = self._edits.get(keys)
-        if e is not None:
-            return (e[1],) if e[0] == "+" else None
-        return self.base.lookup(keys)
-
-    def insert(self, keys: tuple, value=None):
-        self._check_open()
+    def _check_insert(self, keys, value):
         rel = self.relation
-        keys = tuple(keys)
         if len(keys) != rel.arity:
             raise UserError(f"{rel.name}: expected arity {rel.arity}, got {len(keys)}")
         check_storable_tuple(keys)
@@ -194,6 +200,75 @@ class Transaction:
                 raise UserError(f"{rel.name}: function tuple requires a value")
         elif value is not None:
             raise UserError(f"{rel.name}: relation tuples carry no value")
+
+    def _pending(self):
+        """The per-key edit map, with a staged batch folded into it."""
+        edits = self._edits
+        if self._batch:
+            lookup = self.base.lookup
+            for keys, op, value in self._batch:
+                base = lookup(keys)
+                if base is None if op == "-" else base == (value,):
+                    edits.pop(keys, None)  # the write restores the base
+                else:
+                    edits[keys] = (op, value)
+            self._batch = []
+        return edits
+
+    def lookup(self, keys: tuple):
+        """Effective (value,) under pending edits, or None if absent."""
+        e = self._pending().get(keys)
+        if e is not None:
+            return (e[1],) if e[0] == "+" else None
+        return self.base.lookup(keys)
+
+    def reader(self):
+        """A batch writer's lookup of effective (value,), or None if empty.
+
+        With nothing pending this is the base version's own lookup; a
+        transaction over an empty base with nothing pending reads as
+        empty, so its writer needs no lookup at all.
+        """
+        if self._edits or self._batch:
+            return self.lookup
+        return self.base.lookup if self.base.root is not None else None
+
+    def write_sorted(self, writes):
+        """Stage one batch of final writes, sorted and key-distinct.
+
+        ``(keys, "+", value)`` leaves keys holding value, whatever held
+        it before; ``(keys, "-", old_value)`` removes keys.  Each insert
+        is checked as ``insert`` checks it.  ``writes`` is read once, in
+        order, so a generator that raises part-way raises here and
+        stages nothing.
+        """
+        self._check_open()
+        arity, valueless = self.relation.arity, not self.relation.is_function
+        batch = []
+        prev = ()
+        for write in writes:
+            keys, op, value = write
+            if op == "+":
+                if len(keys) != arity or (value is None) is not valueless:
+                    self._check_insert(keys, value)  # raises insert's error
+                check_storable_tuple(keys)
+            if keys <= prev:
+                raise UserError(
+                    f"{self.relation.name}: batch keys not increasing at {keys}"
+                )
+            prev = keys
+            batch.append(write)
+        self._pending()  # a batch staged earlier joins the per-key map
+        self._batch = batch
+        if self._edits:
+            self._pending()
+
+    def insert(self, keys: tuple, value=None):
+        self._check_open()
+        keys = tuple(keys)
+        self._check_insert(keys, value)
+        if self._batch:
+            self._pending()
         edit = self._edits.get(keys)
         if edit is None:
             cur = base = self.base.lookup(keys)
@@ -204,7 +279,7 @@ class Transaction:
         if cur is not None:
             if cur[0] != value:
                 raise UserError(
-                    f"{rel.name}: conflicting value for key {keys}: "
+                    f"{self.relation.name}: conflicting value for key {keys}: "
                     f"{cur[0]!r} vs {value!r}"
                 )
             return  # duplicate insert is a no-op
@@ -219,7 +294,7 @@ class Transaction:
         keys = tuple(keys)
         if len(keys) != rel.arity:
             raise UserError(f"{rel.name}: expected arity {rel.arity}, got {len(keys)}")
-        cur = self.lookup(keys)
+        cur = self.lookup(keys)  # folds a staged batch into _edits
         if cur is None:
             return False  # erasing an absent tuple is a no-op
         if rel.is_function and value is not None and cur[0] != value:
@@ -237,6 +312,7 @@ class Transaction:
         self._check_open()
         self.base = RelationVersion(self.relation, self.base.version_id, None, 0)
         self._edits = {}
+        self._batch = []
 
     def abort(self):
         self._check_open()
@@ -246,9 +322,12 @@ class Transaction:
     def commit(self) -> RelationVersion:
         self._check_open()
         rel = self.relation
-        edits = sorted(
-            (keys, op, val) for keys, (op, val) in self._edits.items()
-        )
+        if self._edits:
+            edits = sorted(
+                (keys, op, val) for keys, (op, val) in self._edits.items()
+            )
+        else:
+            edits = self._batch
         if not edits:
             root, count = self.base.root, self.base.count
         else:

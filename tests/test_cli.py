@@ -97,6 +97,71 @@ class TestDelta:
         assert out[1] == "delta A version=2 inserts=0 erases=0 noops=1 records=5"
 
 
+def rejects(ws, argv, message):
+    """The command raises UserError with exactly this message."""
+    with pytest.raises(UserError) as info:
+        ws.run_command(argv)
+    assert str(info.value) == message
+
+
+class TestRowErrors:
+    """Error texts of the tuple-file reader, for load and delta alike."""
+
+    @pytest.mark.parametrize(
+        "spec,text,flags,message",
+        [
+            ("A/1", "1\nq\n", [], "{p}:2: bad key 'q'"),
+            ("A/1", "1\n2\t3\n", [], "{p}:2: expected 1 key columns, found 2"),
+            ("A", "1\t2\n\n3\n", [], "{p}:3: expected 2 key columns, found 1"),
+            ("F/1", "1\t5\n2\n", ["--function"], (
+                "{p}:2: function rows need a value column"
+            )),
+            ("F/1", "1\tzz\n", ["--function"], "{p}:1: bad value 'zz'"),
+            ("F/1", "x\t5\n", ["--function"], "{p}:1: bad key 'x'"),
+            ("A/x", "1\n", [], "bad arity in 'A/x'"),
+            ("A", "", [], "{p}: empty file needs an explicit arity (NAME/N)"),
+        ],
+    )
+    def test_load_errors(self, ws, tmp_path, spec, text, flags, message):
+        p = write(tmp_path / "rows.tsv", text)
+        rejects(ws, ["load", spec, p, *flags], message.format(p=p))
+
+    @pytest.mark.parametrize(
+        "name,text,message",
+        [
+            ("A", "+1\n*2\n", "{p}:2: lines must start with + or -"),
+            ("A", "+1\n\n-q\n", "{p}:3: bad key 'q'"),
+            ("A", "+1\t2\n", "A: expected arity 1, got 2"),
+            ("A", "-1\t2\n", "A: expected arity 1, got 2"),
+            ("F", "+3\tzz\n", "{p}:1: bad value 'zz'"),
+            ("F", "+3\t4\t5\n", "F: expected arity 1, got 2"),
+            ("F", "+1\t9\n", "F: conflicting value for key (1,): 5 vs 9"),
+            ("F", "+3\t4\n+7\n", "{p}:2: function rows need a value column"),
+            ("Z", "+1\n", "unknown relation Z"),
+        ],
+    )
+    def test_delta_errors(self, ws, tmp_path, name, text, message):
+        ws.run_command(["load", "A/1", write(tmp_path / "a.tsv", "1\n")])
+        f = write(tmp_path / "f.tsv", "1\t5\n")
+        ws.run_command(["load", "F/1", f, "--function"])
+        p = write(tmp_path / "d.txt", text)
+        rejects(ws, ["delta", name, p], message.format(p=p))
+        # a rejected delta file commits nothing
+        assert ws.run_command(["stats"])[:2] == [
+            "edb A/1 relation versions=2 records=1 pages=1",
+            "edb F/1 function versions=2 records=1 pages=1",
+        ]
+
+    def test_delta_function_rows_parse_like_load(self, ws, tmp_path):
+        f = write(tmp_path / "f.tsv", "1\t5\n")
+        ws.run_command(["load", "F/1", f, "--function"])
+        p = write(tmp_path / "d.txt", "-1\t5\n+2\t2.5\n+1\t6\n")
+        assert ws.run_command(["delta", "F", p]) == [
+            "delta F version=2 inserts=2 erases=1 noops=0 records=2"
+        ]
+        assert ws.run_command(["dump", "F"]) == ["1\t6", "2\t2.5"]
+
+
 SESSION_GOLDEN = """\
 loaded A arity=1 version=1 records=5
 loaded B arity=1 version=1 records=4

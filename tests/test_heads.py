@@ -2,6 +2,7 @@ import math
 import random
 import struct
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -18,8 +19,8 @@ from leapjoin.heads import (
     apply_semigroup,
     x_segment,
 )
-from leapjoin.scantree import MAX_OP, ScanTree, wrap64
-from leapjoin.store import ERASE, INSERT, Relation
+from leapjoin.scantree import MAX_OP, MIN_OP, ScanTree, wrap64
+from leapjoin.store import ERASE, INSERT, Relation, Transaction
 
 
 SUPPORT, SUM = GROUPS["COUNTED"], GROUPS["GROUP_SUM"]
@@ -553,3 +554,182 @@ class TestGroupsRandomized:
             want = {(k,): expect(ps) for k, ps in live.items() if ps}
             got = {k: decode(v) for k, v in rel.current.records()}
             assert got == want, f"round {round_}"
+
+
+def head_order(deltas):
+    """A round's deltas as HeadState.apply hands them on: erases first per key."""
+    return sorted(deltas, key=lambda d: (d[0], d[2] != ERASE))
+
+
+def apply_in_two_batches(rng, txn, deltas, apply):
+    """Apply sorted deltas as two batches on one open transaction."""
+    cut = rng.randrange(len(deltas) + 1)
+    apply(txn, deltas[:cut])
+    apply(txn, deltas[cut:])
+
+
+def rejects_round(rel, deltas, apply, message):
+    """The round raises message; aborting it leaves the head unchanged."""
+    before = records(rel)
+    txn = rel.begin()
+    with pytest.raises((IntegrityError, UserError), match=message):
+        apply(txn, head_order(deltas))
+    txn.abort()
+    assert records(rel) == before
+
+
+# group name -> error cases: (bad deltas given the live payloads, message);
+# two bad deltas at keys 7 and 8 check that the first in key order raises
+GROUP_ERRORS = {
+    "support": [
+        (lambda live: [((8,), None, ERASE), ((7,), None, ERASE)],
+         r"G: support underflow at \(7,\)"),
+    ],
+    "count": [
+        (lambda live: [((7,), None, ERASE)], r"G: support underflow at \(7,\)"),
+    ],
+    "function_value": [
+        (lambda live: [((7,), 1, ERASE)], r"G: support underflow at \(7,\)"),
+        (lambda live: [((k,), ps[0] + 1, INSERT) for k, ps in live.items() if ps],
+         r"G: functional dependency violated at \(\d,\): "),
+        (lambda live: [((k,), ps[0] + 1, ERASE) for k, ps in live.items() if ps],
+         r"G: erase of unknown value at \(\d,\)"),
+    ],
+    "wrapping_sum": [
+        (lambda live: [((8,), 1.5, INSERT), ((7,), 2.5, INSERT)],
+         r"G: sum\(\) needs integer summands, got 2.5"),
+    ],
+    "float_total": [
+        (lambda live: [((7,), math.inf, INSERT)], r"non-finite summand inf"),
+        (lambda live: [((7,), 1.0, ERASE)], r"G: support underflow at \(7,\)"),
+    ],
+}
+
+
+class TestBatchPath:
+    """Each head mechanism against a plain-dict reference.
+
+    Every round goes to the head as two batches on one open transaction,
+    so the second batch must see what the first one staged.
+    """
+
+    @pytest.mark.parametrize("case", sorted(GROUP_CASES))
+    def test_group_batches_match_dict_reference(self, case):
+        group, draw, expect, decode = GROUP_CASES[case]
+        rng = random.Random(f"batch-{case}")
+        rel = store("G", 1, func=True)
+        live = {}  # key -> live payloads, one per supporting witness
+        apply = partial(apply_group, group=group)
+        for round_ in range(40):
+            deltas = []
+            for k, ps in live.items():
+                for p in [p for p in ps if rng.random() < 0.3]:
+                    ps.remove(p)
+                    deltas.append(((k,), p, ERASE))
+            for _ in range(rng.randrange(0, 12)):
+                k = rng.randrange(6)
+                ps = live.setdefault(k, [])
+                p = ps[0] if ps and group is FUNCTION_VALUE else draw(rng)
+                ps.append(p)
+                deltas.append(((k,), p, INSERT))
+            txn = rel.begin()
+            apply_in_two_batches(rng, txn, head_order(deltas), apply)
+            txn.commit()
+            want = {(k,): expect(ps) for k, ps in live.items() if ps}
+            got = {k: decode(v) for k, v in rel.current.records()}
+            assert got == want, f"round {round_}"
+        for bad, message in GROUP_ERRORS[case]:
+            rejects_round(rel, bad(live), apply, message)
+
+    @pytest.mark.parametrize("func", [False, True])
+    def test_direct_batches_match_dict_reference(self, func):
+        rng = random.Random(f"batch-direct-{func}")
+        rel = store("H", 1, func=func)
+        draw = (lambda: rng.randrange(4)) if func else (lambda: None)
+        live = {}
+        for round_ in range(40):
+            deltas = []
+            for k in rng.sample(range(20), rng.randrange(0, 10)):
+                if k in live:
+                    deltas.append(((k,), live.pop(k), ERASE))
+                    if func and rng.random() < 0.5:  # a changed value
+                        live[k] = draw()
+                        deltas.append(((k,), live[k], INSERT))
+                else:
+                    live[k] = draw()
+                    deltas.append(((k,), live[k], INSERT))
+            txn = rel.begin()
+            apply_in_two_batches(rng, txn, head_order(deltas), apply_direct)
+            txn.commit()
+            assert dict(records(rel)) == {(k,): v for k, v in live.items()}
+        some = min(live)
+        absent = min(set(range(20)) - set(live))
+        rejects_round(
+            rel,
+            [((absent,), draw(), INSERT), ((some,), draw(), INSERT)],
+            apply_direct,
+            rf"H: direct insert of live record \({some},\)",
+        )
+        rejects_round(
+            rel,
+            [((absent,), draw(), ERASE)],
+            apply_direct,
+            rf"H: direct erase of absent record \({absent},\)",
+        )
+        if func:
+            rejects_round(
+                rel,
+                [((some,), live[some] + 1, ERASE)],
+                apply_direct,
+                rf"H: direct erase of absent record \({some},\)",
+            )
+
+    @pytest.mark.parametrize("op", [MAX_OP, MIN_OP])
+    def test_min_max_refresh_batches_match_dict_reference(self, op):
+        rng = random.Random(f"batch-{op.name}")
+        agg = ScanBackedAggregate(op, 2)
+        rel = store("M", 1, func=True)
+        pick = max if op is MAX_OP else min
+        live = {}
+        apply = partial(apply_semigroup, agg, prefix_len=1)
+        for round_ in range(40):
+            deltas = []
+            for k in rng.sample([(x, y) for x in range(5) for y in range(4)], 6):
+                if k in live:
+                    deltas.append((k, live.pop(k), ERASE))
+                else:
+                    live[k] = rng.randrange(100)
+                    deltas.append((k, live[k], INSERT))
+            txn = rel.begin()
+            apply_in_two_batches(rng, txn, head_order(deltas), apply)
+            txn.commit()
+            want = {}
+            for (x, _), v in live.items():
+                want[(x,)] = pick(want.get((x,), v), v)
+            assert dict(records(rel)) == want, f"round {round_}"
+        some = min(live)
+        rejects_round(
+            rel, [(some, 1, INSERT)], apply, r"aggregate insert of live record"
+        )
+
+    def test_bootstrap_makes_no_per_key_transaction_calls(self, monkeypatch):
+        calls = []
+        eng_direct = Engine("C(x) <- A(x), B(x).", {"A": (1, False), "B": (1, False)})
+        eng_counted = Engine("S(x) <- A2(x,y).", {"A2": (2, False)})
+        rng = random.Random(48)
+        for eng in (eng_direct, eng_counted):
+            eng.random_fill(rng, per_relation=200, dom=40)
+        for name in ("insert", "erase", "lookup"):
+            single = getattr(Transaction, name)
+
+            def counted(txn, *args, _name=name, _single=single, **kwargs):
+                calls.append(_name)
+                return _single(txn, *args, **kwargs)
+
+            monkeypatch.setattr(Transaction, name, counted)
+        for eng in (eng_direct, eng_counted):
+            bootstrap(eng.inst, eng.versions())
+            assignments = naive_assignments(eng.plan, eng.versions())
+            want = expected_head(eng.plan, 0, assignments)
+            assert head_snapshot(eng.inst.heads[0]) == want
+        assert calls == []

@@ -128,6 +128,108 @@ class TestTransactions:
             assert v.count == len(ref)
 
 
+def tree_shape(node):
+    """Nested page structure: a leaf as its records, a branch as a list."""
+    if node is None:
+        return None
+    if hasattr(node, "records"):
+        return tuple(node.records)
+    return [tree_shape(c) for c in node.children]
+
+
+class TestWriteSorted:
+    @pytest.mark.parametrize("base_size", [0, 300])
+    def test_batch_commit_equals_per_key_commit(self, base_size):
+        rng = random.Random(base_size + 7)
+        per_key = Relation("F", 2, is_function=True, leaf_capacity=6)
+        batched = Relation("F", 2, is_function=True, leaf_capacity=6)
+        base = {}
+        while len(base) < base_size:
+            base[(rng.randrange(40), rng.randrange(40))] = rng.randrange(5)
+        for rel in (per_key, batched):
+            txn = rel.begin()
+            for keys, value in base.items():
+                txn.insert(keys, value)
+            txn.commit()
+        for round_ in range(12):
+            writes = {}
+            for _ in range(rng.randrange(1, 120)):
+                keys = (rng.randrange(40), rng.randrange(40))
+                value = rng.randrange(5)
+                if keys in base and rng.random() < 0.5:
+                    writes[keys] = ("-", base[keys])
+                elif base.get(keys) != value:  # a final write changes its key
+                    writes[keys] = ("+", value)
+            txn = per_key.begin()
+            for keys, (op, value) in writes.items():
+                txn.erase(keys)
+                if op == "+":
+                    txn.insert(keys, value)
+                    base[keys] = value
+                else:
+                    del base[keys]
+            v1 = txn.commit()
+            txn = batched.begin()
+            txn.write_sorted(sorted((k, op, v) for k, (op, v) in writes.items()))
+            v2 = txn.commit()
+            assert list(v2.records()) == list(v1.records()) == sorted(base.items())
+            assert tree_shape(v2.root) == tree_shape(v1.root), f"round {round_}"
+            assert batched.stats == per_key.stats
+
+    def test_second_batch_and_per_key_calls_see_pending_writes(self):
+        rel = Relation("F", 1, is_function=True)
+        fill(rel, [(1,), (2,), (3,)], value=10)
+        txn = rel.begin()
+        assert txn.reader() == rel.current.lookup
+        txn.write_sorted([((1,), "-", 10), ((4,), "+", 40)])
+        get = txn.reader()
+        assert [get((k,)) for k in range(1, 6)] == [None, (10,), (10,), (40,), None]
+        txn.write_sorted([((1,), "+", 10), ((2,), "+", 20), ((4,), "-", 40)])
+        assert txn.lookup((4,)) is None and txn.lookup((2,)) == (20,)
+        assert txn.erase((3,)) is True
+        txn.write_sorted([((5,), "+", 50)])
+        v = txn.commit()
+        assert list(v.records()) == [((1,), 10), ((2,), 20), ((5,), 50)]
+
+    def test_empty_transaction_reads_as_empty(self):
+        rel = Relation("R", 1)
+        assert rel.begin().reader() is None
+
+    @pytest.mark.parametrize(
+        "writes,message",
+        [
+            ([((1,), "+", None)], "R: expected arity 2, got 1"),
+            ([((1, 2**63), "+", None)], "key 9223372036854775808 outside storable"),
+            ([((1, 2), "+", 5)], "R: relation tuples carry no value"),
+            ([((1, 2), "+", None), ((1, 2), "-", None)], "R: batch keys not incr"),
+            ([((2, 2), "+", None), ((1, 2), "+", None)], "R: batch keys not incr"),
+        ],
+    )
+    def test_batch_errors_stage_nothing(self, writes, message):
+        rel = Relation("R", 2)
+        fill(rel, [(0, 0)])
+        txn = rel.begin()
+        txn.write_sorted([((0, 0), "-", None)])
+        with pytest.raises(UserError, match=message):
+            txn.write_sorted(iter(writes))
+        v = txn.commit()
+        assert list(v.records()) == []
+
+    def test_function_batch_needs_values(self):
+        rel = Relation("F", 1, is_function=True)
+        txn = rel.begin()
+        with pytest.raises(UserError, match="F: function tuple requires a value"):
+            txn.write_sorted([((1,), "+", None)])
+        txn.abort()
+
+    def test_closed_transaction_rejects_a_batch(self):
+        rel = Relation("R", 1)
+        txn = rel.begin()
+        txn.commit()
+        with pytest.raises(UserError, match="transaction already closed"):
+            txn.write_sorted([((1,), "+", None)])
+
+
 class TestStructuralSharing:
     def test_small_commit_allocates_few_pages(self):
         rng = random.Random(1)
