@@ -2,15 +2,19 @@
 
 bootstrap: full-evaluate the rule, populate heads from the assignment
 stream and sensitivity indices from the recorded iterator transitions
-(buffered during the evaluation and bulk-built into the fresh indices
-once the stream is exhausted).  The old side is empty, so every
-assignment routes to the heads as an insert, with no diff; a head whose
-keys prefix the join order then receives its batch already sorted.
+(buffered during the evaluation and bulk-built into fresh indices once
+the stream is exhausted).  The old side is empty, so every assignment
+routes to the heads as an insert, with no diff; a head whose keys prefix
+the join order then receives its batch already sorted.  Heads stage on
+cleared workspaces, min/max heads into fresh scan trees, and nothing of
+the instance changes until every head has staged: a bootstrap that
+raises leaves it as it was.
 
 maintain: turn version deltas into trie surgeries, match them against
-the sensitivity indices (consuming every hit) to build the change
-oracle, evaluate the body over the old and the new versions restricted
-by the oracle, diff the two assignment streams in key order, route the
+the sensitivity indices to build the change oracle (the hits of each
+stab are consumed: they leave the index in one sorted batch per stab),
+evaluate the body over the old and the new versions restricted by the
+oracle, diff the two assignment streams in key order, route the
 differences to each head's update action, and let the new-side
 evaluation refill the indices for the next round: it buffers the records
 it emits and merges them into the indices once, in one descent per
@@ -21,7 +25,8 @@ Each head stages a round in its own open transaction.  The heads commit
 together once every one of them has succeeded; a raise aborts them all
 and leaves the bound versions as they were.  Index hits consumed by the
 oracle, the new side's index merge and min/max scan-tree edits are not
-staged: a raise after them still leaves them applied.
+staged: a raise after them still leaves them applied (a min/max batch
+that raises itself leaves its tree unchanged).
 
 Atoms whose key arguments prefix the join order carry no indices; their
 surgeries contribute their own key as a point interval, which names the
@@ -47,7 +52,7 @@ from .heads import (
 from .intervals import IntervalIndex
 from .keys import KEY_MAX, render_key
 from .lftj import Counter, SensitivityRecorder, evaluate
-from .scantree import MAX_OP, MIN_OP, ScanTree
+from .scantree import MAX_OP, MIN_OP
 from .store import ERASE, INSERT, surgery_iter
 
 _delta_kind = itemgetter(2)
@@ -209,13 +214,9 @@ class HeadState:
         self.key_prefix = self.agg is not None or head_plan.key_sources == tuple(
             ("k", d) for d in range(1, len(head_plan.key_sources) + 1)
         )
-
-    def reset(self):
-        txn = self.relation.begin()
-        txn.clear()
-        txn.commit()
-        if self.agg is not None:
-            self.agg.tree = ScanTree(self.agg.tree.op)
+        # a bootstrap's head replaces the relation's records: it stages
+        # on a cleared workspace
+        self.replaces = False
 
     def apply(self, deltas):
         """Stage (target_keys, payload, delta) updates; returns the open txn.
@@ -230,6 +231,8 @@ class HeadState:
             deltas = sorted(deltas, key=lambda d: (d[0], d[2] != ERASE))
         txn = self.relation.begin()
         try:
+            if self.replaces:
+                txn.clear()
             self._update(txn, deltas)
         except BaseException:
             txn.abort()
@@ -335,7 +338,7 @@ def _diff(old_stream, new_stream, counts):
             b = next(new_stream, None)
 
 
-def _route(inst, changes):
+def _route(heads, changes):
     """Apply (assignment, delta) changes to every head, committing none.
 
     Each head stages its batch in its own open transaction; when one
@@ -343,15 +346,15 @@ def _route(inst, changes):
     either commits every head or none.  Returns the open transactions
     and the number of changes routed.
     """
-    per_head = [[] for _ in inst.heads]
-    routes = [(h.extract, deltas.append) for h, deltas in zip(inst.heads, per_head)]
+    per_head = [[] for _ in heads]
+    routes = [(h.extract, deltas.append) for h, deltas in zip(heads, per_head)]
     for assignment, delta in changes:
         for extract, append in routes:
             target, payload = extract(assignment)
             append((target, payload, delta))
     staged = []
     try:
-        for head, deltas in zip(inst.heads, per_head):
+        for head, deltas in zip(heads, per_head):
             staged.append(head.apply(deltas))
     except BaseException:
         for txn in staged:
@@ -361,20 +364,30 @@ def _route(inst, changes):
 
 
 def bootstrap(inst, versions, with_trace=True):
-    """Full evaluation: fills heads and fresh sensitivity indices."""
+    """Full evaluation: replaces the heads and the sensitivity indices.
+
+    The evaluation fills fresh indices, and fresh head states (with empty
+    min/max scan trees) stage each head on a cleared workspace.  Only
+    once every head has staged are the indices and head states swapped
+    in, the heads committed and the bound versions advanced: a bootstrap
+    that raises leaves the instance as it was.
+    """
     plan = inst.plan
-    inst.indices = inst.fresh_indices()
-    recorder = SensitivityRecorder(inst.indices)
+    indices = inst.fresh_indices()
+    heads = [HeadState(h.plan, h.relation, len(plan.key_order)) for h in inst.heads]
+    for head in heads:
+        head.replaces = True
+    recorder = SensitivityRecorder(indices)
     counter = Counter()
     trace = [] if with_trace else None
-    for head in inst.heads:
-        if head.relation.current.count:
-            head.reset()
     # the old side is empty: every assignment routes as an insert
     stream = evaluate(plan, versions, recorder=recorder, trace=trace, counter=counter)
-    staged, n = _route(inst, zip(stream, repeat(INSERT)))
-    for txn in staged:
+    staged, n = _route(heads, zip(stream, repeat(INSERT)))
+    for head, txn in zip(heads, staged):
         txn.commit()
+        head.replaces = False
+    inst.heads = heads
+    inst.indices = indices
     inst.bound_versions = dict(versions)
     inst.bootstrapped = True
     inst.last_trace = trace
@@ -409,7 +422,7 @@ def maintain(inst, new_versions, use_oracle=True, with_trace=False):
         trace=trace,
     )
     counts = [0, 0]
-    staged, _ = _route(inst, _diff(old_stream, new_stream, counts))
+    staged, _ = _route(inst.heads, _diff(old_stream, new_stream, counts))
     for txn in staged:
         txn.commit()
     inst.bound_versions = dict(new_versions)

@@ -23,9 +23,9 @@ through ``Transaction.write_sorted``:
   once when the record is written).  Each group also renders its stored
   value for ``dump``;
 * scan-backed min/max -- an intermediate full-key relation with a
-  min/max scan-tree; a batch's inserts merge into the tree in one
-  descent (a bulk build into an empty tree), and touched group prefixes
-  recompute by range scan into the head's batch.
+  min/max scan-tree; a batch is validated whole, then changes the tree
+  in one descent (a bulk build into an empty tree), and touched group
+  prefixes recompute by range scan into the head's batch.
 """
 
 import math
@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import IntegrityError, UserError
 from .keys import KEY_MAX, KEY_MIN
-from .scantree import EMPTY, ScanTree, wrap64
+from .scantree import EMPTY, ERASE, ScanTree, wrap64
 from .store import INSERT
 
 _SEG_BITS = 52
@@ -326,28 +326,34 @@ class ScanBackedAggregate:
     def apply_deltas(self, deltas):
         """Apply a round's (keys, value, delta) batch; returns its keys.
 
-        Erases go to the tree as they come; inserts wait in ``pending``
-        and merge in one ``ScanTree.insert_sorted`` descent at the end,
-        which bulk-builds an empty tree.  Contents and errors equal
-        those of applying the deltas one by one, in any order.
+        The whole batch is validated first, against the tree and a
+        ``pending`` dict of each touched key's final value (``ERASE`` when
+        it ends absent), so a batch that raises leaves the tree as it
+        was.  The batch then changes the tree in one
+        ``ScanTree.apply_sorted`` descent, which bulk-builds an empty
+        tree.  Contents and errors equal those of applying the deltas one
+        by one, in any order.
         """
         tree = self.tree
         pending = {}
         for keys, value, delta in deltas:
-            if delta == INSERT:
-                if keys in pending or tree.get(keys) is not None:
-                    raise IntegrityError(f"aggregate insert of live record {keys}")
-                pending[keys] = value
-            elif keys in pending:
-                if pending[keys] != value:
-                    raise IntegrityError(f"aggregate erase of absent record {keys}")
-                del pending[keys]
+            in_batch = keys in pending
+            if in_batch:
+                cur = pending[keys]
             else:
                 cur = tree.get(keys)
-                if cur is None or cur[0] != value:
-                    raise IntegrityError(f"aggregate erase of absent record {keys}")
-                tree.erase(keys)
-        tree.insert_sorted(sorted(pending.items()))
+                cur = ERASE if cur is None else cur[0]
+            if delta == INSERT:
+                if cur is not ERASE:
+                    raise IntegrityError(f"aggregate insert of live record {keys}")
+                pending[keys] = value
+            elif cur is ERASE or cur != value:
+                raise IntegrityError(f"aggregate erase of absent record {keys}")
+            elif in_batch and tree.get(keys) is None:
+                del pending[keys]  # inserted earlier in this batch
+            else:
+                pending[keys] = ERASE
+        tree.apply_sorted(sorted(pending.items()))
         # refresh_head dedupes by group prefix; a list of the keys takes
         # a fifth of the memory of a set of them
         return [keys for keys, _, _ in deltas]

@@ -11,17 +11,18 @@ interval ends aggregate as MAX while interval starts are ordered by the
 key itself, so a stabbing query can prune every subtree whose max end is
 below the probe or whose min start is above it.
 
-Records arrive in batches: an evaluation buffers the records it emits
-and merges them once, when its stream is exhausted.  ``add_batch``
-sorts and dedupes a batch in place and merges it into the tree in one
-descent; ``add`` is the batch of one.
+Every change is one sorted batch applied by ``ScanTree.apply_sorted``:
+an evaluation buffers the records it emits and ``add_batch`` merges them
+once, when its stream is exhausted (it sorts and dedupes the batch in
+place); ``stab_and_remove`` erases a stab's hits in one batch; ``add``
+is the batch of one.
 """
 
 from typing import NamedTuple
 
 from .errors import UserError
 from .keys import KEY_MAX, KEY_MIN, render_key
-from .scantree import MAX_OP, ScanTree, _SLeaf
+from .scantree import ERASE, MAX_OP, ScanTree, _SLeaf
 
 
 class SensitivityRecord(NamedTuple):
@@ -79,7 +80,7 @@ class IntervalIndex:
             records[kept] = prev = rec
             kept += 1
         del records[kept:]
-        return self.tree.insert_sorted(records)
+        return self.tree.apply_sorted(records)
 
     def enumerate(self):
         for key, _ in self.tree.items():
@@ -121,7 +122,7 @@ class IntervalIndex:
         return out
 
     def stab_and_remove(self, prefix: tuple, x: int):
+        """``stab``, then erase its hits (in key order) in one batch."""
         hits = self.stab(prefix, x)
-        for rec in hits:
-            self.tree.erase(rec.sort_key())
+        self.tree.apply_sorted([(rec.sort_key(), ERASE) for rec in hits])
         return hits

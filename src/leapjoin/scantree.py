@@ -6,8 +6,11 @@ their children, so the aggregate of any key interval folds at most
 O(log n) cached values.  Counts are cached alongside, which also powers
 count-pruned complement iteration.
 
-Insertion merges a sorted batch of records in one descent (a single
-insert is the batch of one).  Rebalancing: a leaf splits in halves,
+Every edit goes through one path: ``apply_sorted`` takes a sorted batch
+of sets and erases and applies it in one descent (a single insert or
+erase is the batch of one).  A subtree the batch does not change is
+returned as it is; each changed node is rebuilt from its new children
+once, on the way up.  Rebalancing: a leaf splits in halves,
 recursively, while it exceeds twice the bucket target and triggers a
 parent rebuild when it falls under half of it; an internal
 node whose child holds more than twice as many records as its sibling is
@@ -16,22 +19,28 @@ rebuilt (perfectly balanced) on the spot.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import IntegrityError, UserError
 
 _rec_key = itemgetter(0)
+_rec_value = itemgetter(1)
 
 
-class _EmptyType:
-    __slots__ = ()
+class _Sentinel:
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
 
     def __repr__(self):
-        return "EMPTY"
+        return self.name
 
 
-EMPTY = _EmptyType()
+EMPTY = _Sentinel("EMPTY")  # the combine of no records
+ERASE = _Sentinel("ERASE")  # an apply_sorted value that erases its key
 
 
 def wrap64(x: int) -> int:
@@ -44,10 +53,18 @@ class SemigroupOp:
     combine: Callable
     contribution: Callable = lambda v: v
     inverse: Optional[Callable] = None
+    fold: Optional[Callable] = None  # combine of a non-empty iterable's contributions
+
+    def __post_init__(self):
+        if self.fold is None:
+            combine, contribution = self.combine, self.contribution
+            object.__setattr__(
+                self, "fold", lambda vs: reduce(combine, map(contribution, vs))
+            )
 
 
-MAX_OP = SemigroupOp("MAX", max)
-MIN_OP = SemigroupOp("MIN", min)
+MAX_OP = SemigroupOp("MAX", max, fold=max)
+MIN_OP = SemigroupOp("MIN", min, fold=min)
 COUNT_OP = SemigroupOp("COUNT", lambda a, b: a + b, contribution=lambda v: 1)
 GROUP_SUM_OP = SemigroupOp(
     "GROUP_SUM",
@@ -61,14 +78,7 @@ class _SLeaf:
 
     def __init__(self, records, op):
         self.records = records
-        self.refresh(op)
-
-    def refresh(self, op):
-        records = self.records
-        agg = op.contribution(records[0][1])
-        for _, v in records[1:]:
-            agg = op.combine(agg, op.contribution(v))
-        self.agg = agg
+        self.agg = op.fold(map(_rec_value, records))
         self.count = len(records)
         self.min_key = records[0][0]
         self.max_key = records[-1][0]
@@ -80,14 +90,10 @@ class _SNode:
     def __init__(self, left, right, op):
         self.left = left
         self.right = right
-        self.refresh(op)
-
-    def refresh(self, op):
-        l, r = self.left, self.right
-        self.agg = op.combine(l.agg, r.agg)
-        self.count = l.count + r.count
-        self.min_key = l.min_key
-        self.max_key = r.max_key
+        self.agg = op.combine(left.agg, right.agg)
+        self.count = left.count + right.count
+        self.min_key = left.min_key
+        self.max_key = right.max_key
 
 
 def _violates(l, r):
@@ -103,7 +109,8 @@ class ScanTree:
         self.root = None
         self.size = 0
         self.stats = {"combines": 0, "visits": 0, "rebuilds": 0}
-        self.last_recomputed = []  # internal-node ranges refreshed by the last edit
+        self.last_recomputed = []  # internal-node ranges rebuilt by the last edit
+        self._added = 0
 
     # -- point access ----------------------------------------------------
 
@@ -121,90 +128,83 @@ class ScanTree:
     def insert(self, key, value=None):
         if self.get(key) is not None:
             raise UserError(f"scan-tree key already present: {key}")
-        self.insert_sorted([(key, value)])
-
-    def insert_sorted(self, records):
-        """Merge sorted, key-distinct (key, value) records in one descent.
-
-        Records whose key is already present are skipped; returns how
-        many were added.  The batch is split at each node's left max key,
-        merged at the leaves (an overflowing leaf splits in halves,
-        recursively), and each touched node is refreshed and
-        rebalance-checked once on the way up.  Into an empty tree the
-        batch is bulk-built.
-        """
-        self.last_recomputed = []
-        if not records:
-            return 0
-        before = self.size
-        if self.root is None:
-            self.root = self._build(records)
-            self.size = len(records)
-        else:
-            self.root = self._merge(self.root, records, 0, len(records))
-        return self.size - before
+        self.apply_sorted([(key, value)])
 
     def erase(self, key):
         if self.get(key) is None:
             raise UserError(f"scan-tree key not present: {key}")
+        self.apply_sorted([(key, ERASE)])
+
+    def apply_sorted(self, edits):
+        """Apply sorted, key-distinct (key, value) edits in one descent.
+
+        A value of ``ERASE`` erases its key, which must be present; any
+        other value sets its key, inserting or replacing.  A present key
+        set to an equal value is skipped.  Returns how many keys were
+        added.  The batch is split at each node's left max key and merged
+        at the leaves (an overflowing leaf splits in halves,
+        recursively); a subtree the batch leaves as it was is returned
+        untouched, and each changed node is rebuilt and rebalance-checked
+        once on the way up.  Into an empty tree the batch (which then
+        holds no erase) is bulk-built.  Set pairs become records as they
+        are, so the batch is never copied into another form.
+        """
         self.last_recomputed = []
-        self.root = self._edit(self.root, key, ("-", None))
-        self.size -= 1
+        if not edits:
+            return 0
+        if self.root is None:
+            self.root = self._build(edits)
+            self.size = len(edits)
+            return self.size
+        self._added = 0
+        self.root = self._apply(self.root, edits, 0, len(edits))
+        return self._added
 
-    def replace(self, key, value):
-        if self.get(key) is None:
-            raise UserError(f"scan-tree key not present: {key}")
-        self.last_recomputed = []
-        self.root = self._edit(self.root, key, ("=", value))
-
-    def _edit(self, node, key, change):
-        """Erase ("-") or replace ("=") the record of a present key."""
+    def _apply(self, node, edits, lo, hi):
+        """The subtree with edits[lo:hi] applied: ``node`` itself when they
+        change nothing, None when they erase every record in it."""
         if isinstance(node, _SLeaf):
-            recs = node.records
-            i = bisect_left(recs, key, key=_rec_key)
-            if change[0] == "-":
-                del recs[i]
-                if not recs:
-                    return None
-            else:
-                recs[i] = (key, change[1])
-            node.refresh(self.op)
-            return node
-        if key <= node.left.max_key:
-            node.left = self._edit(node.left, key, change)
-        else:
-            node.right = self._edit(node.right, key, change)
-        if node.left is None:
-            return node.right
-        if node.right is None:
-            return node.left
-        return self._settle(node)
-
-    def _merge(self, node, records, lo, hi):
-        if isinstance(node, _SLeaf):
-            old = node.records
-            n = len(old)
-            out, at = [], 0
-            for j in range(lo, hi):
-                rec = records[j]
-                i = bisect_left(old, rec[0], at, n, key=_rec_key)
-                out.extend(old[at:i])
-                at = i
-                if i == n or old[i][0] != rec[0]:
-                    out.append(rec)
-            out.extend(old[at:])
-            self.size += len(out) - n
-            if len(out) > 2 * self.leaf_target:
-                return self._split(out)
-            node.records = out
-            node.refresh(self.op)
-            return node
-        mid = bisect_right(records, node.left.max_key, lo, hi, key=_rec_key)
+            return self._apply_leaf(node, edits, lo, hi)
+        left, right = node.left, node.right
+        mid = bisect_right(edits, left.max_key, lo, hi, key=_rec_key)
         if mid > lo:
-            node.left = self._merge(node.left, records, lo, mid)
+            left = self._apply(left, edits, lo, mid)
         if mid < hi:
-            node.right = self._merge(node.right, records, mid, hi)
-        return self._settle(node)
+            right = self._apply(right, edits, mid, hi)
+        if left is node.left and right is node.right:
+            return node
+        if left is None:
+            return right
+        if right is None:
+            return left
+        return self._settle(left, right)
+
+    def _apply_leaf(self, leaf, edits, lo, hi):
+        old = leaf.records
+        n = len(old)
+        out, at, added = [], 0, 0  # old[:at] is decided: copied or dropped
+        for j in range(lo, hi):
+            edit = edits[j]
+            key, value = edit
+            i = bisect_left(old, key, at, n, key=_rec_key)
+            present = i < n and old[i][0] == key
+            if old[i][1] == value if present else value is ERASE:
+                continue  # the key already reads so
+            out.extend(old[at:i])
+            at = i + present
+            if value is not ERASE:
+                out.append(edit)
+                added += not present
+        if not out and not at:
+            return leaf  # no edit changed a record
+        out.extend(old[at:])
+        self.size += len(out) - n
+        self._added += added
+        if not out:
+            return None
+        if len(out) > 2 * self.leaf_target:
+            return self._split(out)
+        return _SLeaf(out, self.op)
 
     def _split(self, records):
         if len(records) <= 2 * self.leaf_target:
@@ -212,9 +212,9 @@ class ScanTree:
         mid = len(records) // 2
         return _SNode(self._split(records[:mid]), self._split(records[mid:]), self.op)
 
-    def _settle(self, node):
-        """Refresh an edited internal node and rebalance it if needed."""
-        node.refresh(self.op)
+    def _settle(self, left, right):
+        """The internal node over changed children, rebalanced if needed."""
+        node = _SNode(left, right, self.op)
         self.last_recomputed.append((node.min_key, node.max_key))
         if _violates(node.left, node.right) or self._leaf_underflow(node):
             return self._rebuild(node)
@@ -278,10 +278,9 @@ class ScanTree:
         return make(make, 0, parts)
 
     def build_from(self, records):
-        """Bulk-load sorted (key, value) records into a fresh balanced tree."""
-        records = sorted(records, key=_rec_key)
-        self.root = self._build(records) if records else None
-        self.size = len(records)
+        """Bulk-load (key, value) records into a fresh balanced tree."""
+        self.root, self.size = None, 0
+        self.apply_sorted(sorted(records, key=_rec_key))
 
     # -- range queries ---------------------------------------------------
 
@@ -308,15 +307,12 @@ class ScanTree:
                 probe.append((node.min_key, node.max_key, node.agg))
             return node.agg
         if isinstance(node, _SLeaf):
-            op = self.op
             recs = node.records
             i = bisect_left(recs, lo, key=_rec_key)
             j = bisect_right(recs, hi, key=_rec_key)
             if i == j:
                 return EMPTY
-            agg = op.contribution(recs[i][1])
-            for _, v in recs[i + 1 : j]:
-                agg = op.combine(agg, op.contribution(v))
+            agg = self.op.fold(map(_rec_value, recs[i:j]))
             self.stats["combines"] += 1
             if probe is not None:
                 probe.append((recs[i][0], recs[j - 1][0], agg))
@@ -376,12 +372,11 @@ class ScanTree:
 
         def walk(node):
             if isinstance(node, _SLeaf):
-                assert node.records == sorted(node.records, key=_rec_key)
-                assert node.count == len(node.records)
-                agg = op.contribution(node.records[0][1])
-                for _, v in node.records[1:]:
-                    agg = op.combine(agg, op.contribution(v))
-                assert node.agg == agg
+                recs = node.records
+                assert all(a[0] < b[0] for a, b in zip(recs, recs[1:]))
+                assert all(v is not ERASE for _, v in recs)
+                assert node.count == len(recs) > 0
+                assert node.agg == op.fold(map(_rec_value, node.records))
                 return node.records
             lrecs = walk(node.left)
             rrecs = walk(node.right)

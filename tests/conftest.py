@@ -145,6 +145,17 @@ def expected_head(plan, head_index, assignments):
     raise AssertionError(kind)
 
 
+def tree_nodes(tree):
+    """Every node object of a ScanTree, in a fixed walk order."""
+    out, stack = [], [tree.root] if tree.root is not None else []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if hasattr(node, "left"):
+            stack += [node.right, node.left]
+    return out
+
+
 def head_snapshot(head_state):
     """Canonical actual head state, comparable with expected_head."""
     out = {}

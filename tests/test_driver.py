@@ -83,10 +83,13 @@ class TestBootstrap:
         rel = eng.inst.heads[0].relation
         first = list(rel.current.records())
         assert first
+        txn = rel.begin()  # a stray record the evaluation does not derive
+        txn.insert((99,) * rel.arity, 0 if rel.is_function else None)
+        txn.commit()
         n = len(rel.versions)
         bootstrap(eng.inst, eng.versions())
-        emptied, refilled = rel.versions[n:]
-        assert (emptied.version_id, emptied.count) == (n, 0)
+        # one version, staged on a cleared workspace: the stray is gone
+        (refilled,) = rel.versions[n:]
         assert refilled.count == len(first)
         assert list(refilled.records()) == first
 
@@ -327,6 +330,45 @@ class TestFailedRound:
         edit(eng, "F", (1, 1), 6)
         with pytest.raises(IntegrityError, match=self.FD_ERROR):
             maintain(eng.inst, eng.versions())
+
+    def test_failed_bootstrap_leaves_the_instance_as_it_was(self):
+        """A re-bootstrap that raises commits no head and swaps no index.
+
+        Before, it committed empty head versions and fresh indices first,
+        so after the input was fixed the next round read empty heads.
+        """
+        eng = Engine("P(x,y), Q[x]=v <- F[x,y]=v.", {"F": (2, True)})
+        eng.load("F", [(1, 0, 5), (2, 0, 7)])
+        bootstrap(eng.inst, eng.versions())
+        bound = dict(eng.inst.bound_versions)
+        before = head_records(eng.inst)
+        edit(eng, "F", (1, 1), 6)
+        with pytest.raises(IntegrityError, match=self.FD_ERROR):
+            bootstrap(eng.inst, eng.versions())
+        assert head_records(eng.inst) == before
+        assert eng.inst.bound_versions == bound
+        edit(eng, "F", (1, 1), erase=True)
+        maintain(eng.inst, eng.versions())
+        want = head_records(eng.fresh_reference())
+        assert [len(h) for h in want] == [2, 2]
+        assert head_records(eng.inst) == want
+
+    def test_failed_bootstrap_keeps_the_indices(self):
+        eng = Engine("P(x,y), Q[x]=v <- F[x,y]=v, G(y).", {"F": (2, True), "G": (1, False)})
+        eng.load("F", [(1, 0, 5), (2, 0, 7)])
+        eng.load("G", [(0,), (1,)])
+        bootstrap(eng.inst, eng.versions())
+        indices = eng.inst.indices
+        contents = {k: list(ix.enumerate()) for k, ix in indices.items()}
+        assert any(contents.values())
+        edit(eng, "F", (1, 1), 6)
+        with pytest.raises(IntegrityError, match=self.FD_ERROR):
+            bootstrap(eng.inst, eng.versions())
+        assert eng.inst.indices is indices
+        assert {k: list(ix.enumerate()) for k, ix in indices.items()} == contents
+        edit(eng, "F", (1, 1), erase=True)
+        maintain(eng.inst, eng.versions())
+        assert head_records(eng.inst) == head_records(eng.fresh_reference())
 
 
 class TestGarbage:

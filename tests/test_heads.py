@@ -345,6 +345,24 @@ class TestSemigroup:
         agg.apply_deltas([((2, 2), 9, INSERT)])
         with pytest.raises(IntegrityError, match=f"aggregate {message}"):
             agg.apply_deltas(deltas)
+        assert list(agg.tree.items()) == [((2, 2), 9)]
+
+    def test_key_inserted_and_erased_in_one_batch_never_reaches_the_tree(self):
+        agg = ScanBackedAggregate(MAX_OP, 2)  # an empty tree is bulk-built
+        agg.apply_deltas([((1, 1), 5, INSERT), ((1, 1), 5, ERASE), ((2, 2), 7, INSERT)])
+        assert list(agg.tree.items()) == [((2, 2), 7)]
+        agg.tree.audit()
+
+    def test_batch_that_raises_leaves_the_tree_unchanged(self):
+        agg = ScanBackedAggregate(MAX_OP, 2)
+        agg.apply_deltas([((k // 10, k % 10), k, INSERT) for k in range(100)])
+        before = list(agg.tree.items())
+        # a valid erase first: the batch is validated before the tree changes
+        deltas = [((3, 4), 34, ERASE), ((5, 6), 1, INSERT)]
+        with pytest.raises(IntegrityError, match="aggregate insert of live record"):
+            agg.apply_deltas(deltas)
+        assert list(agg.tree.items()) == before
+        agg.tree.audit()
 
     def test_max_bootstrap_builds_the_tree_in_bulk(self, monkeypatch):
         inserts = []

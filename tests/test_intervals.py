@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import tree_nodes
 from leapjoin.errors import UserError
 from leapjoin.intervals import IntervalIndex, SensitivityRecord
 from leapjoin.keys import KEY_MAX, KEY_MIN
@@ -179,3 +180,46 @@ class TestAddBatch:
         batch = [(r.sort_key(), r.hi) for r in (rec(1, 2, (0,)), rec(5, 4, (0,)))]
         with pytest.raises(UserError):
             ix.add_batch(batch)
+
+
+class TestBatchedEdits:
+    def random_index(self, rng, n=600):
+        ix = IntervalIndex(1, 1, leaf_target=rng.choice((1, 3, 12)))
+        for _ in range(4):  # grown in batches, so the shape is not a bulk build
+            batch = []
+            for _ in range(n // 4):
+                lo = rng.randrange(500)
+                r = rec(lo, lo + rng.randrange(40), (rng.randrange(3),), (rng.randrange(5),))
+                batch.append((r.sort_key(), r.hi))
+            ix.add_batch(batch)
+        return ix
+
+    def test_re_adding_present_records_changes_nothing(self):
+        rng = random.Random(24)
+        ix = self.random_index(rng)
+        tree = ix.tree
+        nodes, rebuilds = tree_nodes(tree), tree.stats["rebuilds"]
+        present = [(r.sort_key(), r.hi) for r in ix.enumerate()]
+        assert ix.add_batch(rng.sample(present, 50)) == 0
+        assert ix.add(next(ix.enumerate())) is False
+        assert tree.last_recomputed == []
+        assert tree.stats["rebuilds"] == rebuilds
+        after = tree_nodes(tree)
+        assert len(after) == len(nodes)
+        assert all(a is b for a, b in zip(after, nodes))
+
+    def test_batched_removal_equals_sequential_removal(self):
+        rng = random.Random(25)
+        for _ in range(10):
+            seed = rng.randrange(10**6)
+            bat = self.random_index(random.Random(seed))
+            seq = self.random_index(random.Random(seed))
+            for _ in range(60):
+                p, x = (rng.randrange(3),), rng.randrange(-5, 545)
+                got = bat.stab_and_remove(p, x)
+                want = seq.stab(p, x)
+                for r in want:
+                    seq.tree.erase(r.sort_key())
+                assert got == want
+                assert list(bat.enumerate()) == list(seq.enumerate())
+            bat.tree.audit()

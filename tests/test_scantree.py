@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from conftest import tree_nodes
 from leapjoin.errors import IntegrityError, UserError
 from leapjoin.keys import KEY_MAX, KEY_MIN
 from leapjoin.scantree import (
     COUNT_OP,
     EMPTY,
+    ERASE,
     GROUP_SUM_OP,
     MAX_OP,
     MIN_OP,
@@ -89,7 +91,7 @@ class TestRangeScan:
 class TestPointUpdate:
     def test_replace_recomputes_exactly_the_path(self):
         t = eight_leaf_tree([3, 9, 4, 1, 7, 2, 8, 5])
-        t.replace((5,), 100)
+        assert t.apply_sorted([((5,), 100)]) == 0  # a replace adds no key
         assert t.last_recomputed == [((5,), (6,)), ((5,), (8,)), ((1,), (8,))]
         assert t.range_scan((1,), (8,)) == 100
 
@@ -244,10 +246,12 @@ class TestInsertSorted:
                 else:
                     keys = {rng.randrange(10**4) for _ in range(rng.randrange(0, 80))}
                 batch = [((k,), rng.randrange(-(2**62), 2**62)) for k in sorted(keys)]
+                # a present key comes with its own value, which is skipped
+                batch = [(k, ref.get(k, v)) for k, v in batch]
                 want = sum(1 for k, _ in batch if k not in ref)
                 for k, v in batch:
                     ref.setdefault(k, v)
-                assert t.insert_sorted(batch) == want
+                assert t.apply_sorted(batch) == want
                 assert t.size == len(ref)
                 self.check(t, ref)
             for _ in range(200):
@@ -266,7 +270,7 @@ class TestInsertSorted:
 
     def test_batch_into_empty_tree_is_bulk_built(self):
         t = ScanTree(COUNT_OP, leaf_target=4)
-        assert t.insert_sorted([((k,), None) for k in range(100)]) == 100
+        assert t.apply_sorted([((k,), None) for k in range(100)]) == 100
         t.audit()
         assert t.stats["rebuilds"] == 0
         assert t.height() <= math.ceil(math.log2(100 / 4)) + 1
@@ -282,8 +286,8 @@ class TestInsertSorted:
 
     def test_overflowing_leaf_splits_recursively(self):
         t = ScanTree(COUNT_OP, leaf_target=2)
-        t.insert_sorted([((0,), None), ((100,), None)])
-        assert t.insert_sorted([((k,), None) for k in range(1, 21)]) == 20
+        t.apply_sorted([((0,), None), ((100,), None)])
+        assert t.apply_sorted([((k,), None) for k in range(1, 21)]) == 20
         t.audit()
         leaves = []
         stack = [t.root]
@@ -294,3 +298,92 @@ class TestInsertSorted:
             else:
                 leaves.append(node.count)
         assert sum(leaves) == 22 and max(leaves) <= 4
+
+
+def fold_all(op, values):
+    agg = EMPTY
+    for v in values:
+        c = op.contribution(v)
+        agg = c if agg is EMPTY else op.combine(agg, c)
+    return agg
+
+
+class TestApplySorted:
+    OPS = [MAX_OP, MIN_OP, COUNT_OP, GROUP_SUM_OP]
+
+    def random_batch(self, rng, ref, leaf_target):
+        """key -> value or ERASE, mixing every kind of edit."""
+        keys = sorted(ref)
+        edits = {}
+        for k in rng.sample(keys, min(len(keys), rng.randrange(0, 12))):
+            edits[k] = rng.choice(
+                [ERASE, ref[k], rng.randrange(-(2**62), 2**62)]
+            )  # erase, set to the same value, set to another value
+        for _ in range(rng.randrange(0, 20)):  # inserts of absent keys
+            k = (rng.randrange(10**4),)
+            if k not in ref:
+                edits[k] = rng.randrange(-(2**62), 2**62)
+        if keys and rng.random() < 0.3:  # a run that overflows a leaf
+            base = rng.choice(keys)[0]
+            for _ in range(3 * leaf_target + 1):
+                edits[(base + rng.random(),)] = rng.randrange(100)
+        if keys and rng.random() < 0.2:  # erase a run: a leaf or a subtree
+            i = rng.randrange(len(keys))
+            for k in keys[i : i + rng.choice([leaf_target, 4 * leaf_target, len(keys)])]:
+                edits[k] = ERASE
+        return sorted(edits.items())
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
+    @pytest.mark.parametrize("leaf_target", [1, 3, 12])
+    def test_random_batches_match_dict_model(self, op, leaf_target):
+        rng = random.Random(19 + leaf_target)
+        t = ScanTree(op, leaf_target=leaf_target)
+        ref = {}
+        for step in range(80):
+            batch = self.random_batch(rng, ref, leaf_target)
+            added = sum(1 for k, v in batch if v is not ERASE and k not in ref)
+            for k, v in batch:
+                if v is ERASE:
+                    del ref[k]
+                else:
+                    ref[k] = v
+            assert t.apply_sorted(batch) == added, f"step {step}"
+            t.audit()
+            assert t.size == len(ref)
+            assert list(t.items()) == sorted(ref.items())
+            got = t.range_scan((KEY_MIN,), (KEY_MAX,))
+            assert got == fold_all(op, ref.values())
+            for _ in range(5):
+                a, b = sorted((rng.randrange(10**4), rng.randrange(10**4)))
+                want = fold_all(op, (v for (k,), v in ref.items() if a <= k <= b))
+                assert t.range_scan((a,), (b,)) == want
+
+    def test_erasing_everything_empties_the_tree(self):
+        t = ScanTree(MAX_OP, leaf_target=2)
+        t.apply_sorted([((k,), k) for k in range(40)])
+        assert t.apply_sorted([((k,), ERASE) for k in range(40)]) == 0
+        assert t.root is None and t.size == 0
+        assert t.range_scan((KEY_MIN,), (KEY_MAX,)) is EMPTY
+
+    @pytest.mark.parametrize("leaf_target", [1, 3, 12])
+    def test_reapplying_present_records_changes_nothing(self, leaf_target):
+        rng = random.Random(20)
+        t = ScanTree(MAX_OP, leaf_target=leaf_target)
+        for _ in range(5):  # grown in batches, so the shape is not a bulk build
+            t.apply_sorted(sorted({(rng.randrange(10**4),): 1 for _ in range(80)}.items()))
+        nodes, rebuilds = tree_nodes(t), t.stats["rebuilds"]
+        for batch in (list(t.items()), rng.sample(list(t.items()), 30)):
+            assert t.apply_sorted(sorted(batch)) == 0
+            assert t.last_recomputed == []
+            assert t.stats["rebuilds"] == rebuilds
+            after = tree_nodes(t)
+            assert len(after) == len(nodes)
+            assert all(a is b for a, b in zip(after, nodes))
+
+    def test_single_erase_recomputes_exactly_the_path(self):
+        t = eight_leaf_tree([3, 9, 4, 1, 7, 2, 8, 5])
+        t.erase((5,))
+        # the emptied leaf's sibling takes its parent's place
+        assert t.last_recomputed == [((6,), (8,)), ((1,), (8,))]
+        assert t.range_scan((1,), (8,)) == 9
+        t.audit()
