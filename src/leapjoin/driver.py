@@ -5,10 +5,11 @@ stream and sensitivity indices from the recorded iterator transitions
 (buffered during the evaluation and bulk-built into fresh indices once
 the stream is exhausted).  The old side is empty, so every assignment
 routes to the heads as an insert, with no diff; a head whose keys prefix
-the join order then receives its batch already sorted.  Heads stage on
-cleared workspaces, min/max heads into fresh scan trees, and nothing of
-the instance changes until every head has staged: a bootstrap that
-raises leaves it as it was.
+the join order then receives its batch already in key order, which
+``HeadState.apply``, the one place a head batch is ordered, keeps.
+Heads stage on cleared workspaces, min/max heads into fresh scan trees,
+and nothing of the instance changes until every head has staged: a
+bootstrap that raises leaves it as it was.
 
 maintain: turn version deltas into trie surgeries, match them against
 the sensitivity indices to build the change oracle (the hits of each
@@ -22,11 +23,11 @@ index, when its stream is exhausted.  Nothing reads an index while an
 evaluation runs, because the oracle is built before either side starts.
 
 Each head stages a round in its own open transaction.  The heads commit
-together once every one of them has succeeded; a raise aborts them all
-and leaves the bound versions as they were.  Index hits consumed by the
-oracle, the new side's index merge and min/max scan-tree edits are not
-staged: a raise after them still leaves them applied (a min/max batch
-that raises itself leaves its tree unchanged).
+together once every one of them has succeeded; a raise aborts them all,
+leaves the bound versions as they were, and puts the root of every
+sensitivity index and min/max scan tree back (their edits path-copy, so
+an old root is still a whole tree): the consumed hits, the new side's
+merge and the min/max edits of a round that raised are undone.
 
 Atoms whose key arguments prefix the join order carry no indices; their
 surgeries contribute their own key as a point interval, which names the
@@ -36,8 +37,8 @@ changed region directly in join-order coordinates.
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import gt, itemgetter
 
 from .errors import UserError
 from .heads import (
@@ -55,7 +56,7 @@ from .lftj import Counter, SensitivityRecorder, evaluate
 from .scantree import MAX_OP, MIN_OP
 from .store import ERASE, INSERT, surgery_iter
 
-_delta_kind = itemgetter(2)
+_delta_target, _delta_kind = itemgetter(0), itemgetter(2)
 
 
 @dataclass
@@ -209,11 +210,6 @@ class HeadState:
             self._update = partial(apply_group, group=group)
             self.render = group.render
         self.extract = _extractor(head_plan, key_depth_count, self.agg is not None)
-        # targets that prefix the join order (a scan-backed head's target
-        # is the whole binding) follow the evaluation's order
-        self.key_prefix = self.agg is not None or head_plan.key_sources == tuple(
-            ("k", d) for d in range(1, len(head_plan.key_sources) + 1)
-        )
         # a bootstrap's head replaces the relation's records: it stages
         # on a cleared workspace
         self.replaces = False
@@ -221,13 +217,18 @@ class HeadState:
     def apply(self, deltas):
         """Stage (target_keys, payload, delta) updates; returns the open txn.
 
-        Deltas are sorted by target keys, erases first per key, except
-        for a batch of inserts alone into a head whose keys prefix the
-        join order: routed in evaluation order, it is sorted already.
-        The caller commits the transaction, or aborts it; a raise aborts
-        it here.
+        Deltas are sorted by target keys, erases first per key, unless the
+        batch holds no erase and its keys never decrease (as inserts
+        routed in evaluation order into a head whose keys prefix the join
+        order do).  The caller commits the transaction, or aborts it; a
+        raise aborts it here.
         """
-        if not self.key_prefix or ERASE in map(_delta_kind, deltas):
+        if ERASE in map(_delta_kind, deltas):
+            ordered = False
+        else:
+            keys = list(map(_delta_target, deltas))
+            ordered = not any(map(gt, keys, islice(keys, 1, None)))
+        if not ordered:
             deltas = sorted(deltas, key=lambda d: (d[0], d[2] != ERASE))
         txn = self.relation.begin()
         try:
@@ -405,24 +406,32 @@ def maintain(inst, new_versions, use_oracle=True, with_trace=False):
         raise UserError("rule has not been evaluated yet: run eval first")
     plan = inst.plan
     old_versions = inst.bound_versions
-    oracle = None
-    consumed = 0
-    if use_oracle:
-        oracle, consumed = build_oracle(inst, old_versions, new_versions)
-    recorder = SensitivityRecorder(inst.indices)
-    c_old, c_new = Counter(), Counter()
-    trace = [] if with_trace else None
-    old_stream = evaluate(plan, old_versions, oracle=oracle, counter=c_old)
-    new_stream = evaluate(
-        plan,
-        new_versions,
-        oracle=oracle,
-        recorder=recorder,
-        counter=c_new,
-        trace=trace,
-    )
-    counts = [0, 0]
-    staged, _ = _route(inst.heads, _diff(old_stream, new_stream, counts))
+    trees = [ix.tree for ix in inst.indices.values()]
+    trees += [h.agg.tree for h in inst.heads if h.agg is not None]
+    saved = [(tree, tree.root, tree.size) for tree in trees]
+    try:
+        oracle = None
+        consumed = 0
+        if use_oracle:
+            oracle, consumed = build_oracle(inst, old_versions, new_versions)
+        recorder = SensitivityRecorder(inst.indices)
+        c_old, c_new = Counter(), Counter()
+        trace = [] if with_trace else None
+        old_stream = evaluate(plan, old_versions, oracle=oracle, counter=c_old)
+        new_stream = evaluate(
+            plan,
+            new_versions,
+            oracle=oracle,
+            recorder=recorder,
+            counter=c_new,
+            trace=trace,
+        )
+        counts = [0, 0]
+        staged, _ = _route(inst.heads, _diff(old_stream, new_stream, counts))
+    except BaseException:
+        for tree, root, size in saved:
+            tree.root, tree.size = root, size
+        raise
     for txn in staged:
         txn.commit()
     inst.bound_versions = dict(new_versions)

@@ -2,11 +2,12 @@
 
 Assignment deltas reach a head as one batch per round (bootstrap is the
 round in which every assignment is an insert), through one of three
-mechanisms.  None of them writes key by key: each reads the batch in key
-order, looks each run of equal keys up once (not at all while the head
-reads as empty, as at bootstrap), folds the run locally, and hands the
+mechanisms.  The batch arrives ordered by key, erases first per key
+(``HeadState.apply`` orders it).  No mechanism writes key by key: each
+looks each run of equal keys up once (not at all while the head reads as
+empty, as at bootstrap), folds the run locally, and hands the
 transaction one sorted batch of final writes, one per changed key,
-through ``Transaction.write_sorted``:
+through ``Transaction.write_sorted``, which refuses a batch out of order:
 
 * direct -- projection-free rules insert/remove head records 1:1;
 * support-counted groups -- every other head but min/max keeps a group
@@ -30,8 +31,8 @@ through ``Transaction.write_sorted``:
 
 import math
 from fractions import Fraction
-from itertools import groupby, islice
-from operator import gt, itemgetter, methodcaller
+from itertools import groupby
+from operator import itemgetter, methodcaller
 from typing import Callable, NamedTuple, Optional
 
 from .errors import IntegrityError, UserError
@@ -151,25 +152,16 @@ class SegmentedFloat:
 
 # -- update actions ----------------------------------------------------------
 #
-# Each writer below folds a key-ordered batch of deltas into final writes.
-# get is the transaction's reader(): a key's current (value,) or None, and
-# itself None when the head reads as empty.
+# Each writer below folds a batch of deltas, ordered by key with erases
+# first per key, into final writes.  get is the transaction's reader(): a
+# key's current (value,) or None, and itself None when the head reads as
+# empty.
 
 _delta_keys = itemgetter(0)
 
 
-def _key_order(deltas):
-    """deltas as given when their keys never decrease, else stably sorted.
-
-    The stable sort keeps each key's deltas in their given order.
-    """
-    keys = list(map(_delta_keys, deltas))
-    if any(map(gt, keys, islice(keys, 1, None))):
-        return sorted(deltas, key=_delta_keys)
-    return deltas
-
-
 def _direct_writes(name, get, deltas):
+    """Final writes of key-ordered direct deltas, one per changed key."""
     keys, start, cur = (), None, None  # the current run: (value,) or None
     for k, value, delta in deltas:
         if k != keys:
@@ -191,8 +183,7 @@ def _direct_writes(name, get, deltas):
 
 def apply_direct(txn, deltas):
     """1:1 head updates for projection-free rules."""
-    writes = _direct_writes(txn.relation.name, txn.reader(), _key_order(deltas))
-    txn.write_sorted(writes)
+    txn.write_sorted(_direct_writes(txn.relation.name, txn.reader(), deltas))
 
 
 def render_value(v):
@@ -270,6 +261,7 @@ FUNCTION_VALUE = Group(_function_value, _render_pair(lambda value: value))
 
 
 def _group_writes(name, get, deltas, group):
+    """Final writes of key-ordered group deltas, one per changed key."""
     step, thaw, freeze = group.step, group.thaw, group.freeze
     for keys, run in groupby(deltas, key=_delta_keys):
         cur = None if get is None else get(keys)
@@ -305,11 +297,10 @@ def apply_group(txn, deltas, group):
     arrive as one batch; each run of deltas with equal keys reads the
     transaction once, folds every delta into a local (value, eta) by the
     group's step (through one thawed accumulator for a group with thaw),
-    and writes at most once.  Deltas must order erases before inserts
-    per key, so a changed function value never conflicts with itself.
+    and writes at most once.  Deltas must be ordered by key, erases before
+    inserts per key, so a changed function value never conflicts with itself.
     """
-    writes = _group_writes(txn.relation.name, txn.reader(), _key_order(deltas), group)
-    txn.write_sorted(writes)
+    txn.write_sorted(_group_writes(txn.relation.name, txn.reader(), deltas, group))
 
 
 class ScanBackedAggregate:
@@ -354,7 +345,7 @@ class ScanBackedAggregate:
             else:
                 pending[keys] = ERASE
         tree.apply_sorted(sorted(pending.items()))
-        # refresh_head dedupes by group prefix; a list of the keys takes
+        # key-ordered deltas give key-ordered keys; a list of them takes
         # a fifth of the memory of a set of them
         return [keys for keys, _, _ in deltas]
 
@@ -363,8 +354,9 @@ class ScanBackedAggregate:
         txn.write_sorted(self._refreshed(txn.reader(), touched, prefix_len))
 
     def _refreshed(self, get, touched, prefix_len):
+        """Writes for the groups of key-ordered touched keys, each once."""
         pad = self.arity - prefix_len
-        for full_keys in sorted({k[:prefix_len] for k in touched}):
+        for full_keys, _ in groupby(touched, itemgetter(slice(prefix_len))):
             lo = full_keys + (KEY_MIN,) * pad
             hi = full_keys + (KEY_MAX,) * pad
             agg = self.tree.range_scan(lo, hi)

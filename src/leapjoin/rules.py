@@ -275,12 +275,10 @@ class HeadPlan:
 class Plan:
     rule: RuleIR
     key_order: tuple
-    kinds: dict
     value_order: tuple
     branches: list
     heads: list
     index_specs: dict  # (branch, atom_pos, level) -> (prefix_len, context_len)
-    force_sens: bool
     short_circuit_depth: int
 
 
@@ -503,11 +501,9 @@ def validate_key_order(rule: RuleIR, order=None) -> Plan:
     return Plan(
         rule=rule,
         key_order=order,
-        kinds=kinds,
         value_order=value_order,
         branches=branches,
         heads=heads,
         index_specs=index_specs,
-        force_sens=rule.force_sens,
         short_circuit_depth=sc_depth,
     )

@@ -52,7 +52,6 @@ class SemigroupOp:
     name: str
     combine: Callable
     contribution: Callable = lambda v: v
-    inverse: Optional[Callable] = None
     fold: Optional[Callable] = None  # combine of a non-empty iterable's contributions
 
     def __post_init__(self):
@@ -66,11 +65,7 @@ class SemigroupOp:
 MAX_OP = SemigroupOp("MAX", max, fold=max)
 MIN_OP = SemigroupOp("MIN", min, fold=min)
 COUNT_OP = SemigroupOp("COUNT", lambda a, b: a + b, contribution=lambda v: 1)
-GROUP_SUM_OP = SemigroupOp(
-    "GROUP_SUM",
-    lambda a, b: wrap64(a + b),
-    inverse=lambda x: wrap64(-x),
-)
+GROUP_SUM_OP = SemigroupOp("GROUP_SUM", lambda a, b: wrap64(a + b))
 
 
 class _SLeaf:
@@ -108,7 +103,7 @@ class ScanTree:
         self.leaf_target = leaf_target
         self.root = None
         self.size = 0
-        self.stats = {"combines": 0, "visits": 0, "rebuilds": 0}
+        self.stats = {"combines": 0, "rebuilds": 0}
         self.last_recomputed = []  # internal-node ranges rebuilt by the last edit
         self._added = 0
 

@@ -7,10 +7,12 @@ builds a new version that structurally shares every untouched page with
 its predecessor; versions form a linear chain per relation.
 
 A transaction takes writes key by key (``insert``/``erase``, as loads
-and input deltas do) or as one sorted batch of final writes
-(``write_sorted``, as rule heads do).  Either way ``commit`` merges the
-sorted edits into the page tree through the same ``_apply``, which
-builds leaves and branches bottom-up when the base is empty.
+and input deltas do) or as exactly one sorted batch of final writes
+(``write_sorted``, as rule heads do), never both.  Either way ``commit``
+merges the sorted edits into the page tree through the same ``_apply``,
+which builds bottom-up when the base is empty; one ``_pack`` cuts every
+leaf and branch it makes.  A version keeps no reference to its relation,
+so a dropped relation is freed by reference counting.
 
 Three access paths matter downstream:
 
@@ -79,10 +81,11 @@ class SurgeryOp(NamedTuple):
 class RelationVersion:
     """Immutable committed snapshot of a relation."""
 
-    __slots__ = ("relation", "version_id", "root", "count")
+    __slots__ = ("lineage", "arity", "version_id", "root", "count")
 
-    def __init__(self, relation, version_id, root, count):
-        self.relation = relation
+    def __init__(self, lineage, arity, version_id, root, count):
+        self.lineage = lineage  # a token shared by every version of one relation
+        self.arity = arity
         self.version_id = version_id
         self.root = root
         self.count = count
@@ -125,7 +128,7 @@ class RelationVersion:
             return node.records[0]
 
     def has_prefix(self, prefix: tuple) -> bool:
-        pad = prefix + (KEY_MIN,) * (self.relation.arity - len(prefix))
+        pad = prefix + (KEY_MIN,) * (self.arity - len(prefix))
         rec = self.locate_ge(pad)
         return rec is not None and rec[0][: len(prefix)] == prefix
 
@@ -154,7 +157,7 @@ class Relation:
         self.leaf_capacity = leaf_capacity
         self.stats = {"pages_allocated": 0}
         self._txn_open = False
-        self.versions = [RelationVersion(self, 0, None, 0)]
+        self.versions = [RelationVersion(object(), arity, 0, None, 0)]
 
     @property
     def current(self) -> RelationVersion:
@@ -171,19 +174,18 @@ class Relation:
 class Transaction:
     """Mutable single-writer workspace over a base version.
 
-    Writes stage in one of two forms: per-key edits (``insert``/``erase``)
-    in a map from keys to ("+", value) | ("-", old_value), or one sorted
-    batch of final writes (``write_sorted``), which is kept as the list it
-    arrived as.  A second batch, or a per-key call after a batch, folds
-    the batch into the map first, so every call sees what is pending.
-    ``commit`` hands the batch, or the sorted map, to the same ``_apply``.
+    Writes stage in one of two forms, never both: per-key edits
+    (``insert``/``erase``, read back by ``lookup``) in a map from keys to
+    ("+", value) | ("-", old_value), or exactly one sorted batch of final
+    writes (``write_sorted``), kept as the list it arrived as.  ``commit``
+    hands the batch, or the sorted map, to the same ``_apply``.
     """
 
     def __init__(self, relation, base):
         self.relation = relation
         self.base = base
         self._edits = {}  # keys -> ("+", value) | ("-", old_value)
-        self._batch = []  # sorted (keys, op, value); empty while _edits is not
+        self._batch = None  # the staged sorted (keys, op, value) batch
         self._done = False
 
     def _check_open(self):
@@ -201,36 +203,22 @@ class Transaction:
         elif value is not None:
             raise UserError(f"{rel.name}: relation tuples carry no value")
 
-    def _pending(self):
-        """The per-key edit map, with a staged batch folded into it."""
-        edits = self._edits
-        if self._batch:
-            lookup = self.base.lookup
-            for keys, op, value in self._batch:
-                base = lookup(keys)
-                if base is None if op == "-" else base == (value,):
-                    edits.pop(keys, None)  # the write restores the base
-                else:
-                    edits[keys] = (op, value)
-            self._batch = []
-        return edits
+    def _edit_map(self):
+        """The per-key edit map; a transaction holding a batch has none."""
+        if self._batch is not None:
+            raise UserError(f"{self.relation.name}: transaction holds a sorted batch")
+        return self._edits
 
     def lookup(self, keys: tuple):
         """Effective (value,) under pending edits, or None if absent."""
-        e = self._pending().get(keys)
+        e = self._edit_map().get(keys)
         if e is not None:
             return (e[1],) if e[0] == "+" else None
         return self.base.lookup(keys)
 
     def reader(self):
-        """A batch writer's lookup of effective (value,), or None if empty.
-
-        With nothing pending this is the base version's own lookup; a
-        transaction over an empty base with nothing pending reads as
-        empty, so its writer needs no lookup at all.
-        """
-        if self._edits or self._batch:
-            return self.lookup
+        """A batch writer's lookup of (value,): the base version's own, or
+        None over an empty base, which its writer need not read at all."""
         return self.base.lookup if self.base.root is not None else None
 
     def write_sorted(self, writes):
@@ -243,6 +231,8 @@ class Transaction:
         stages nothing.
         """
         self._check_open()
+        if self._edit_map():
+            raise UserError(f"{self.relation.name}: transaction holds per-key edits")
         arity, valueless = self.relation.arity, not self.relation.is_function
         batch = []
         prev = ()
@@ -258,18 +248,13 @@ class Transaction:
                 )
             prev = keys
             batch.append(write)
-        self._pending()  # a batch staged earlier joins the per-key map
         self._batch = batch
-        if self._edits:
-            self._pending()
 
     def insert(self, keys: tuple, value=None):
         self._check_open()
         keys = tuple(keys)
         self._check_insert(keys, value)
-        if self._batch:
-            self._pending()
-        edit = self._edits.get(keys)
+        edit = self._edit_map().get(keys)
         if edit is None:
             cur = base = self.base.lookup(keys)
         elif edit[0] == "+":
@@ -294,7 +279,7 @@ class Transaction:
         keys = tuple(keys)
         if len(keys) != rel.arity:
             raise UserError(f"{rel.name}: expected arity {rel.arity}, got {len(keys)}")
-        cur = self.lookup(keys)  # folds a staged batch into _edits
+        cur = self.lookup(keys)
         if cur is None:
             return False  # erasing an absent tuple is a no-op
         if rel.is_function and value is not None and cur[0] != value:
@@ -310,9 +295,10 @@ class Transaction:
     def clear(self):
         """Erase every record: the commit starts from an empty relation."""
         self._check_open()
-        self.base = RelationVersion(self.relation, self.base.version_id, None, 0)
+        base = self.base
+        self.base = RelationVersion(base.lineage, base.arity, base.version_id, None, 0)
         self._edits = {}
-        self._batch = []
+        self._batch = None
 
     def abort(self):
         self._check_open()
@@ -321,23 +307,21 @@ class Transaction:
 
     def commit(self) -> RelationVersion:
         self._check_open()
-        rel = self.relation
-        if self._edits:
-            edits = sorted(
-                (keys, op, val) for keys, (op, val) in self._edits.items()
-            )
-        else:
-            edits = self._batch
+        rel, base = self.relation, self.base
+        edits = self._batch
+        if edits is None:
+            edits = sorted((keys, op, val) for keys, (op, val) in self._edits.items())
         if not edits:
-            root, count = self.base.root, self.base.count
+            root, count = base.root, base.count
         else:
             alloc = [0]
-            reps = _apply(self.base.root, edits, rel, alloc)
+            reps = _apply(base.root, edits, rel, alloc)
             while len(reps) > 1:
                 reps = [
-                    _new_branch(reps[i : i + _BR_TARGET], alloc)
+                    _Branch(reps[i : i + _BR_TARGET])
                     for i in range(0, len(reps), _BR_TARGET)
                 ]
+                alloc[0] += len(reps)
             root = reps[0] if reps else None
             while isinstance(root, _Branch) and len(root.children) == 1:
                 root = root.children[0]
@@ -345,42 +329,34 @@ class Transaction:
             rel.stats["pages_allocated"] += alloc[0]
         self._done = True
         rel._txn_open = False
-        version = RelationVersion(rel, self.base.version_id + 1, root, count)
+        version = RelationVersion(
+            base.lineage, base.arity, base.version_id + 1, root, count
+        )
         rel.versions.append(version)
         return version
 
 
-def _new_leaf(records, alloc):
-    alloc[0] += 1
-    return _Leaf(records)
+def _pack(items, fit, part, make, alloc):
+    """Pages made from items: none for no items, one for at most ``fit``,
+    else as few even pages of at most ``part`` items as hold them.
 
-
-def _new_branch(children, alloc):
-    alloc[0] += 1
-    return _Branch(children)
-
-
-def _split_leaf_records(records, cap, alloc):
-    n = len(records)
-    parts = max(1, (n + cap - 1) // cap)
+    ``make`` builds a page from a slice of items; ``alloc[0]`` counts
+    every page made.
+    """
+    n = len(items)
+    if not n:
+        return []
+    if n <= fit:
+        alloc[0] += 1
+        return [make(items)]
+    parts = -(-n // part)
     size, extra = divmod(n, parts)
     out, at = [], 0
     for i in range(parts):
-        step = size + (1 if i < extra else 0)
-        out.append(_new_leaf(records[at : at + step], alloc))
+        step = size + (i < extra)
+        out.append(make(items[at : at + step]))
         at += step
-    return out
-
-
-def _split_branch_children(children, alloc):
-    n = len(children)
-    parts = max(1, (n + _BR_MAX - 1) // _BR_MAX)
-    size, extra = divmod(n, parts)
-    out, at = [], 0
-    for i in range(parts):
-        step = size + (1 if i < extra else 0)
-        out.append(_new_branch(children[at : at + step], alloc))
-        at += step
+    alloc[0] += parts
     return out
 
 
@@ -407,14 +383,8 @@ def _undersized(node, leaf_min):
 
 def _merge_pair(a, b, cap, alloc):
     if isinstance(a, _Leaf):
-        records = a.records + b.records
-        if len(records) <= 2 * cap:
-            return [_new_leaf(records, alloc)]
-        return _split_leaf_records(records, cap, alloc)
-    children = a.children + b.children
-    if len(children) <= _BR_MAX:
-        return [_new_branch(children, alloc)]
-    return _split_branch_children(children, alloc)
+        return _pack(a.records + b.records, 2 * cap, cap, _Leaf, alloc)
+    return _pack(a.children + b.children, _BR_MAX, _BR_MAX, _Branch, alloc)
 
 
 def _fix_siblings(nodes, cap, leaf_min, alloc):
@@ -438,20 +408,12 @@ def _apply(node, edits, rel, alloc):
     edits allocates O(k * height) fresh pages.
     """
     cap = rel.leaf_capacity
-    if node is None:
-        records = [(k, v) for k, op, v in edits if op == "+"]
-        if not records:
-            return []
-        if len(records) <= 2 * cap:
-            return [_new_leaf(records, alloc)]
-        return _split_leaf_records(records, cap, alloc)
-    if isinstance(node, _Leaf):
-        records = _merged_records(node.records, edits)
-        if not records:
-            return []
-        if len(records) <= 2 * cap:
-            return [_new_leaf(records, alloc)]
-        return _split_leaf_records(records, cap, alloc)
+    if not isinstance(node, _Branch):  # a leaf, or no base at all
+        if node is None:
+            records = [(k, v) for k, op, v in edits if op == "+"]
+        else:
+            records = _merged_records(node.records, edits)
+        return _pack(records, 2 * cap, cap, _Leaf, alloc)
     edit_keys = [e[0] for e in edits]
     new_children = []
     lo = 0
@@ -463,12 +425,8 @@ def _apply(node, edits, rel, alloc):
         else:
             new_children.extend(_apply(child, edits[lo:hi], rel, alloc))
         lo = hi
-    if not new_children:
-        return []
     new_children = _fix_siblings(new_children, cap, max(1, cap // 2), alloc)
-    if len(new_children) <= _BR_MAX:
-        return [_new_branch(new_children, alloc)]
-    return _split_branch_children(new_children, alloc)
+    return _pack(new_children, _BR_MAX, _BR_MAX, _Branch, alloc)
 
 
 def _min_key_of(item):
@@ -493,7 +451,7 @@ def delta_iter(old: RelationVersion, new: RelationVersion, stats=None):
     identity and skipped without being read; ``stats['pages']`` counts
     the pages actually touched.
     """
-    if old.relation is not new.relation:
+    if old.lineage is not new.lineage:
         raise UserError("delta_iter: versions from different relations")
     if stats is None:
         stats = {}
@@ -553,7 +511,7 @@ def surgery_iter(old: RelationVersion, new: RelationVersion, stats=None):
     every branch absent from the old trie (emitted shallowest-first, with
     the first delta record under it).
     """
-    arity = old.relation.arity
+    arity = old.arity
     deltas = delta_iter(old, new, stats)
     prev = None
     cur = next(deltas, None)
@@ -602,7 +560,7 @@ class TrieCursor:
 
     def __init__(self, version):
         self.version = version
-        self.arity = version.relation.arity
+        self.arity = version.arity
         self.depth = 0
         self._path = []
         self._rec = None

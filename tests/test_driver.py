@@ -1,11 +1,13 @@
 import gc
 import random
+import weakref
 
 import pytest
 
 from conftest import Engine, expected_head, head_snapshot, naive_assignments
 from leapjoin.driver import bootstrap, build_oracle, maintain
 from leapjoin.errors import IntegrityError, UserError
+from leapjoin.heads import ScanBackedAggregate
 from leapjoin.keys import KEY_MAX, KEY_MIN
 
 
@@ -308,11 +310,7 @@ class TestFailedRound:
         """A round in which one head raises commits no head at all.
 
         P takes (1,1) directly while Q's functional dependency fails on
-        the same assignment; P's staged write is aborted with Q's.  F
-        has no sensitivity index, so staging the heads is enough here.
-        Consuming stabs, the new-side index flush and min/max scan-tree
-        edits can still leave partial state after a raise; they are not
-        covered by this test.
+        the same assignment; P's staged write is aborted with Q's.
         """
         eng = Engine("P(x,y), Q[x]=v <- F[x,y]=v.", {"F": (2, True)})
         eng.load("F", [(1, 0, 5), (2, 0, 7)])
@@ -370,6 +368,53 @@ class TestFailedRound:
         maintain(eng.inst, eng.versions())
         assert head_records(eng.inst) == head_records(eng.fresh_reference())
 
+    def test_failed_round_leaves_the_indices_as_they_were(self):
+        """A raising round's consumed stab hits and new-side merge are undone.
+
+        G's index held [2,+inf] under context (1,); the round consumed it
+        and merged [1,1] and [2,2] before Q raised, and undoing both edits
+        brought no delta that could restore it.
+        """
+        eng = Engine("P(x,y), Q[x]=v <- F[x,y]=v, G(y).", {"F": (2, True), "G": (1, False)})
+        eng.load("F", [(1, 0, 5), (2, 0, 7), (1, 2, 5)])
+        eng.load("G", [(0,), (1,)])
+        bootstrap(eng.inst, eng.versions())
+        contents = {k: list(ix.enumerate()) for k, ix in eng.inst.indices.items()}
+        edit(eng, "G", (2,))
+        edit(eng, "F", (1, 1), 6)
+        with pytest.raises(IntegrityError, match=self.FD_ERROR):
+            maintain(eng.inst, eng.versions())
+        assert {k: list(ix.enumerate()) for k, ix in eng.inst.indices.items()} == contents
+        edit(eng, "G", (2,), erase=True)
+        edit(eng, "F", (1, 1), erase=True)
+        maintain(eng.inst, eng.versions())
+        ref = eng.fresh_reference()
+        assert head_records(eng.inst) == head_records(ref)
+        assert {k: list(ix.enumerate()) for k, ix in eng.inst.indices.items()} == {
+            k: list(ix.enumerate()) for k, ix in ref.indices.items()
+        }
+
+    def test_head_that_raises_after_its_min_max_tree_changed(self, monkeypatch):
+        eng = Engine("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)})
+        eng.random_fill(random.Random(20), per_relation=60, dom=8)
+        bootstrap(eng.inst, eng.versions())
+        tree = eng.inst.heads[-1].agg.tree
+        before = list(tree.items())
+        eng.random_edits(random.Random(21), 6, dom=8)
+
+        def fail(agg, txn, touched, prefix_len):
+            assert list(agg.tree.items()) != before  # the tree did change
+            raise RuntimeError("injected")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ScanBackedAggregate, "refresh_head", fail)
+            with pytest.raises(RuntimeError, match="injected"):
+                maintain(eng.inst, eng.versions())
+        assert list(tree.items()) == before
+        tree.audit()
+        maintain(eng.inst, eng.versions())
+        assert head_records(eng.inst) == head_records(eng.fresh_reference())
+
 
 class TestGarbage:
     def test_bootstrap_and_rounds_leave_no_cyclic_garbage(self):
@@ -391,4 +436,21 @@ class TestGarbage:
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
+            gc.enable()
+
+    def test_dropped_engine_is_freed_by_reference_counting(self):
+        eng = Engine("P(x,z) <- E(x,y), E(y,z).", {"E": (2, False)})
+        rng = random.Random(22)
+        eng.random_fill(rng, per_relation=40, dom=10)
+        bootstrap(eng.inst, eng.versions())
+        eng.random_edits(rng, 3, dom=10)
+        maintain(eng.inst, eng.versions())
+        rels = [*eng.relations.values(), *eng.head_rels.values()]
+        refs = [weakref.ref(r) for r in rels]
+        gc.collect()
+        gc.disable()
+        try:
+            del eng, rels
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
             gc.enable()

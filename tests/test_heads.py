@@ -3,6 +3,7 @@ import random
 import struct
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 
 import pytest
 
@@ -24,6 +25,7 @@ from leapjoin.store import ERASE, INSERT, Relation, Transaction
 
 
 SUPPORT, SUM = GROUPS["COUNTED"], GROUPS["GROUP_SUM"]
+_target = itemgetter(0)  # a delta's keys; writers take deltas ordered by them
 
 
 def store(name, arity, func=False):
@@ -63,6 +65,8 @@ class TestDirect:
         rel = store("H", 1)
         txn = rel.begin()
         apply_direct(txn, [((5,), None, INSERT)])
+        txn.commit()
+        txn = rel.begin()
         with pytest.raises(IntegrityError):
             apply_direct(txn, [((5,), None, INSERT)])
         txn.abort()
@@ -84,6 +88,8 @@ class TestCounted:
         rel = store("S", 1, func=True)
         txn = rel.begin()
         apply_group(txn, [((1,), None, INSERT)], SUPPORT)
+        txn.commit()
+        txn = rel.begin()
         apply_group(txn, [((1,), None, ERASE)], SUPPORT)
         txn.commit()
         assert records(rel) == []
@@ -103,6 +109,8 @@ class TestCounted:
         rel = store("F", 1, func=True)
         txn = rel.begin()
         apply_group(txn, [((7,), 10, INSERT)], FUNCTION_VALUE)
+        txn.commit()
+        txn = rel.begin()
         with pytest.raises(IntegrityError, match="functional"):
             apply_group(txn, [((7,), 11, INSERT)], FUNCTION_VALUE)
         txn.abort()
@@ -179,7 +187,8 @@ class TestGroupSum:
         edges = {(rng.randrange(5), rng.randrange(30)) for _ in range(60)}
         rel = store("D", 1, func=True)
         txn = rel.begin()
-        apply_group(txn, [((x,), 1, INSERT) for x, _ in edges], SUM)
+        deltas = [((x,), 1, INSERT) for x, _ in edges]
+        apply_group(txn, sorted(deltas, key=_target), SUM)
         txn.commit()
         want = {}
         for x, _ in edges:
@@ -196,6 +205,7 @@ class TestGroupSum:
             txn = rel.begin()
             shuffled = deltas[:]
             random.Random(perm_seed).shuffle(shuffled)
+            shuffled.sort(key=_target)  # the order within a key still varies
             apply_group(txn, shuffled, SUM)
             txn.commit()
             if perm_seed == 0:
@@ -240,6 +250,8 @@ class TestSemigroup:
         head = store("M", 1, func=True)
         txn = head.begin()
         apply_semigroup(agg, txn, [((4, 1), 2, INSERT)], prefix_len=1)
+        txn.commit()
+        txn = head.begin()
         apply_semigroup(agg, txn, [((4, 1), 2, ERASE)], prefix_len=1)
         txn.commit()
         assert records(head) == []
@@ -270,7 +282,7 @@ class TestSemigroup:
                     deltas.append((k, v, INSERT))
             if not deltas:
                 continue
-            touched = agg.apply_deltas(deltas)
+            touched = agg.apply_deltas(sorted(deltas, key=_target))
             t1, t2 = coarse.begin(), fine.begin()
             agg.refresh_head(t1, touched, prefix_len=1)
             agg.refresh_head(t2, touched, prefix_len=2)
@@ -469,7 +481,7 @@ class TestFloatTotalAction:
                     tot, eta = oracle.get(g, (Fraction(0), 0))
                     oracle[g] = (tot + Fraction(s), eta + 1)
             txn = rel.begin()
-            apply_group(txn, deltas, GROUPS["FLOAT_TOTAL"])
+            apply_group(txn, sorted(deltas, key=_target), GROUPS["FLOAT_TOTAL"])
             txn.commit()
             got = {}
             for keys, (segs, eta) in rel.current.records():
@@ -579,13 +591,6 @@ def head_order(deltas):
     return sorted(deltas, key=lambda d: (d[0], d[2] != ERASE))
 
 
-def apply_in_two_batches(rng, txn, deltas, apply):
-    """Apply sorted deltas as two batches on one open transaction."""
-    cut = rng.randrange(len(deltas) + 1)
-    apply(txn, deltas[:cut])
-    apply(txn, deltas[cut:])
-
-
 def rejects_round(rel, deltas, apply, message):
     """The round raises message; aborting it leaves the head unchanged."""
     before = records(rel)
@@ -627,8 +632,7 @@ GROUP_ERRORS = {
 class TestBatchPath:
     """Each head mechanism against a plain-dict reference.
 
-    Every round goes to the head as two batches on one open transaction,
-    so the second batch must see what the first one staged.
+    Every round goes to the head as one batch in head order.
     """
 
     @pytest.mark.parametrize("case", sorted(GROUP_CASES))
@@ -651,7 +655,7 @@ class TestBatchPath:
                 ps.append(p)
                 deltas.append(((k,), p, INSERT))
             txn = rel.begin()
-            apply_in_two_batches(rng, txn, head_order(deltas), apply)
+            apply(txn, head_order(deltas))
             txn.commit()
             want = {(k,): expect(ps) for k, ps in live.items() if ps}
             got = {k: decode(v) for k, v in rel.current.records()}
@@ -677,7 +681,7 @@ class TestBatchPath:
                     live[k] = draw()
                     deltas.append(((k,), live[k], INSERT))
             txn = rel.begin()
-            apply_in_two_batches(rng, txn, head_order(deltas), apply_direct)
+            apply_direct(txn, head_order(deltas))
             txn.commit()
             assert dict(records(rel)) == {(k,): v for k, v in live.items()}
         some = min(live)
@@ -719,7 +723,7 @@ class TestBatchPath:
                     live[k] = rng.randrange(100)
                     deltas.append((k, live[k], INSERT))
             txn = rel.begin()
-            apply_in_two_batches(rng, txn, head_order(deltas), apply)
+            apply(txn, head_order(deltas))
             txn.commit()
             want = {}
             for (x, _), v in live.items():
@@ -729,6 +733,18 @@ class TestBatchPath:
         rejects_round(
             rel, [(some, 1, INSERT)], apply, r"aggregate insert of live record"
         )
+
+    def test_writers_refuse_a_batch_out_of_key_order(self):
+        deltas = [((2,), 1, INSERT), ((1,), 1, INSERT)]
+        for apply in (
+            apply_direct,
+            partial(apply_group, group=SUM),
+            partial(apply_semigroup, ScanBackedAggregate(MAX_OP, 1), prefix_len=1),
+        ):
+            txn = store("H", 1, func=True).begin()
+            with pytest.raises(UserError, match=r"H: batch keys not increasing at \(1,\)"):
+                apply(txn, deltas)
+            txn.abort()
 
     def test_bootstrap_makes_no_per_key_transaction_calls(self, monkeypatch):
         calls = []
@@ -751,3 +767,73 @@ class TestBatchPath:
             want = expected_head(eng.plan, 0, assignments)
             assert head_snapshot(eng.inst.heads[0]) == want
         assert calls == []
+
+
+# head kind -> rule over A2(x,y) or F[x,y]=v
+APPLY_CASES = {
+    "direct": "C(y,x) <- A2(x,y).",
+    "direct_function": "C[x,y]=v <- F[x,y]=v.",
+    "counted": "S(y) <- A2(x,y).",
+    "function_value": "Q[x]=v <- F[x,y]=v.",
+    "count": "N[y]=n <- agg<< n=count() >> A2(x,y).",
+    "sum": "T[x]=s <- agg<< s=sum(v) >> F[x,y]=v.",
+    "total": "T[x]=s <- agg<< s=total(v) >> F[x,y]=v.",
+    "max": "M[x]=m <- agg<< m=max(v) >> F[x,y]=v.",
+    "min": "M[x]=m <- agg<< m=min(v) >> F[x,y]=v.",
+}
+
+
+def arranged(rng, deltas, mode):
+    """A round's head deltas in one of the orders a caller may hand on."""
+    if mode == "unsorted":
+        rng.shuffle(deltas)
+    elif mode == "decreasing":
+        deltas.sort(key=_target, reverse=True)
+    elif mode == "erases_last":
+        deltas.sort(key=lambda d: (d[0], d[2] == ERASE))
+    else:  # "increasing": the order a batch needs no sort in
+        deltas.sort(key=_target)
+    return deltas
+
+
+class TestHeadStateApply:
+    """HeadState.apply orders any batch itself, for every head kind."""
+
+    @pytest.mark.parametrize("case", sorted(APPLY_CASES))
+    def test_random_batches_match_dict_reference(self, case):
+        rng = random.Random(f"apply-{case}")
+        eng = Engine(APPLY_CASES[case], {"A2": (2, False), "F": (2, True)})
+        head = eng.inst.heads[0]
+        func = "F" in APPLY_CASES[case]
+        fd = case == "function_value"
+        if case == "total":
+            draw = lambda: math.ldexp(rng.uniform(-1, 1), rng.randint(-40, 40))
+        else:
+            draw = lambda: rng.randrange(-(2**62), 2**62)
+        live = {}  # (x, y) -> v, or None over A2
+        for round_ in range(50):
+            mode = rng.choice(["unsorted", "decreasing", "erases_last", "increasing"])
+            changes = []
+            if mode in ("unsorted", "erases_last"):
+                for k in [k for k in live if rng.random() < 0.3]:
+                    v = live.pop(k)
+                    changes.append(((k, (v,) if func else ()), ERASE))
+            fresh = {}  # x -> the round's value for x with no live witness
+            for _ in range(rng.randrange(0, 12)):
+                k = (rng.randrange(5), rng.randrange(6))
+                if k in live:
+                    continue
+                if not func:
+                    v = None
+                elif fd:
+                    held = [w for (x, _), w in live.items() if x == k[0]]
+                    v = held[0] if held else fresh.setdefault(k[0], draw())
+                else:
+                    v = draw()
+                live[k] = v
+                changes.append(((k, (v,) if func else ()), INSERT))
+            deltas = [(*head.extract(a), delta) for a, delta in changes]
+            head.apply(arranged(rng, deltas, mode)).commit()
+            assignments = [(k, (v,) if func else ()) for k, v in live.items()]
+            want = expected_head(eng.plan, 0, assignments)
+            assert head_snapshot(head) == want, f"round {round_} ({mode})"
