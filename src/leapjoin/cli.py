@@ -148,9 +148,10 @@ class Workspace:
         }
         rule = parse_rule(text, catalog)
         plan = validate_key_order(rule)
-        for hp in plan.heads:
-            if hp.atom.pred in self.relations:
-                raise UserError(f"{hp.atom.pred} already exists")
+        preds = [hp.atom.pred for hp in plan.heads]
+        for i, pred in enumerate(preds):
+            if pred in self.relations or pred in preds[:i]:
+                raise UserError(f"{pred} already exists")
         heads = []
         for hp in plan.heads:
             stores_value = hp.kind != "DIRECT" or bool(hp.atom.value_args)

@@ -57,6 +57,7 @@ from .scantree import MAX_OP, MIN_OP
 from .store import ERASE, INSERT, surgery_iter
 
 _delta_target, _delta_kind = itemgetter(0), itemgetter(2)
+_erases_first = itemgetter(0, 2)  # by target keys, then "ERASE" < "INSERT"
 
 
 @dataclass
@@ -229,7 +230,7 @@ class HeadState:
             keys = list(map(_delta_target, deltas))
             ordered = not any(map(gt, keys, islice(keys, 1, None)))
         if not ordered:
-            deltas = sorted(deltas, key=lambda d: (d[0], d[2] != ERASE))
+            deltas = sorted(deltas, key=_erases_first)
         txn = self.relation.begin()
         try:
             if self.replaces:
@@ -251,8 +252,7 @@ class RuleInstance:
             for hp, rel in zip(plan.heads, head_relations)
         ]
         self.indices = {}
-        self.bound_versions = None
-        self.bootstrapped = False
+        self.bound_versions = None  # None until the first bootstrap
         self.last_trace = None
         self.last_oracle = None
 
@@ -390,7 +390,6 @@ def bootstrap(inst, versions, with_trace=True):
     inst.heads = heads
     inst.indices = indices
     inst.bound_versions = dict(versions)
-    inst.bootstrapped = True
     inst.last_trace = trace
     inst.last_oracle = None
     return MaintenanceReport(
@@ -402,7 +401,7 @@ def bootstrap(inst, versions, with_trace=True):
 
 def maintain(inst, new_versions, use_oracle=True, with_trace=False):
     """One maintenance round against the currently bound versions."""
-    if not inst.bootstrapped:
+    if inst.bound_versions is None:
         raise UserError("rule has not been evaluated yet: run eval first")
     plan = inst.plan
     old_versions = inst.bound_versions

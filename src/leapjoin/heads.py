@@ -7,7 +7,9 @@ mechanisms.  The batch arrives ordered by key, erases first per key
 looks each run of equal keys up once (not at all while the head reads as
 empty, as at bootstrap), folds the run locally, and hands the
 transaction one sorted batch of final writes, one per changed key,
-through ``Transaction.write_sorted``, which refuses a batch out of order:
+through ``Transaction.write_sorted``, which refuses a batch out of order.
+A write is a ``(keys, value)`` pair, the value ``ABSENT`` when keys end
+absent, the one format of every ordered tree's sorted batch:
 
 * direct -- projection-free rules insert/remove head records 1:1;
 * support-counted groups -- every other head but min/max keeps a group
@@ -24,9 +26,11 @@ through ``Transaction.write_sorted``, which refuses a batch out of order:
   once when the record is written).  Each group also renders its stored
   value for ``dump``;
 * scan-backed min/max -- an intermediate full-key relation with a
-  min/max scan-tree; a batch is validated whole, then changes the tree
-  in one descent (a bulk build into an empty tree), and touched group
-  prefixes recompute by range scan into the head's batch.
+  min/max scan-tree, written 1:1 by the direct writer: a batch is
+  folded and checked whole, then its writes change the tree in one
+  descent (a bulk build into an empty tree), and only the group
+  prefixes of keys whose value changed recompute by range scan into the
+  head's batch.
 """
 
 import math
@@ -37,7 +41,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import IntegrityError, UserError
 from .keys import KEY_MAX, KEY_MIN
-from .scantree import EMPTY, ERASE, ScanTree, wrap64
+from .scantree import ABSENT, EMPTY, ScanTree, wrap64
 from .store import INSERT
 
 _SEG_BITS = 52
@@ -153,37 +157,44 @@ class SegmentedFloat:
 # -- update actions ----------------------------------------------------------
 #
 # Each writer below folds a batch of deltas, ordered by key with erases
-# first per key, into final writes.  get is the transaction's reader(): a
-# key's current (value,) or None, and itself None when the head reads as
-# empty.
+# first per key, into final (keys, value | ABSENT) writes.  get is the
+# transaction's reader(): a key's current (value,) or None, and itself
+# None when the head reads as empty.
 
-_delta_keys = itemgetter(0)
+_keys = itemgetter(0)  # of a delta or a write
 
 
-def _direct_writes(name, get, deltas):
-    """Final writes of key-ordered direct deltas, one per changed key."""
+def _direct_writes(what, get, deltas):
+    """Final writes of key-ordered 1:1 deltas, one per changed key.
+
+    ``what`` begins each error text.  A run whose keys are below the
+    previous run's is refused before its write is yielded.
+    """
     keys, start, cur = (), None, None  # the current run: (value,) or None
     for k, value, delta in deltas:
         if k != keys:
             if cur != start:
-                yield (keys, "+", cur[0]) if cur else (keys, "-", start[0])
+                yield keys, cur[0] if cur else ABSENT
+            if k < keys:
+                raise UserError(f"{what} batch keys not increasing at {k}")
             keys = k
             start = cur = None if get is None else get(k)
         if delta == INSERT:
             if cur is not None:
-                raise IntegrityError(f"{name}: direct insert of live record {k}")
+                raise IntegrityError(f"{what} insert of live record {k}")
             cur = (value,)
         else:
             if cur is None or cur[0] != value:
-                raise IntegrityError(f"{name}: direct erase of absent record {k}")
+                raise IntegrityError(f"{what} erase of absent record {k}")
             cur = None
     if cur != start:
-        yield (keys, "+", cur[0]) if cur else (keys, "-", start[0])
+        yield keys, cur[0] if cur else ABSENT
 
 
 def apply_direct(txn, deltas):
     """1:1 head updates for projection-free rules."""
-    txn.write_sorted(_direct_writes(txn.relation.name, txn.reader(), deltas))
+    name = txn.relation.name
+    txn.write_sorted(_direct_writes(f"{name}: direct", txn.reader(), deltas))
 
 
 def render_value(v):
@@ -234,7 +245,11 @@ def _wrapping_sum(name, keys, total, summand, sign):
 def _float_total(name, keys, acc, summand, sign):
     if acc is None:
         acc = SegmentedFloat()
-    acc.add(float(summand), sign)
+    try:
+        summand = float(summand)
+    except OverflowError:
+        raise UserError(f"{name}: summand beyond the double range at {keys}") from None
+    acc.add(summand, sign)
     return acc
 
 
@@ -263,7 +278,7 @@ FUNCTION_VALUE = Group(_function_value, _render_pair(lambda value: value))
 def _group_writes(name, get, deltas, group):
     """Final writes of key-ordered group deltas, one per changed key."""
     step, thaw, freeze = group.step, group.thaw, group.freeze
-    for keys, run in groupby(deltas, key=_delta_keys):
+    for keys, run in groupby(deltas, key=_keys):
         cur = None if get is None else get(keys)
         if cur is None:
             value, eta = None, 0
@@ -285,9 +300,9 @@ def _group_writes(name, get, deltas, group):
                 value = freeze(value)
             stored = (value, eta) if step else eta
             if cur is None or cur[0] != stored:
-                yield keys, "+", stored
+                yield keys, stored
         elif cur is not None:
-            yield keys, "-", cur[0]
+            yield keys, ABSENT
 
 
 def apply_group(txn, deltas, group):
@@ -315,47 +330,25 @@ class ScanBackedAggregate:
         self.arity = arity
 
     def apply_deltas(self, deltas):
-        """Apply a round's (keys, value, delta) batch; returns its keys.
+        """Apply a round's key-ordered (keys, value, delta) batch 1:1, as a
+        direct head does; returns its (keys, value | ABSENT) writes.
 
-        The whole batch is validated first, against the tree and a
-        ``pending`` dict of each touched key's final value (``ERASE`` when
-        it ends absent), so a batch that raises leaves the tree as it
-        was.  The batch then changes the tree in one
-        ``ScanTree.apply_sorted`` descent, which bulk-builds an empty
-        tree.  Contents and errors equal those of applying the deltas one
-        by one, in any order.
+        The writes are listed, so the whole batch is checked before the
+        tree changes in one ``ScanTree.apply_sorted`` descent (a bulk
+        build into an empty tree).
         """
-        tree = self.tree
-        pending = {}
-        for keys, value, delta in deltas:
-            in_batch = keys in pending
-            if in_batch:
-                cur = pending[keys]
-            else:
-                cur = tree.get(keys)
-                cur = ERASE if cur is None else cur[0]
-            if delta == INSERT:
-                if cur is not ERASE:
-                    raise IntegrityError(f"aggregate insert of live record {keys}")
-                pending[keys] = value
-            elif cur is ERASE or cur != value:
-                raise IntegrityError(f"aggregate erase of absent record {keys}")
-            elif in_batch and tree.get(keys) is None:
-                del pending[keys]  # inserted earlier in this batch
-            else:
-                pending[keys] = ERASE
-        tree.apply_sorted(sorted(pending.items()))
-        # key-ordered deltas give key-ordered keys; a list of them takes
-        # a fifth of the memory of a set of them
-        return [keys for keys, _, _ in deltas]
+        writes = list(_direct_writes("aggregate", self.tree.get, deltas))
+        self.tree.apply_sorted(writes)
+        return writes
 
-    def refresh_head(self, txn, touched, prefix_len):
-        """Write each touched group's range-scanned value to the head."""
-        txn.write_sorted(self._refreshed(txn.reader(), touched, prefix_len))
+    def refresh_head(self, txn, writes, prefix_len):
+        """Write each changed group's range-scanned value to the head."""
+        txn.write_sorted(self._refreshed(txn.reader(), writes, prefix_len))
 
-    def _refreshed(self, get, touched, prefix_len):
-        """Writes for the groups of key-ordered touched keys, each once."""
+    def _refreshed(self, get, writes, prefix_len):
+        """Head writes for the groups of key-ordered writes, each once."""
         pad = self.arity - prefix_len
+        touched = map(_keys, writes)
         for full_keys, _ in groupby(touched, itemgetter(slice(prefix_len))):
             lo = full_keys + (KEY_MIN,) * pad
             hi = full_keys + (KEY_MAX,) * pad
@@ -363,11 +356,11 @@ class ScanBackedAggregate:
             cur = None if get is None else get(full_keys)
             if agg is EMPTY:
                 if cur is not None:
-                    yield full_keys, "-", cur[0]
+                    yield full_keys, ABSENT
             elif cur is None or cur[0] != agg:
-                yield full_keys, "+", agg
+                yield full_keys, agg
 
 
 def apply_semigroup(agg: ScanBackedAggregate, txn, deltas, prefix_len: int):
-    touched = agg.apply_deltas(deltas)
-    agg.refresh_head(txn, touched, prefix_len)
+    writes = agg.apply_deltas(deltas)
+    agg.refresh_head(txn, writes, prefix_len)

@@ -14,15 +14,15 @@ below the probe or whose min start is above it.
 Every change is one sorted batch applied by ``ScanTree.apply_sorted``:
 an evaluation buffers the records it emits and ``add_batch`` merges them
 once, when its stream is exhausted (it sorts and dedupes the batch in
-place); ``stab_and_remove`` erases a stab's hits in one batch; ``add``
-is the batch of one.
+place); ``stab_and_remove`` erases a stab's hits in one batch of
+``(sort key, ABSENT)`` pairs; ``add`` is the batch of one.
 """
 
 from typing import NamedTuple
 
 from .errors import UserError
 from .keys import KEY_MAX, KEY_MIN, render_key
-from .scantree import ERASE, MAX_OP, ScanTree, _SLeaf
+from .scantree import ABSENT, MAX_OP, ScanTree, _SLeaf
 
 
 class SensitivityRecord(NamedTuple):
@@ -124,5 +124,5 @@ class IntervalIndex:
     def stab_and_remove(self, prefix: tuple, x: int):
         """``stab``, then erase its hits (in key order) in one batch."""
         hits = self.stab(prefix, x)
-        self.tree.apply_sorted([(rec.sort_key(), ERASE) for rec in hits])
+        self.tree.apply_sorted([(rec.sort_key(), ABSENT) for rec in hits])
         return hits

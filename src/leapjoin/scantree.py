@@ -6,9 +6,11 @@ their children, so the aggregate of any key interval folds at most
 O(log n) cached values.  Counts are cached alongside, which also powers
 count-pruned complement iteration.
 
-Every edit goes through one path: ``apply_sorted`` takes a sorted batch
-of sets and erases and applies it in one descent (a single insert or
-erase is the batch of one).  A subtree the batch does not change is
+Every edit goes through one path: ``apply_sorted`` takes a batch of
+``(key, value)`` pairs sorted by key, where the value ``ABSENT`` erases
+its key, and applies it in one descent (a single insert or erase is the
+batch of one).  ``ABSENT`` is defined here once; the store's page tree
+takes batches in the same format.  A subtree the batch does not change is
 returned as it is; each changed node is rebuilt from its new children
 once, on the way up.  Rebalancing: a leaf splits in halves,
 recursively, while it exceeds twice the bucket target and triggers a
@@ -40,7 +42,7 @@ class _Sentinel:
 
 
 EMPTY = _Sentinel("EMPTY")  # the combine of no records
-ERASE = _Sentinel("ERASE")  # an apply_sorted value that erases its key
+ABSENT = _Sentinel("ABSENT")  # a sorted-batch value: its key ends absent
 
 
 def wrap64(x: int) -> int:
@@ -128,12 +130,12 @@ class ScanTree:
     def erase(self, key):
         if self.get(key) is None:
             raise UserError(f"scan-tree key not present: {key}")
-        self.apply_sorted([(key, ERASE)])
+        self.apply_sorted([(key, ABSENT)])
 
     def apply_sorted(self, edits):
         """Apply sorted, key-distinct (key, value) edits in one descent.
 
-        A value of ``ERASE`` erases its key, which must be present; any
+        A value of ``ABSENT`` erases its key, which must be present; any
         other value sets its key, inserting or replacing.  A present key
         set to an equal value is skipped.  Returns how many keys were
         added.  The batch is split at each node's left max key and merged
@@ -183,11 +185,11 @@ class ScanTree:
             key, value = edit
             i = bisect_left(old, key, at, n, key=_rec_key)
             present = i < n and old[i][0] == key
-            if old[i][1] == value if present else value is ERASE:
+            if old[i][1] == value if present else value is ABSENT:
                 continue  # the key already reads so
             out.extend(old[at:i])
             at = i + present
-            if value is not ERASE:
+            if value is not ABSENT:
                 out.append(edit)
                 added += not present
         if not out and not at:
@@ -369,7 +371,7 @@ class ScanTree:
             if isinstance(node, _SLeaf):
                 recs = node.records
                 assert all(a[0] < b[0] for a, b in zip(recs, recs[1:]))
-                assert all(v is not ERASE for _, v in recs)
+                assert all(v is not ABSENT for _, v in recs)
                 assert node.count == len(recs) > 0
                 assert node.agg == op.fold(map(_rec_value, node.records))
                 return node.records

@@ -9,9 +9,12 @@ its predecessor; versions form a linear chain per relation.
 A transaction takes writes key by key (``insert``/``erase``, as loads
 and input deltas do) or as exactly one sorted batch of final writes
 (``write_sorted``, as rule heads do), never both.  Either way ``commit``
-merges the sorted edits into the page tree through the same ``_apply``,
-which builds bottom-up when the base is empty; one ``_pack`` cuts every
-leaf and branch it makes.  A version keeps no reference to its relation,
+merges one write format into the page tree through the same ``_apply``:
+``(keys, value)`` pairs sorted by keys, where the value ``ABSENT`` (the
+scan tree's marker, shared by every ordered tree) means keys end absent
+and any other pair becomes the page record as it is.  ``_apply`` builds
+bottom-up when the base is empty; one ``_pack`` cuts every leaf and
+branch it makes.  A version keeps no reference to its relation,
 so a dropped relation is freed by reference counting.
 
 Three access paths matter downstream:
@@ -31,6 +34,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import IntegrityError, UserError
 from .keys import KEY_MIN, check_storable_tuple
+from .scantree import ABSENT
 
 INSERT = "INSERT"
 ERASE = "ERASE"
@@ -176,16 +180,16 @@ class Transaction:
 
     Writes stage in one of two forms, never both: per-key edits
     (``insert``/``erase``, read back by ``lookup``) in a map from keys to
-    ("+", value) | ("-", old_value), or exactly one sorted batch of final
-    writes (``write_sorted``), kept as the list it arrived as.  ``commit``
-    hands the batch, or the sorted map, to the same ``_apply``.
+    value | ABSENT, or exactly one sorted batch of final writes
+    (``write_sorted``), kept as the list it arrived as.  ``commit`` hands
+    the batch, or the sorted map's items, to the same ``_apply``.
     """
 
     def __init__(self, relation, base):
         self.relation = relation
         self.base = base
-        self._edits = {}  # keys -> ("+", value) | ("-", old_value)
-        self._batch = None  # the staged sorted (keys, op, value) batch
+        self._edits = {}  # keys -> value | ABSENT
+        self._batch = None  # the staged sorted (keys, value | ABSENT) batch
         self._done = False
 
     def _check_open(self):
@@ -202,6 +206,10 @@ class Transaction:
                 raise UserError(f"{rel.name}: function tuple requires a value")
         elif value is not None:
             raise UserError(f"{rel.name}: relation tuples carry no value")
+        if value != value:  # a NaN could never be erased by its value
+            raise UserError(
+                f"{rel.name}: value {value!r} at key {keys} is not equal to itself"
+            )
 
     def _edit_map(self):
         """The per-key edit map; a transaction holding a batch has none."""
@@ -211,9 +219,9 @@ class Transaction:
 
     def lookup(self, keys: tuple):
         """Effective (value,) under pending edits, or None if absent."""
-        e = self._edit_map().get(keys)
-        if e is not None:
-            return (e[1],) if e[0] == "+" else None
+        edits = self._edit_map()
+        if keys in edits:
+            return None if edits[keys] is ABSENT else (edits[keys],)
         return self.base.lookup(keys)
 
     def reader(self):
@@ -224,11 +232,11 @@ class Transaction:
     def write_sorted(self, writes):
         """Stage one batch of final writes, sorted and key-distinct.
 
-        ``(keys, "+", value)`` leaves keys holding value, whatever held
-        it before; ``(keys, "-", old_value)`` removes keys.  Each insert
-        is checked as ``insert`` checks it.  ``writes`` is read once, in
-        order, so a generator that raises part-way raises here and
-        stages nothing.
+        ``(keys, value)`` leaves keys holding value, whatever held it
+        before; ``(keys, ABSENT)`` removes keys.  Each pair becomes the
+        page record as it is.  Each insert is checked as ``insert``
+        checks it.  ``writes`` is read once, in order, so a generator that
+        raises part-way raises here and stages nothing.
         """
         self._check_open()
         if self._edit_map():
@@ -237,9 +245,13 @@ class Transaction:
         batch = []
         prev = ()
         for write in writes:
-            keys, op, value = write
-            if op == "+":
-                if len(keys) != arity or (value is None) is not valueless:
+            keys, value = write
+            if value is not ABSENT:
+                if (
+                    len(keys) != arity
+                    or (value is None) is not valueless
+                    or value != value
+                ):
                     self._check_insert(keys, value)  # raises insert's error
                 check_storable_tuple(keys)
             if keys <= prev:
@@ -254,11 +266,11 @@ class Transaction:
         self._check_open()
         keys = tuple(keys)
         self._check_insert(keys, value)
-        edit = self._edit_map().get(keys)
-        if edit is None:
+        edits = self._edit_map()
+        if keys not in edits:
             cur = base = self.base.lookup(keys)
-        elif edit[0] == "+":
-            cur, base = (edit[1],), None
+        elif edits[keys] is not ABSENT:
+            cur, base = (edits[keys],), None
         else:  # a pending erase hides the base record
             cur, base = None, self.base.lookup(keys)
         if cur is not None:
@@ -271,7 +283,7 @@ class Transaction:
         if base is not None and base[0] == value:
             self._edits.pop(keys, None)  # erase+insert cancels out
         else:
-            self._edits[keys] = ("+", value)
+            self._edits[keys] = value
 
     def erase(self, keys: tuple, value=None):
         self._check_open()
@@ -284,12 +296,12 @@ class Transaction:
             return False  # erasing an absent tuple is a no-op
         if rel.is_function and value is not None and cur[0] != value:
             return False  # exact tuple (keys+value) not present
-        if keys in self._edits and self._edits[keys][0] == "+":
+        if self._edits.get(keys, ABSENT) is not ABSENT:
             base = self.base.lookup(keys)
             if base is None:
                 del self._edits[keys]  # insert+erase cancels out
                 return True
-        self._edits[keys] = ("-", cur[0])
+        self._edits[keys] = ABSENT
         return True
 
     def clear(self):
@@ -310,7 +322,7 @@ class Transaction:
         rel, base = self.relation, self.base
         edits = self._batch
         if edits is None:
-            edits = sorted((keys, op, val) for keys, (op, val) in self._edits.items())
+            edits = sorted(self._edits.items())
         if not edits:
             root, count = base.root, base.count
         else:
@@ -363,14 +375,15 @@ def _pack(items, fit, part, make, alloc):
 def _merged_records(records, edits):
     out = []
     i, n = 0, len(records)
-    for keys, op, val in edits:
+    for edit in edits:
+        keys = edit[0]
         while i < n and records[i][0] < keys:
             out.append(records[i])
             i += 1
         if i < n and records[i][0] == keys:
             i += 1  # superseded by the edit
-        if op == "+":
-            out.append((keys, val))
+        if edit[1] is not ABSENT:
+            out.append(edit)
     out.extend(records[i:])
     return out
 
@@ -410,7 +423,7 @@ def _apply(node, edits, rel, alloc):
     cap = rel.leaf_capacity
     if not isinstance(node, _Branch):  # a leaf, or no base at all
         if node is None:
-            records = [(k, v) for k, op, v in edits if op == "+"]
+            records = [e for e in edits if e[1] is not ABSENT]
         else:
             records = _merged_records(node.records, edits)
         return _pack(records, 2 * cap, cap, _Leaf, alloc)

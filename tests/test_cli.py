@@ -69,6 +69,12 @@ class TestRule:
         with pytest.raises(UserError, match="unknown predicate"):
             ws.run_command(["rule", "C(x) <- Zap(x)."])
 
+    def test_head_predicate_twice_in_one_rule_rejected(self, ws, tmp_path):
+        load_unary(ws, tmp_path)
+        with pytest.raises(UserError, match="^P already exists$"):
+            ws.run_command(["rule", "P(x), P(x) <- A(x)."])
+        assert "P" not in ws.relations and not ws.rules
+
     def test_negation_rejected_at_install(self, ws, tmp_path):
         load_unary(ws, tmp_path)
         with pytest.raises(UserError, match="unsupported: negation"):
@@ -424,6 +430,29 @@ class TestMain:
         assert main(["script", script]) == 0
         out = capsys.readouterr().out
         assert out == "loaded A arity=1 version=1 records=1\n1\n"
+
+    @pytest.mark.parametrize(
+        "rows,commands,message",
+        [
+            # a NaN value could never be erased, as nan != nan
+            ("1\tnan\n", [], "F: value nan at key (1,) is not equal to itself"),
+            (
+                "1\t1\t1" + "0" * 400 + "\n",
+                ["rule T[x]=t <- agg<< t=total(v) >> F[x,y]=v.", "eval r1"],
+                "T: summand beyond the double range at (1,)",
+            ),
+        ],
+        ids=["nan_value", "huge_integer_summand"],
+    )
+    def test_values_that_break_maintenance_are_refused(
+        self, tmp_path, capsys, rows, commands, message
+    ):
+        arity = rows.count("\t")
+        f = write(tmp_path / "f.tsv", rows)
+        lines = [f"load F/{arity} {f} --function", *commands]
+        script = write(tmp_path / "s.txt", "\n".join(lines) + "\n")
+        assert main(["script", script]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_help(self, capsys):
         assert main([]) == 0

@@ -20,7 +20,7 @@ from leapjoin.heads import (
     apply_semigroup,
     x_segment,
 )
-from leapjoin.scantree import MAX_OP, MIN_OP, ScanTree, wrap64
+from leapjoin.scantree import ABSENT, MAX_OP, MIN_OP, ScanTree, wrap64
 from leapjoin.store import ERASE, INSERT, Relation, Transaction
 
 
@@ -303,7 +303,8 @@ class TestSemigroup:
         agg.apply_deltas([(k, v, INSERT) for k, v in ref.items()])
         for round_ in range(50):
             # apply moves in order against `live`, so the list is valid
-            # when read one delta at a time; its keys come in random order
+            # when read one delta at a time; its keys come in random order,
+            # and a stable sort by key keeps each key's deltas in that order
             live = dict(ref)
             deltas = []
             moves = ["insert-erase", "erase-insert"] + ["any"] * rng.randrange(20)
@@ -325,10 +326,15 @@ class TestSemigroup:
                     if move == "erase-insert":
                         live[k] = rng.randrange(100)
                         deltas.append((k, live[k], INSERT))
-            touched = agg.apply_deltas(deltas)
+            writes = agg.apply_deltas(sorted(deltas, key=_target))
             agg.tree.audit()
             assert dict(agg.tree.items()) == live, f"round {round_}"
-            assert sorted(touched) == sorted(d[0] for d in deltas)
+            changed = sorted(
+                (k, live.get(k, ABSENT))
+                for k in ref.keys() | live.keys()
+                if ref.get(k, ABSENT) != live.get(k, ABSENT)
+            )
+            assert writes == changed
             ref = live
 
     @pytest.mark.parametrize(
@@ -364,6 +370,25 @@ class TestSemigroup:
         agg.apply_deltas([((1, 1), 5, INSERT), ((1, 1), 5, ERASE), ((2, 2), 7, INSERT)])
         assert list(agg.tree.items()) == [((2, 2), 7)]
         agg.tree.audit()
+
+    def test_erase_and_reinsert_of_one_value_changes_nothing(self, monkeypatch):
+        agg = ScanBackedAggregate(MAX_OP, 2)
+        head = store("M", 1, func=True)
+        txn = head.begin()
+        deltas = [((1, k), k, INSERT) for k in range(40)]
+        apply_semigroup(agg, txn, deltas, prefix_len=1)
+        txn.commit()
+        root, scan, scans = agg.tree.root, agg.tree.range_scan, []
+        monkeypatch.setattr(
+            agg.tree, "range_scan", lambda *args: scans.append(args) or scan(*args)
+        )
+        txn = head.begin()
+        deltas = [((1, 39), 39, ERASE), ((1, 39), 39, INSERT)]
+        apply_semigroup(agg, txn, deltas, prefix_len=1)
+        txn.commit()
+        assert records(head) == [((1,), 39)]
+        assert agg.tree.root is root
+        assert scans == []
 
     def test_batch_that_raises_leaves_the_tree_unchanged(self):
         agg = ScanBackedAggregate(MAX_OP, 2)
@@ -624,6 +649,8 @@ GROUP_ERRORS = {
     ],
     "float_total": [
         (lambda live: [((7,), math.inf, INSERT)], r"non-finite summand inf"),
+        (lambda live: [((7,), 10**400, INSERT)],
+         r"G: summand beyond the double range at \(7,\)"),
         (lambda live: [((7,), 1.0, ERASE)], r"G: support underflow at \(7,\)"),
     ],
 }
@@ -736,15 +763,18 @@ class TestBatchPath:
 
     def test_writers_refuse_a_batch_out_of_key_order(self):
         deltas = [((2,), 1, INSERT), ((1,), 1, INSERT)]
-        for apply in (
-            apply_direct,
-            partial(apply_group, group=SUM),
-            partial(apply_semigroup, ScanBackedAggregate(MAX_OP, 1), prefix_len=1),
+        agg = ScanBackedAggregate(MAX_OP, 1)
+        for apply, refusal in (
+            (apply_direct, "H: direct batch"),
+            (partial(apply_group, group=SUM), "H: batch"),
+            (partial(apply_semigroup, agg, prefix_len=1), "aggregate batch"),
         ):
             txn = store("H", 1, func=True).begin()
-            with pytest.raises(UserError, match=r"H: batch keys not increasing at \(1,\)"):
+            message = rf"^{refusal} keys not increasing at \(1,\)"
+            with pytest.raises(UserError, match=message):
                 apply(txn, deltas)
             txn.abort()
+        assert agg.tree.root is None
 
     def test_bootstrap_makes_no_per_key_transaction_calls(self, monkeypatch):
         calls = []

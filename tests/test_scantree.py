@@ -7,9 +7,9 @@ from conftest import tree_nodes
 from leapjoin.errors import IntegrityError, UserError
 from leapjoin.keys import KEY_MAX, KEY_MIN
 from leapjoin.scantree import (
+    ABSENT,
     COUNT_OP,
     EMPTY,
-    ERASE,
     GROUP_SUM_OP,
     MAX_OP,
     MIN_OP,
@@ -306,12 +306,12 @@ class TestApplySorted:
     OPS = [MAX_OP, MIN_OP, COUNT_OP, GROUP_SUM_OP]
 
     def random_batch(self, rng, ref, leaf_target):
-        """key -> value or ERASE, mixing every kind of edit."""
+        """key -> value or ABSENT, mixing every kind of edit."""
         keys = sorted(ref)
         edits = {}
         for k in rng.sample(keys, min(len(keys), rng.randrange(0, 12))):
             edits[k] = rng.choice(
-                [ERASE, ref[k], rng.randrange(-(2**62), 2**62)]
+                [ABSENT, ref[k], rng.randrange(-(2**62), 2**62)]
             )  # erase, set to the same value, set to another value
         for _ in range(rng.randrange(0, 20)):  # inserts of absent keys
             k = (rng.randrange(10**4),)
@@ -324,7 +324,7 @@ class TestApplySorted:
         if keys and rng.random() < 0.2:  # erase a run: a leaf or a subtree
             i = rng.randrange(len(keys))
             for k in keys[i : i + rng.choice([leaf_target, 4 * leaf_target, len(keys)])]:
-                edits[k] = ERASE
+                edits[k] = ABSENT
         return sorted(edits.items())
 
     @pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
@@ -335,9 +335,9 @@ class TestApplySorted:
         ref = {}
         for step in range(80):
             batch = self.random_batch(rng, ref, leaf_target)
-            added = sum(1 for k, v in batch if v is not ERASE and k not in ref)
+            added = sum(1 for k, v in batch if v is not ABSENT and k not in ref)
             for k, v in batch:
-                if v is ERASE:
+                if v is ABSENT:
                     del ref[k]
                 else:
                     ref[k] = v
@@ -355,7 +355,7 @@ class TestApplySorted:
     def test_erasing_everything_empties_the_tree(self):
         t = ScanTree(MAX_OP, leaf_target=2)
         t.apply_sorted([((k,), k) for k in range(40)])
-        assert t.apply_sorted([((k,), ERASE) for k in range(40)]) == 0
+        assert t.apply_sorted([((k,), ABSENT) for k in range(40)]) == 0
         assert t.root is None and t.size == 0
         assert t.range_scan((KEY_MIN,), (KEY_MAX,)) is EMPTY
 

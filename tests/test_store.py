@@ -5,6 +5,7 @@ import random
 import pytest
 
 from leapjoin.errors import IntegrityError, UserError
+from leapjoin.scantree import ABSENT
 from leapjoin.store import ERASE, INSERT, Relation, delta_iter, surgery_iter
 
 
@@ -138,6 +139,24 @@ def tree_shape(node):
     return [tree_shape(c) for c in node.children]
 
 
+class TestNaNValues:
+    """A NaN equals nothing, so no erase could ever match it: it is refused."""
+
+    def test_insert_refuses_nan(self):
+        rel = Relation("F", 1, is_function=True)
+        txn = rel.begin()
+        with pytest.raises(UserError, match=r"F: value nan at key \(1,\) is not eq"):
+            txn.insert((1,), math.nan)
+        assert txn.commit().count == 0
+
+    def test_batch_refuses_nan(self):
+        rel = Relation("F", 1, is_function=True)
+        txn = rel.begin()
+        with pytest.raises(UserError, match=r"F: value nan at key \(2,\) is not eq"):
+            txn.write_sorted([((1,), 1.5), ((2,), math.nan)])
+        assert txn.commit().count == 0
+
+
 class TestWriteSorted:
     @pytest.mark.parametrize("base_size", [0, 300])
     def test_batch_commit_equals_per_key_commit(self, base_size):
@@ -158,20 +177,20 @@ class TestWriteSorted:
                 keys = (rng.randrange(40), rng.randrange(40))
                 value = rng.randrange(5)
                 if keys in base and rng.random() < 0.5:
-                    writes[keys] = ("-", base[keys])
+                    writes[keys] = ABSENT
                 elif base.get(keys) != value:  # a final write changes its key
-                    writes[keys] = ("+", value)
+                    writes[keys] = value
             txn = per_key.begin()
-            for keys, (op, value) in writes.items():
+            for keys, value in writes.items():
                 txn.erase(keys)
-                if op == "+":
+                if value is not ABSENT:
                     txn.insert(keys, value)
                     base[keys] = value
                 else:
                     del base[keys]
             v1 = txn.commit()
             txn = batched.begin()
-            txn.write_sorted(sorted((k, op, v) for k, (op, v) in writes.items()))
+            txn.write_sorted(sorted(writes.items()))
             v2 = txn.commit()
             assert list(v2.records()) == list(v1.records()) == sorted(base.items())
             assert tree_shape(v2.root) == tree_shape(v1.root), f"round {round_}"
@@ -182,9 +201,9 @@ class TestWriteSorted:
         fill(rel, [(1,), (2,)], value=10)
         txn = rel.begin()
         assert txn.reader() == rel.current.lookup
-        txn.write_sorted([((1,), "-", 10), ((4,), "+", 40)])
+        txn.write_sorted([((1,), ABSENT), ((4,), 40)])
         for refused in (
-            lambda: txn.write_sorted([((5,), "+", 50)]),
+            lambda: txn.write_sorted([((5,), 50)]),
             lambda: txn.insert((5,), 50),
             lambda: txn.erase((2,)),
             lambda: txn.lookup((2,)),
@@ -195,7 +214,7 @@ class TestWriteSorted:
         txn = rel.begin()
         txn.erase((2,))
         with pytest.raises(UserError, match="F: transaction holds per-key edits"):
-            txn.write_sorted([((5,), "+", 50)])
+            txn.write_sorted([((5,), 50)])
         assert list(txn.commit().records()) == [((4,), 40)]
 
     def test_empty_transaction_reads_as_empty(self):
@@ -205,11 +224,11 @@ class TestWriteSorted:
     @pytest.mark.parametrize(
         "writes,message",
         [
-            ([((1,), "+", None)], "R: expected arity 2, got 1"),
-            ([((1, 2**63), "+", None)], "key 9223372036854775808 outside storable"),
-            ([((1, 2), "+", 5)], "R: relation tuples carry no value"),
-            ([((1, 2), "+", None), ((1, 2), "-", None)], "R: batch keys not incr"),
-            ([((2, 2), "+", None), ((1, 2), "+", None)], "R: batch keys not incr"),
+            ([((1,), None)], "R: expected arity 2, got 1"),
+            ([((1, 2**63), None)], "key 9223372036854775808 outside storable"),
+            ([((1, 2), 5)], "R: relation tuples carry no value"),
+            ([((1, 2), None), ((1, 2), ABSENT)], "R: batch keys not incr"),
+            ([((2, 2), None), ((1, 2), None)], "R: batch keys not incr"),
         ],
     )
     def test_batch_errors_stage_nothing(self, writes, message):
@@ -225,7 +244,7 @@ class TestWriteSorted:
         rel = Relation("F", 1, is_function=True)
         txn = rel.begin()
         with pytest.raises(UserError, match="F: function tuple requires a value"):
-            txn.write_sorted([((1,), "+", None)])
+            txn.write_sorted([((1,), None)])
         txn.abort()
 
     def test_closed_transaction_rejects_a_batch(self):
@@ -233,7 +252,7 @@ class TestWriteSorted:
         txn = rel.begin()
         txn.commit()
         with pytest.raises(UserError, match="transaction already closed"):
-            txn.write_sorted([((1,), "+", None)])
+            txn.write_sorted([((1,), None)])
 
 
 # sha256 of everything page_shape_digest() feeds it, pinned before the
