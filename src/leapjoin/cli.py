@@ -55,10 +55,15 @@ def _parse_value(text, where):
     try:
         return int(text)
     except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            raise UserError(f"{where}: bad value {text!r}") from None
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        raise UserError(f"{where}: bad value {text!r}") from None
+    digits = text.strip().lstrip("+-").replace("_", "")
+    if digits.isdigit():  # an integer past Python's integer-string limit
+        raise UserError(f"{where}: integer value of {len(digits)} digits is too long")
+    return value
 
 
 def _parse_keys(parts, where):

@@ -281,17 +281,24 @@ def _assemble_prefix(ap, lvl, rec):
 
 
 def build_oracle(inst, old_versions, new_versions, consume=True):
-    """Match tree surgeries against the sensitivity indices."""
+    """Match tree surgeries against the sensitivity indices.
+
+    Each changed predicate's surgery stream is computed once and matched
+    for every atom over it.
+    """
     plan = inst.plan
     oracle = ChangeOracle(len(plan.key_order))
     consumed = 0
+    surgeries = {}  # pred -> its round's surgeries, shared by its atoms
     for bi, bp in enumerate(plan.branches):
         for pos, ap in enumerate(bp.atoms):
             pred = ap.atom.pred
             old, new = old_versions[pred], new_versions[pred]
             if old is new or old.version_id == new.version_id:
                 continue
-            for surg in surgery_iter(old, new):
+            if pred not in surgeries:
+                surgeries[pred] = list(surgery_iter(old, new))
+            for surg in surgeries[pred]:
                 lvl = surg.depth
                 k = surg.prefix[-1]
                 alpha = surg.prefix[:-1]

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import UserError
 from .keys import KEY_MAX, KEY_MIN, render_key
-from .scantree import ABSENT, MAX_OP, ScanTree, _SLeaf
+from .scantree import ABSENT, MAX_OP, ScanTree, _rec_key, _SLeaf
 
 
 class SensitivityRecord(NamedTuple):
@@ -67,9 +67,10 @@ class IntervalIndex:
         """Merge (sort key, hi) pairs into the index; returns how many were new.
 
         Sorts ``records`` in place and drops its duplicates; pairs already
-        indexed are skipped.
+        indexed are skipped.  The sort key holds ``hi``, so sorting by it
+        alone orders the pairs, with one tuple walk per compare.
         """
-        records.sort()
+        records.sort(key=_rec_key)
         p = self.prefix_len
         kept, prev = 0, None
         for rec in records:

@@ -22,7 +22,8 @@ rebuilt (perfectly balanced) on the spot.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from operator import itemgetter
+from itertools import islice
+from operator import itemgetter, lt
 from typing import Callable, Optional
 
 from .errors import IntegrityError, UserError
@@ -144,11 +145,16 @@ class ScanTree:
         untouched, and each changed node is rebuilt and rebalance-checked
         once on the way up.  Into an empty tree the batch (which then
         holds no erase) is bulk-built.  Set pairs become records as they
-        are, so the batch is never copied into another form.
+        are, so the batch is never copied into another form.  Keys that do
+        not strictly increase are refused, before the tree changes.
         """
         self.last_recomputed = []
         if not edits:
             return 0
+        following = map(_rec_key, islice(edits, 1, None))
+        if not all(map(lt, map(_rec_key, edits), following)):  # one C-level pass
+            bad = next(b for (a, _), (b, _) in zip(edits, edits[1:]) if not a < b)
+            raise UserError(f"scan-tree batch keys not increasing at {bad}")
         if self.root is None:
             self.root = self._build(edits)
             self.size = len(edits)

@@ -26,10 +26,23 @@ Three access paths matter downstream:
   to the change count times tree height).
 * ``surgery_iter`` -- the delta stream refined into trie-branch
   insert/remove operations at every depth.
+
+Per-round cost model, for k edits into a relation of height h (branch
+fan-out at most 32, so every per-page pass below is bounded):
+
+* commit -- O(k * h) bisects and fresh pages: each run of edits that
+  falls to one child is routed with one bisect, untouched children are
+  copied by slice, the sibling fix-up runs only when a page is
+  undersized, and a leaf splices each edit in with one bisect;
+* far seek -- O(h) bisects however far the target: the cursor climbs
+  by compares and descends once (``TrieCursor._seek_record``);
+* delta walk -- O((k + 1) * h) pages touched, shared pages and records
+  dropped a whole run at a time.
 """
 
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from itertools import compress, count
+from operator import attrgetter, is_not, itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import IntegrityError, UserError
@@ -40,6 +53,9 @@ INSERT = "INSERT"
 ERASE = "ERASE"
 
 _rec_keys = itemgetter(0)
+_min_key = attrgetter("min_key")
+_count = attrgetter("count")
+_children = attrgetter("children")
 
 # Leaf pages hold between capacity//2 and 2*capacity records (root leaf
 # exempt); branch pages hold between _BR_MIN and _BR_MAX children.
@@ -49,15 +65,12 @@ _BR_MIN = 4
 
 
 class _Leaf:
-    __slots__ = ("records", "min_key")
+    __slots__ = ("records", "min_key", "count")
 
     def __init__(self, records):
         self.records = records  # list of (keys, value), sorted by keys
         self.min_key = records[0][0]
-
-    @property
-    def count(self):
-        return len(self.records)
+        self.count = len(records)
 
 
 class _Branch:
@@ -65,8 +78,8 @@ class _Branch:
 
     def __init__(self, children):
         self.children = children
-        self.mins = [c.min_key for c in children]
-        self.count = sum(c.count for c in children)
+        self.mins = list(map(_min_key, children))
+        self.count = sum(map(_count, children))
         self.min_key = self.mins[0]
 
 
@@ -373,24 +386,24 @@ def _pack(items, fit, part, make, alloc):
 
 
 def _merged_records(records, edits):
+    """Leaf records with sorted edits spliced in: each edit is placed by
+    one bisect, and the records between edits are copied by slice."""
     out = []
-    i, n = 0, len(records)
+    at, n = 0, len(records)
     for edit in edits:
         keys = edit[0]
-        while i < n and records[i][0] < keys:
-            out.append(records[i])
-            i += 1
-        if i < n and records[i][0] == keys:
-            i += 1  # superseded by the edit
+        i = bisect_left(records, keys, at, n, key=_rec_keys)
+        out += records[at:i]
+        at = i + (i < n and records[i][0] == keys)  # superseded by the edit
         if edit[1] is not ABSENT:
             out.append(edit)
-    out.extend(records[i:])
+    out += records[at:]
     return out
 
 
 def _undersized(node, leaf_min):
     if isinstance(node, _Leaf):
-        return len(node.records) < leaf_min
+        return node.count < leaf_min
     return len(node.children) < _BR_MIN
 
 
@@ -401,6 +414,16 @@ def _merge_pair(a, b, cap, alloc):
 
 
 def _fix_siblings(nodes, cap, leaf_min, alloc):
+    """Merge each undersized page with a neighbour; ``nodes`` itself when
+    there is one page or none is undersized (checked in one C-level pass:
+    the pages of one level are all leaves or all branches)."""
+    if len(nodes) < 2:
+        return nodes
+    if isinstance(nodes[0], _Leaf):
+        if min(map(_count, nodes)) >= leaf_min:
+            return nodes
+    elif min(map(len, map(_children, nodes))) >= _BR_MIN:
+        return nodes
     out = list(nodes)
     i = 0
     while i < len(out):
@@ -417,8 +440,10 @@ def _fix_siblings(nodes, cap, leaf_min, alloc):
 def _apply(node, edits, rel, alloc):
     """Rebuild the subtree with sorted edits; returns replacement nodes.
 
-    Untouched child subtrees are returned by reference, so a commit of k
-    edits allocates O(k * height) fresh pages.
+    Each run of edits that falls to one child is found with one bisect,
+    and the untouched children between runs are copied by slice, so a
+    commit of k edits allocates O(k * height) fresh pages and makes
+    O(k * height) bisects.
     """
     cap = rel.leaf_capacity
     if not isinstance(node, _Branch):  # a leaf, or no base at all
@@ -427,25 +452,21 @@ def _apply(node, edits, rel, alloc):
         else:
             records = _merged_records(node.records, edits)
         return _pack(records, 2 * cap, cap, _Leaf, alloc)
-    edit_keys = [e[0] for e in edits]
+    children, mins = node.children, node.mins
+    last = len(children) - 1
     new_children = []
-    lo = 0
-    last = len(node.children) - 1
-    for i, child in enumerate(node.children):
-        hi = bisect_left(edit_keys, node.mins[i + 1]) if i < last else len(edits)
-        if lo == hi:
-            new_children.append(child)
-        else:
-            new_children.extend(_apply(child, edits[lo:hi], rel, alloc))
-        lo = hi
+    lo, n, at = 0, len(edits), 0  # children[:at] are placed
+    while lo < n:
+        i = bisect_right(mins, edits[lo][0]) - 1  # the child taking edits[lo]
+        if i < 0:
+            i = 0
+        hi = bisect_left(edits, mins[i + 1], lo, n, key=_rec_keys) if i < last else n
+        new_children += children[at:i]
+        new_children += _apply(children[i], edits[lo:hi], rel, alloc)
+        at, lo = i + 1, hi
+    new_children = new_children + children[at:]  # exact size: a page keeps it
     new_children = _fix_siblings(new_children, cap, max(1, cap // 2), alloc)
     return _pack(new_children, _BR_MAX, _BR_MAX, _Branch, alloc)
-
-
-def _min_key_of(item):
-    if isinstance(item, tuple):
-        return item[0]
-    return item.min_key
 
 
 def _expand(stack, item, stats):
@@ -460,9 +481,10 @@ def delta_iter(old: RelationVersion, new: RelationVersion, stats=None):
     """Yield the symmetric difference of two versions in key order.
 
     A value change for the same keys appears as ERASE(old) then
-    INSERT(new).  Page subtrees shared by both versions are recognized by
-    identity and skipped without being read; ``stats['pages']`` counts
-    the pages actually touched.
+    INSERT(new).  Page subtrees and records shared by both versions are
+    recognized by identity and skipped without being read, a whole run
+    of them at once; ``stats['pages']`` counts the pages actually
+    touched.
     """
     if old.lineage is not new.lineage:
         raise UserError("delta_iter: versions from different relations")
@@ -473,12 +495,16 @@ def delta_iter(old: RelationVersion, new: RelationVersion, stats=None):
     while a or b:
         if a and b:
             x, y = a[-1], b[-1]
-            if x is y:
-                a.pop()
-                b.pop()
+            if x is y:  # drop the whole run of shared pages and records
+                n = next(
+                    compress(count(), map(is_not, reversed(a), reversed(b))),
+                    min(len(a), len(b)),
+                )
+                del a[-n:], b[-n:]
                 continue
             x_rec, y_rec = isinstance(x, tuple), isinstance(y, tuple)
-            kx, ky = _min_key_of(x), _min_key_of(y)
+            kx = x[0] if x_rec else x.min_key
+            ky = y[0] if y_rec else y.min_key
             if kx < ky:
                 if x_rec:
                     a.pop()
@@ -566,7 +592,9 @@ class TrieCursor:
     key itself, with no KEY_MIN padding.  A shallower move seeks the least
     record under the successor prefix.  Neither compares prefixes at
     depth 1, where there is none.  A seek within the current leaf bisects
-    only when the target lies beyond the next record.
+    only when the target lies beyond the next record; a seek past it
+    climbs by compares and descends once, O(height) bisects however far
+    the target is.
     """
 
     __slots__ = ("version", "arity", "depth", "_path", "_rec", "_ended", "_snaps")
@@ -672,8 +700,19 @@ class TrieCursor:
         return self._ended
 
     def _seek_record(self, target):
+        """Move the path to the least record >= target; None past the end.
+
+        A target within the current leaf is found there.  Otherwise the
+        path climbs, one compare per level, to the lowest branch whose last
+        min exceeds the target (its subtree holds the answer) or past the
+        root, and descends once from there, one bisect per level (none in
+        the leaf it just left).  The descent remembers its deepest frame
+        with a right sibling: when the target lies past its leaf, the
+        answer is that sibling's first record, reached with no further
+        bisect.
+        """
         path = self._path
-        descend_from = None
+        leaf = None  # the leaf the path leaves, known to end below the target
         if path:
             leaf, idx = path[-1]
             recs = leaf.records
@@ -684,31 +723,36 @@ class TrieCursor:
                 path[-1] = (leaf, j)
                 return recs[j]
             path.pop()
-        elif self.version.root is not None:
-            descend_from = self.version.root
-        while True:
-            if descend_from is None:
-                if not path:
-                    return None
-                node, i = path[-1]
-                j = bisect_right(node.mins, target) - 1
-                nxt = j if j > i else i + 1
-                if nxt >= len(node.children):
-                    path.pop()
-                    continue
-                path[-1] = (node, nxt)
-                descend_from = node.children[nxt]
-            cur = descend_from
-            descend_from = None
-            while isinstance(cur, _Branch):
-                j2 = bisect_right(cur.mins, target) - 1
-                if j2 < 0:
-                    j2 = 0
-                path.append((cur, j2))
-                cur = cur.children[j2]
-            recs = cur.records
-            k2 = bisect_left(recs, target, key=_rec_keys)
-            if k2 < len(recs):
-                path.append((cur, k2))
-                return recs[k2]
-            # leaf exhausted; ascend from its parent frame
+            while path and path[-1][0].mins[-1] <= target:
+                path.pop()
+        if path:
+            node = path.pop()[0]
+        else:
+            node = self.version.root
+            if node is None:
+                return None
+        right = -1  # the deepest frame in path with a right sibling
+        while isinstance(node, _Branch):
+            j = bisect_right(node.mins, target) - 1
+            if j < 0:
+                j = 0
+            if j < len(node.mins) - 1:
+                right = len(path)
+            path.append((node, j))
+            node = node.children[j]
+        recs = node.records
+        k = len(recs) if node is leaf else bisect_left(recs, target, key=_rec_keys)
+        if k < len(recs):
+            path.append((node, k))
+            return recs[k]
+        if right < 0:
+            return None
+        node, j = path[right]
+        del path[right:]
+        path.append((node, j + 1))
+        node = node.children[j + 1]
+        while isinstance(node, _Branch):
+            path.append((node, 0))
+            node = node.children[0]
+        path.append((node, 0))
+        return node.records[0]

@@ -454,6 +454,15 @@ class TestMain:
         assert main(["script", script]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_integer_value_past_the_digit_limit_is_refused(self, ws, tmp_path, capsys):
+        # int() refuses more than 4300 digits; float() would read it as inf
+        f = write(tmp_path / "big.tsv", "1\t1" + "0" * 5000 + "\n")
+        message = f"{f}:1: integer value of 5001 digits is too long"
+        assert main(["load", "F/1", f, "--function"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        rejects(ws, ["load", "F/1", f, "--function"], message)
+        assert ws.relations == {}  # no version committed
+
     def test_help(self, capsys):
         assert main([]) == 0
         assert "usage:" in capsys.readouterr().out

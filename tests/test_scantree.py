@@ -381,3 +381,28 @@ class TestApplySorted:
         assert t.last_recomputed == [((6,), (8,)), ((1,), (8,))]
         assert t.range_scan((1,), (8,)) == 9
         t.audit()
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [((2,), 1), ((1,), 1)],  # descending
+            [((1,), 1), ((1,), 2)],  # a repeated key
+            [((5,), ABSENT), ((3,), 1), ((9,), 1)],
+        ],
+        ids=["descending", "repeated", "erase_then_lower"],
+    )
+    @pytest.mark.parametrize("filled", [False, True], ids=["empty", "filled"])
+    def test_keys_out_of_order_are_refused_before_any_change(self, batch, filled):
+        t = ScanTree(MAX_OP, leaf_target=2)
+        if filled:
+            t.apply_sorted([((k,), k) for k in range(10)])
+        nodes, size = tree_nodes(t), t.size
+        with pytest.raises(UserError, match="batch keys not increasing"):
+            t.apply_sorted(batch)
+        assert t.size == size
+        after = tree_nodes(t)
+        assert len(after) == len(nodes)
+        assert all(a is b for a, b in zip(after, nodes))
+        if filled:
+            t.audit()
+            assert t.get((1,)) == (1,)

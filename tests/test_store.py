@@ -1,9 +1,11 @@
+import bisect
 import hashlib
 import math
 import random
 
 import pytest
 
+from leapjoin import store
 from leapjoin.errors import IntegrityError, UserError
 from leapjoin.scantree import ABSENT
 from leapjoin.store import ERASE, INSERT, Relation, delta_iter, surgery_iter
@@ -417,6 +419,84 @@ class TestDeltaIter:
             assert stats.get("pages", 0) <= bound, (stats, d, bound)
 
 
+def _expected_delta(old, new):
+    """delta_iter's stream for two key -> value maps, from set difference."""
+    out = []
+    for keys in sorted(old.keys() | new.keys()):
+        if keys in old and (keys not in new or old[keys] != new[keys]):
+            out.append((keys, old[keys], ERASE))
+        if keys in new and (keys not in old or old[keys] != new[keys]):
+            out.append((keys, new[keys], INSERT))
+    return out
+
+
+class TestDeltaIterSharedRuns:
+    """Small commits into tall trees leave long runs of shared pages and
+    records on both walk stacks; each run is dropped at once."""
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_commit_chains_match_set_difference(self, cap):
+        rng = random.Random(f"shared-{cap}")
+        rel = Relation("F", 2, is_function=True, leaf_capacity=cap)
+        model = {}
+        history = [(rel.current, {})]
+        for round_ in range(60):
+            txn = rel.begin()
+            if round_ % 2:  # one sorted batch: erases, equal rewrites, changes
+                picked = {(rng.randrange(30), rng.randrange(30)) for _ in range(5)}
+                picked.update(rng.sample(sorted(model), min(3, len(model))))
+                writes = []
+                for keys in sorted(picked):
+                    roll = rng.random()
+                    if keys in model and roll < 0.3:
+                        value = ABSENT
+                    elif keys in model and roll < 0.6:
+                        value = model[keys]  # an equal record, not the same one
+                    else:
+                        value = rng.randrange(4)
+                    writes.append((keys, value))
+                txn.write_sorted(writes)
+                for keys, value in writes:
+                    if value is ABSENT:
+                        del model[keys]
+                    else:
+                        model[keys] = value
+            else:  # per-key edits, a few hundred while the tree grows
+                for _ in range(rng.choice([1, 2, 150])):
+                    keys = (rng.randrange(30), rng.randrange(30))
+                    if keys in model:
+                        txn.erase(keys)
+                        del model[keys]
+                    else:
+                        model[keys] = rng.randrange(4)
+                        txn.insert(keys, model[keys])
+            history.append((txn.commit(), dict(model)))
+        pairs = [(i, i + 1) for i in range(len(history) - 1)]
+        pairs += [tuple(sorted(rng.sample(range(len(history)), 2))) for _ in range(40)]
+        for i, j in pairs:
+            (old, old_model), (new, new_model) = history[i], history[j]
+            got = [(d.keys, d.value, d.delta) for d in delta_iter(old, new)]
+            assert got == _expected_delta(old_model, new_model), (i, j)
+            back = [(d.keys, d.value, d.delta) for d in delta_iter(new, old)]
+            assert back == _expected_delta(new_model, old_model), (j, i)
+
+    def test_equal_rewrite_yields_nothing_and_change_erases_first(self):
+        rel = Relation("F", 1, is_function=True, leaf_capacity=2)
+        txn = rel.begin()
+        txn.write_sorted([((k,), k % 5) for k in range(200)])
+        v1 = txn.commit()
+        txn = rel.begin()
+        txn.write_sorted([((k,), k % 5) for k in range(50, 60)])
+        v2 = txn.commit()
+        assert v2.root is not v1.root
+        assert list(delta_iter(v1, v2)) == []
+        txn = rel.begin()
+        txn.write_sorted([((55,), 9)])
+        v3 = txn.commit()
+        got = [(d.delta, d.keys, d.value) for d in delta_iter(v1, v3)]
+        assert got == [(ERASE, (55,), 0), (INSERT, (55,), 9)]
+
+
 class TestSurgeryIter:
     def test_paper_surgeries(self):
         rel = Relation("A", 3, leaf_capacity=4)
@@ -569,6 +649,61 @@ class _LevelModel:
         return self.keys[self.i]
 
 
+def _walk_against_model(v, rng, steps, seek_target):
+    """Drive a cursor over v with random moves, checking each against a
+    stack of _LevelModel; ``seek_target(rng, level)`` draws seek keys."""
+    arity = v.arity
+    records = dict(v.records())
+    c = v.cursor()
+    stack = []  # one _LevelModel per open level
+    for _ in range(steps):
+        top = stack[-1] if stack else None
+        moves = []
+        if len(stack) < arity and (top is None or not top.ended()):
+            moves.append("open")
+        if stack:
+            moves.append("up")
+        if top is not None and not top.ended():
+            moves += ["next", "next", "seek", "seek"]
+        move = rng.choice(moves)
+        if move == "open":
+            c.open()
+            prefix = () if top is None else top.prefix + (top.key(),)
+            stack.append(_LevelModel(records, prefix))
+        elif move == "up":
+            c.up()
+            stack.pop()
+        elif move == "next":
+            got = c.next()
+            top.i += 1
+            assert got == top.ended()
+        else:
+            k = seek_target(rng, top)
+            got = c.seek_lub(k)
+            if k > top.key():
+                top.i = bisect.bisect_left(top.keys, k, top.i)
+            assert got == top.ended()
+        assert c.depth == len(stack)
+        if stack:
+            top = stack[-1]
+            assert c.at_end() == top.ended()
+            if not top.ended():
+                assert c.key() == top.key()
+                if c.depth == arity:
+                    full = top.prefix + (top.key(),)
+                    assert c.value() == records[full]
+            else:
+                with pytest.raises(IntegrityError):
+                    c.key()
+
+
+def _branch_levels(version):
+    levels, node = 0, version.root
+    while hasattr(node, "children"):
+        levels, node = levels + 1, node.children[0]
+    return levels
+
+
 class TestTrieCursorRandomized:
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_random_calls_match_sorted_list_model(self, arity):
@@ -590,46 +725,89 @@ class TestTrieCursorRandomized:
                 elif txn.lookup(keys) is None:
                     txn.insert(keys, rng.randrange(100))
             v = txn.commit()
-            records = dict(v.records())
-            c = v.cursor()
-            stack = []  # one _LevelModel per open level
-            for _ in range(200):
-                top = stack[-1] if stack else None
-                moves = []
-                if len(stack) < arity and (top is None or not top.ended()):
-                    moves.append("open")
-                if stack:
-                    moves.append("up")
-                if top is not None and not top.ended():
-                    moves += ["next", "next", "seek", "seek"]
-                move = rng.choice(moves)
-                if move == "open":
-                    c.open()
-                    prefix = () if top is None else top.prefix + (top.key(),)
-                    stack.append(_LevelModel(records, prefix))
-                elif move == "up":
-                    c.up()
-                    stack.pop()
-                elif move == "next":
-                    got = c.next()
-                    top.i += 1
-                    assert got == top.ended()
+            _walk_against_model(
+                v, rng, 200, lambda rng, level: rng.randrange(-2, dom + 2)
+            )
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_far_seeks_in_tall_trees_match_model(self, arity):
+        """Seeks that jump many leaves ahead, from any level of a tree with
+        at least three branch levels, shaped by a few commits."""
+        rng = random.Random(301 + arity)
+        dom = {1: 20_000, 2: 150, 3: 25}[arity]
+        rel = Relation("R", arity, is_function=True, leaf_capacity=2)
+        rows = set()
+        while len(rows) < 2400:
+            rows.add(tuple(rng.randrange(dom) for _ in range(arity)))
+        fill(rel, rows, value=1)
+        for _ in range(3):
+            txn = rel.begin()
+            for _ in range(rng.randrange(1, 300)):
+                keys = tuple(rng.randrange(dom) for _ in range(arity))
+                if txn.lookup(keys) is not None:
+                    txn.erase(keys)
                 else:
-                    k = rng.randrange(-2, dom + 2)
-                    got = c.seek_lub(k)
-                    if k > top.key():
-                        while not top.ended() and top.key() < k:
-                            top.i += 1
-                    assert got == top.ended()
-                assert c.depth == len(stack)
-                if stack:
-                    top = stack[-1]
-                    assert c.at_end() == top.ended()
-                    if not top.ended():
-                        assert c.key() == top.key()
-                        if c.depth == arity:
-                            full = top.prefix + (top.key(),)
-                            assert c.value() == records[full]
-                    else:
-                        with pytest.raises(IntegrityError):
-                            c.key()
+                    txn.insert(keys, rng.randrange(100))
+            txn.commit()
+        v = rel.current
+        assert v.count >= 2000 and _branch_levels(v) >= 3
+
+        def far(rng, level):
+            # anywhere from the next key to past the level's last key
+            cur = level.key()
+            return rng.randrange(cur + 1, max(level.keys[-1], cur) + 3)
+
+        for _ in range(20):
+            _walk_against_model(v, rng, 150, far)
+
+
+def _count_bisects(monkeypatch):
+    """Count every bisect_left/bisect_right call the store makes."""
+    calls = [0]
+    for name in ("bisect_left", "bisect_right"):
+        real = getattr(store, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls[0] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(store, name, counted)
+    return calls
+
+
+class TestEditProportionalWork:
+    """A one-key commit and a far cursor seek each make O(height) bisects
+    in a 100k-record relation, however wide its branches are."""
+
+    @staticmethod
+    def big_version(leaf_capacity=64):
+        rel = Relation("R", 1, leaf_capacity=leaf_capacity)
+        txn = rel.begin()
+        txn.write_sorted([((2 * k,), None) for k in range(100_000)])
+        return rel, txn.commit()
+
+    @pytest.mark.parametrize("keys", [(1,), (99_999,), (199_999,), (300_000,)])
+    def test_one_key_commit(self, monkeypatch, keys):
+        rel, v = self.big_version()
+        levels = _branch_levels(v)
+        assert levels >= 3
+        txn = rel.begin()
+        txn.insert(keys)
+        calls = _count_bisects(monkeypatch)
+        new = txn.commit()
+        assert calls[0] <= 2 * levels + 1
+        assert new.lookup(keys) == (None,) and new.count == v.count + 1
+
+    @pytest.mark.parametrize("leaf_capacity", [2, 64])
+    def test_far_seeks(self, monkeypatch, leaf_capacity):
+        _, v = self.big_version(leaf_capacity)
+        levels = _branch_levels(v)
+        assert levels >= 3
+        c = v.cursor()
+        c.open()
+        calls = _count_bisects(monkeypatch)
+        for k in range(20_001, 200_000, 20_000):
+            calls[0] = 0
+            assert not c.seek_lub(k)
+            assert c.key() == k + 1
+            assert calls[0] <= levels + 2, k
