@@ -157,12 +157,10 @@ class Workspace:
         for i, pred in enumerate(preds):
             if pred in self.relations or pred in preds[:i]:
                 raise UserError(f"{pred} already exists")
-        heads = []
-        for hp in plan.heads:
-            stores_value = hp.kind != "DIRECT" or bool(hp.atom.value_args)
-            heads.append(
-                Relation(hp.atom.pred, len(hp.atom.key_args), is_function=stores_value)
-            )
+        heads = [
+            Relation(hp.atom.pred, len(hp.atom.key_args), is_function=hp.stores_value)
+            for hp in plan.heads
+        ]
         rid = f"r{self._next_rule}"
         self._next_rule += 1
         inst = RuleInstance(plan, heads)
@@ -273,12 +271,9 @@ class Workspace:
         out = []
         for (bi, pos, lvl), index in sorted(inst.indices.items()):
             ap = plan.branches[bi].atoms[pos]
-            name = ap.name if len(plan.branches) == 1 else f"b{bi}.{ap.name}"
+            name = f"{ap.name}_sens"
             if len(ap.depths) > 1 or len(plan.key_order) > 1:
-                var = plan.key_order[ap.depths[lvl - 1] - 1]
-                name = f"{name}_sens,{var}"
-            else:
-                name = f"{name}_sens"
+                name += f",{plan.key_order[ap.depths[lvl - 1] - 1]}"
             body = ", ".join(rec.render() for rec in index.enumerate())
             out.append(f"{name} = {{{body}}}")
         return out

@@ -246,6 +246,10 @@ class RuleInstance:
     def __init__(self, plan, head_relations):
         if len(head_relations) != len(plan.heads):
             raise UserError("one head relation per head atom")
+        for hp, rel in zip(plan.heads, head_relations):
+            if rel.is_function != hp.stores_value:
+                want = "function" if hp.stores_value else "relation"
+                raise UserError(f"head {hp.atom.pred} needs a {want}, not {rel.name}")
         self.plan = plan
         self.heads = [
             HeadState(hp, rel, len(plan.key_order))

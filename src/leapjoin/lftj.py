@@ -3,8 +3,9 @@
 The evaluator runs a backtracking search over the key order, one nested
 leapfrog intersection per depth, over the trie cursors of the body atoms
 (plus, under maintenance, the change oracle's nonmaterialized interval
-iterator).  Every cursor transition is counted, optionally traced, and
-optionally converted into a sensitivity interval:
+iterator, which joins a depth's leapfrog as its last participant).
+Every cursor transition is counted, optionally traced, and optionally
+converted into a sensitivity interval:
 
 * seek_lub(s) landing at v'  ->  [s, v']
 * next() from v landing at v' -> [v, v']
@@ -65,9 +66,11 @@ class SensitivityRecorder:
 
 
 class _OracleCursor:
-    """Presents a merged interval list as an ascending key iterator.
+    """Presents a merged interval list as a one-level trie iterator.
 
-    ``pos`` is the current key.  The evaluator only seeks it forward.
+    ``pos`` is the current key.  The evaluator opens it once, never moves
+    it up, and only seeks it forward: it joins its depth's leapfrog as the
+    last participant.
     """
 
     __slots__ = ("entry", "iv", "i", "pos")
@@ -75,8 +78,16 @@ class _OracleCursor:
     def __init__(self, entry):
         self.entry = entry
         self.iv = entry.merged
+
+    def open(self):
         self.i = 0
         self.pos = self.iv[0][0]
+
+    def at_end(self):
+        return False  # a merged interval list is never empty
+
+    def key(self):
+        return self.pos
 
     def seek_lub(self, k):
         """Move to the least key >= k (k > pos); True when none is left."""
@@ -164,12 +175,7 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
     K = len(plan.key_order)
     atoms = bp.atoms
     cursors = [versions[ap.atom.pred].cursor() for ap in atoms]
-    if len(plan.branches) > 1:
-        names = [f"b{bi}.{ap.name}" for ap in atoms]
-        oracle_name = f"b{bi}.oracle"
-    else:
-        names = [ap.name for ap in atoms]
-        oracle_name = "oracle"
+    oracle_name = f"b{bi}.oracle" if len(plan.branches) > 1 else "oracle"
     keystack = [None] * K
     vslots = [None] * len(plan.value_order)
     # (atom, level) -> (buffer append, sort key getter over (*keystack, lo, hi))
@@ -185,9 +191,9 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
                     itemgetter(*prefix, K, K + 1, *context),
                 )
     # per depth: (cursor, iterator name, sensitivity slot or None) of
-    # each participating atom
+    # each participating atom; descend appends the oracle's under it
     levels = [None] + [
-        [(cursors[pos], names[pos], sens.get((pos, lvl))) for pos, lvl in parts]
+        [(cursors[pos], atoms[pos].name, sens.get((pos, lvl))) for pos, lvl in parts]
         for parts in bp.participants[1:]
     ]
 
@@ -218,13 +224,13 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
     # evaluation's closures and cursors without the cyclic collector
     def descend(d, admitted, deeper):
         """Open depth d, leapfrog its participants, go deeper, close it."""
-        oc = None
+        atom_parts = parts = levels[d]
         if not admitted:
             entry = oracle.entry(d, tuple(keystack[: d - 1]))
             if entry is None:
                 return
             oc = _OracleCursor(entry)
-        parts = levels[d]
+            parts = atom_parts + [(oc, oracle_name, None)]
         steps = bp.steps[d]
         keys = []  # keys[j]: the key parts[j]'s cursor stands at, or None
         for cur, name, slot in parts:
@@ -238,17 +244,11 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
                 append, sort_key = slot
                 hi = KEY_MAX if to is None else to
                 append((sort_key((*keystack, KEY_MIN, hi)), hi))
-        if oc is not None:
-            counter.ops += 1
-            if trace is not None:
-                trace.append((oracle_name, OPEN, d, None, None, oc.pos))
         try:
             if None in keys:
                 return
             first, first_name, first_slot = parts[0]
             cur_max = max(keys)
-            if oc is not None and oc.pos > cur_max:
-                cur_max = oc.pos
             while True:
                 aligned = True
                 for j, k in enumerate(keys):
@@ -268,17 +268,6 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
                         if to > cur_max:
                             cur_max = to
                             aligned = False
-                if oc is not None and oc.pos < cur_max:
-                    frm = oc.pos
-                    to = None if oc.seek_lub(cur_max) else oc.pos
-                    counter.ops += 1
-                    if trace is not None:
-                        trace.append((oracle_name, SEEK, d, frm, cur_max, to))
-                    if to is None:
-                        return
-                    if to > cur_max:
-                        cur_max = to
-                        aligned = False
                 if not aligned:
                     continue
                 keystack[d - 1] = cur_max
@@ -311,7 +300,7 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
                     return
                 keys[0] = cur_max = to
         finally:
-            for cur, name, _ in reversed(parts):
+            for cur, name, _ in reversed(atom_parts):
                 cur.up()
                 counter.ops += 1
                 if trace is not None:

@@ -11,7 +11,10 @@ Surface syntax, one rule per string::
 Predicates resolve against a catalog of declared relations/functions;
 add/sub/mul and the comparison relations are primitives.  Aggregation
 kinds: count(), sum(v), min(v), max(v), total(v) -- total is the exact
-floating-point sum.
+floating-point sum.  A parenthesized group without ``;`` stays a nested
+``Conj``.  The parser only builds the ``RuleIR`` as written: variable
+classification, head storage and iterator names are decided by
+``rules.validate_key_order``.
 """
 
 import re
@@ -29,7 +32,6 @@ from .rules import (
     PRIMITIVE_FUNCS,
     PRIMITIVE_RELS,
     RuleIR,
-    infer_quantifiers,
 )
 
 _TOKEN = re.compile(
@@ -224,10 +226,7 @@ def parse_rule(text: str, catalog: dict) -> RuleIR:
             raise UserError(f"unknown annotation @{word}")
     if p.peek() is not None:
         raise UserError(f"trailing input after rule: {p.peek()!r}")
-
-    universals, body = infer_quantifiers(heads, body, agg)
     return RuleIR(
-        universals=universals,
         heads=tuple(heads),
         body=body,
         agg=agg,

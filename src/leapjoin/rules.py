@@ -1,18 +1,25 @@
 """Internal representation of rules and join planning.
 
-A rule is a universally quantified head (one or more atoms) over a body
-conjunction whose forms are atoms, disjunctions, or negations (negation
-parses but is rejected before evaluation).  Variables with a key-position
-occurrence in some materialized body atom are keys; the rest are values,
-computed from function payloads and primitives once their inputs bind.
+A rule is a head (one or more atoms) over a body conjunction whose forms
+are atoms, disjunctions, parenthesized conjunctions, or negations
+(negation parses but is rejected before evaluation).  Every head
+variable but an aggregation's output must occur in the body; body-only
+variables are projected away by support counts, so no stage needs to
+know where they are scoped.  Variables with a key-position occurrence in
+some materialized body atom are keys; the rest are values, computed from
+function payloads and primitives once their inputs bind.
 
-Planning expands disjunctions to disjunctive normal form, assigns every
-key variable a depth in the join order, schedules value bindings and
-primitive filters at the depth where their inputs complete, and decides
-which (atom, level) pairs need sensitivity indices: an index is elided
-when the atom's key arguments up to that level form a prefix of the join
+``validate_key_order`` is the one place a rule's facts are decided.  It
+expands the body to disjunctive normal form, assigns every key variable
+a depth in the join order, schedules value bindings and primitive
+filters at the depth where their inputs complete, and decides which
+(atom, level) pairs need sensitivity indices: an index is elided when
+the atom's key arguments up to that level form a prefix of the join
 order, since branch changes there already name their position in order
-coordinates.
+coordinates.  The plan also names each atom's iterator for traces and
+dumps (``b<i>.`` qualifies a disjunction branch's atoms) and decides
+each head's kind and whether its relation stores a value
+(``HeadPlan.stores_value``).
 """
 
 from dataclasses import dataclass
@@ -42,9 +49,6 @@ PRIMITIVE_RELS: dict[str, Callable] = {
     "ne": lambda a, b: a != b,
 }
 
-AGG_KINDS = ("COUNT", "GROUP_SUM", "MIN", "MAX", "FLOAT_TOTAL")
-
-
 @dataclass(frozen=True)
 class Atom:
     pred: str
@@ -71,7 +75,6 @@ class Disj:
 @dataclass(frozen=True)
 class Conj:
     forms: tuple
-    existentials: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,6 @@ class AggSpec:
 
 @dataclass(frozen=True)
 class RuleIR:
-    universals: tuple
     heads: tuple
     body: Conj
     agg: Optional[AggSpec] = None
@@ -104,83 +106,6 @@ def _walk_atoms(form):
         yield from _walk_atoms(form.body)
 
 
-def infer_quantifiers(heads, body: Conj, agg=None):
-    """Rebuild the body with existential blocks on the smallest
-    conjunction encompassing each body-only variable's occurrences."""
-    head_vars = set()
-    for h in heads:
-        head_vars.update(h.key_args)
-        head_vars.update(h.value_args)
-    if agg is not None:
-        head_vars.discard(agg.output_var)
-
-    paths: dict[str, list[tuple]] = {}
-
-    def collect(form, path):
-        if isinstance(form, Atom):
-            for v in form.key_args + form.value_args:
-                paths.setdefault(v, []).append(path)
-        elif isinstance(form, Conj):
-            for i, f in enumerate(form.forms):
-                collect(f, path + (i,))
-        elif isinstance(form, Disj):
-            for i, b in enumerate(form.branches):
-                collect(b, path + (i,))
-        elif isinstance(form, Negation):
-            collect(form.body, path + (0,))
-
-    collect(body, ())
-
-    def common_prefix(ps):
-        first = ps[0]
-        n = len(first)
-        for p in ps[1:]:
-            n = min(n, len(p))
-            while first[:n] != p[:n]:
-                n -= 1
-        return first[:n]
-
-    owner: dict[tuple, list] = {}
-    for v, ps in paths.items():
-        if v in head_vars:
-            continue
-        anchor = common_prefix(ps)
-        # walk the anchor upward until it names a Conj node
-        while True:
-            node = body
-            is_conj = True
-            for step in anchor:
-                if isinstance(node, Conj):
-                    node = node.forms[step]
-                elif isinstance(node, Disj):
-                    node = node.branches[step]
-                elif isinstance(node, Negation):
-                    node = node.body
-                else:
-                    is_conj = False
-                    break
-            if is_conj and isinstance(node, Conj):
-                break
-            anchor = anchor[:-1]
-        owner.setdefault(anchor, []).append(v)
-
-    def rebuild(form, path):
-        if isinstance(form, Conj):
-            forms = tuple(rebuild(f, path + (i,)) for i, f in enumerate(form.forms))
-            ex = tuple(sorted(owner.get(path, ())))
-            return Conj(forms, ex)
-        if isinstance(form, Disj):
-            return Disj(
-                tuple(rebuild(b, path + (i,)) for i, b in enumerate(form.branches))
-            )
-        if isinstance(form, Negation):
-            return Negation(rebuild(form.body, path + (0,)))
-        return form
-
-    universals = tuple(sorted(head_vars))
-    return universals, rebuild(body, ())
-
-
 def classify_variables(rule: RuleIR) -> dict:
     """KEY iff the variable has a key-position occurrence in some
     materialized body atom; primitives contribute no key positions."""
@@ -194,7 +119,10 @@ def classify_variables(rule: RuleIR) -> dict:
                 occurs.setdefault(v, VALUE)
         for v in atom.value_args:
             occurs.setdefault(v, VALUE)
-    for v in rule.universals:
+    head_vars = {v for h in rule.heads for v in h.key_args + h.value_args}
+    if rule.agg is not None:
+        head_vars.discard(rule.agg.output_var)
+    for v in sorted(head_vars):
         if v not in occurs:
             raise UserError(f"variable {v} does not occur in the body")
     if rule.agg is not None and rule.agg.input_var is not None:
@@ -205,10 +133,15 @@ def classify_variables(rule: RuleIR) -> dict:
     return occurs
 
 
+def _mentions_all(head: Atom, keys) -> bool:
+    """True when the head projects no key variable away."""
+    return set(keys) <= set(head.key_args + head.value_args)
+
+
 def is_projection_free(rule: RuleIR) -> bool:
     kinds = classify_variables(rule)
-    keys = {v for v, k in kinds.items() if k == KEY}
-    return all(keys <= set(h.key_args) | set(h.value_args) for h in rule.heads)
+    keys = [v for v, k in kinds.items() if k == KEY]
+    return all(_mentions_all(h, keys) for h in rule.heads)
 
 
 def default_key_order(rule: RuleIR):
@@ -232,9 +165,11 @@ def dnf_branches(body: Conj):
                 b.append(form)
         elif isinstance(form, Negation):
             raise UserError("unsupported: negation")
-        elif isinstance(form, Disj):
+        elif isinstance(form, (Conj, Disj)):
+            # a parenthesized conjunction is a one-alternative disjunction
+            alts = form.branches if isinstance(form, Disj) else (form,)
             expanded = []
-            for alt in form.branches:
+            for alt in alts:
                 for sub in dnf_branches(alt):
                     expanded.extend(b + sub for b in (list(x) for x in branches))
             branches = expanded
@@ -249,7 +184,7 @@ def dnf_branches(body: Conj):
 @dataclass
 class AtomPlan:
     atom: Atom
-    name: str
+    name: str  # iterator name in traces and dumps: b<i>.<pred>[#n] in a disjunction
     depths: tuple  # global depth of each key arg, strictly increasing
     exempt: tuple  # per level: True when args[:level] prefix the key order
     context_depths: tuple  # per level: depths of bound vars not in the args
@@ -270,6 +205,12 @@ class HeadPlan:
     key_sources: tuple  # per head key arg: ("k", depth) | ("v", value_idx)
     value_source: Optional[tuple]  # for function heads / agg input
 
+    @property
+    def stores_value(self) -> bool:
+        """Whether the head relation is a function: every head but a
+        direct relation head keeps a value (or support count) per record."""
+        return self.kind != "DIRECT" or bool(self.atom.value_args)
+
 
 @dataclass
 class Plan:
@@ -282,7 +223,7 @@ class Plan:
     short_circuit_depth: int
 
 
-def _schedule_branch(atoms, order, value_order, force_sens):
+def _schedule_branch(atoms, order, value_order, force_sens, qualifier):
     depth_of = {v: i + 1 for i, v in enumerate(order)}
     vslot = {v: i for i, v in enumerate(value_order)}
     K = len(order)
@@ -325,9 +266,9 @@ def _schedule_branch(atoms, order, value_order, force_sens):
         )
         if counts[atom.pred] > 1:
             seen[atom.pred] = seen.get(atom.pred, 0) + 1
-            name = f"{atom.pred}#{seen[atom.pred]}"
+            name = f"{qualifier}{atom.pred}#{seen[atom.pred]}"
         else:
-            name = atom.pred
+            name = qualifier + atom.pred
         plans.append(AtomPlan(atom, name, tuple(depths), exempt, context_depths))
         pos_in_plans = len(plans) - 1
         for lvl, d in enumerate(depths, start=1):
@@ -430,9 +371,13 @@ def validate_key_order(rule: RuleIR, order=None) -> Plan:
     if any(vs != var_sets[0] for vs in var_sets[1:]):
         raise UserError("disjunction branches must bind the same variables")
 
+    # a disjunction's atoms are named b<i>.<name> after their branch
+    qualify = len(branch_atom_lists) > 1
     branches = [
-        _schedule_branch(atoms, order, value_order, rule.force_sens)
-        for atoms in branch_atom_lists
+        _schedule_branch(
+            atoms, order, value_order, rule.force_sens, f"b{bi}." if qualify else ""
+        )
+        for bi, atoms in enumerate(branch_atom_lists)
     ]
 
     depth_of = {v: i + 1 for i, v in enumerate(order)}
@@ -440,9 +385,6 @@ def validate_key_order(rule: RuleIR, order=None) -> Plan:
 
     heads = []
     for h in rule.heads:
-        for v in h.key_args + h.value_args:
-            if v not in kinds and not (rule.agg and v == rule.agg.output_var):
-                raise UserError(f"head variable {v} not bound by the body")
         key_sources = tuple(
             ("k", depth_of[v]) if kinds.get(v) == KEY else ("v", vslot[v])
             for v in h.key_args
@@ -471,17 +413,14 @@ def validate_key_order(rule: RuleIR, order=None) -> Plan:
                 )
             heads.append(HeadPlan(h, rule.agg.kind, key_sources, value_source))
         else:
-            mentioned = set(h.key_args) | set(h.value_args)
-            direct = all(v in mentioned for v in keys)
             value_source = None
             if h.value_args:
                 v = h.value_args[0]
                 value_source = (
                     ("k", depth_of[v]) if kinds.get(v) == KEY else ("v", vslot[v])
                 )
-            heads.append(
-                HeadPlan(h, "DIRECT" if direct else "COUNTED", key_sources, value_source)
-            )
+            kind = "DIRECT" if _mentions_all(h, keys) else "COUNTED"
+            heads.append(HeadPlan(h, kind, key_sources, value_source))
 
     index_specs = {}
     for bi, bp in enumerate(branches):

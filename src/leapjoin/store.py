@@ -35,7 +35,8 @@ fan-out at most 32, so every per-page pass below is bounded):
   copied by slice, the sibling fix-up runs only when a page is
   undersized, and a leaf splices each edit in with one bisect;
 * far seek -- O(h) bisects however far the target: the cursor climbs
-  by compares and descends once (``TrieCursor._seek_record``);
+  by compares and descends once (``TrieCursor._seek_record``), through
+  the one page-tree descent ``_descend`` that lookups use from the root;
 * delta walk -- O((k + 1) * h) pages touched, shared pages and records
   dropped a whole run at a time.
 """
@@ -121,28 +122,9 @@ class RelationVersion:
 
     def locate_ge(self, target: tuple) -> Optional[tuple]:
         """Least record whose keys are >= target (tuple order), or None."""
-        node = self.root
-        if node is None:
+        if self.root is None:
             return None
-        pending = []  # right-sibling subtrees to fall back into
-        while True:
-            while isinstance(node, _Branch):
-                i = bisect_right(node.mins, target) - 1
-                if i < 0:
-                    i = 0
-                if i + 1 < len(node.children):
-                    pending.append(node.children[i + 1])
-                node = node.children[i]
-            i = bisect_left(node.records, target, key=_rec_keys)
-            if i < len(node.records):
-                return node.records[i]
-            if not pending:
-                return None
-            # target exceeds this leaf; next subtree's first record is the lub
-            node = pending.pop()
-            while isinstance(node, _Branch):
-                node = node.children[0]
-            return node.records[0]
+        return _descend(self.root, target, [])
 
     def has_prefix(self, prefix: tuple) -> bool:
         pad = prefix + (KEY_MIN,) * (self.arity - len(prefix))
@@ -634,12 +616,7 @@ class TrieCursor:
                 self._rec, self._ended = None, True
                 return
             self._path.clear()
-            node = root
-            while isinstance(node, _Branch):
-                self._path.append((node, 0))
-                node = node.children[0]
-            self._path.append((node, 0))
-            self._rec = node.records[0]
+            self._rec = _leftmost(root, self._path)
             self._ended = False
         # deeper open: the current record is the least one under the new
         # prefix already, so the position stands.
@@ -705,11 +682,8 @@ class TrieCursor:
         A target within the current leaf is found there.  Otherwise the
         path climbs, one compare per level, to the lowest branch whose last
         min exceeds the target (its subtree holds the answer) or past the
-        root, and descends once from there, one bisect per level (none in
-        the leaf it just left).  The descent remembers its deepest frame
-        with a right sibling: when the target lies past its leaf, the
-        answer is that sibling's first record, reached with no further
-        bisect.
+        root, and descends once from there through ``_descend`` (no bisect
+        in the leaf it just left).
         """
         path = self._path
         leaf = None  # the leaf the path leaves, known to end below the target
@@ -731,28 +705,44 @@ class TrieCursor:
             node = self.version.root
             if node is None:
                 return None
-        right = -1  # the deepest frame in path with a right sibling
-        while isinstance(node, _Branch):
-            j = bisect_right(node.mins, target) - 1
-            if j < 0:
-                j = 0
-            if j < len(node.mins) - 1:
-                right = len(path)
-            path.append((node, j))
-            node = node.children[j]
-        recs = node.records
-        k = len(recs) if node is leaf else bisect_left(recs, target, key=_rec_keys)
-        if k < len(recs):
-            path.append((node, k))
-            return recs[k]
-        if right < 0:
-            return None
-        node, j = path[right]
-        del path[right:]
-        path.append((node, j + 1))
-        node = node.children[j + 1]
-        while isinstance(node, _Branch):
-            path.append((node, 0))
-            node = node.children[0]
+        return _descend(node, target, path, leaf)
+
+
+def _descend(node, target, path, leaf=None):
+    """Extend path from node down to the least record >= target; None past
+    the end of node's subtree.
+
+    One bisect per level, none in ``leaf`` (known to end below the target).
+    The descent remembers its deepest frame with a right sibling: when the
+    target lies past its leaf, the answer is that sibling's first record,
+    reached with no further bisect.
+    """
+    right = -1  # the deepest frame in path with a right sibling
+    while isinstance(node, _Branch):
+        j = bisect_right(node.mins, target) - 1
+        if j < 0:
+            j = 0
+        if j < len(node.mins) - 1:
+            right = len(path)
+        path.append((node, j))
+        node = node.children[j]
+    recs = node.records
+    k = len(recs) if node is leaf else bisect_left(recs, target, key=_rec_keys)
+    if k < len(recs):
+        path.append((node, k))
+        return recs[k]
+    if right < 0:
+        return None
+    node, j = path[right]
+    del path[right:]
+    path.append((node, j + 1))
+    return _leftmost(node.children[j + 1], path)
+
+
+def _leftmost(node, path):
+    """Extend path from node down to its subtree's first record."""
+    while isinstance(node, _Branch):
         path.append((node, 0))
-        return node.records[0]
+        node = node.children[0]
+    path.append((node, 0))
+    return node.records[0]

@@ -185,7 +185,7 @@ class Engine:
             Relation(
                 hp.atom.pred,
                 len(hp.atom.key_args),
-                is_function=hp.kind != "DIRECT" or bool(hp.atom.value_args),
+                is_function=hp.stores_value,
             )
             for hp in self.plan.heads
         ]
@@ -204,7 +204,7 @@ class Engine:
             Relation(
                 f"{hp.atom.pred}__ref",
                 len(hp.atom.key_args),
-                is_function=hp.kind != "DIRECT" or bool(hp.atom.value_args),
+                is_function=hp.stores_value,
             )
             for hp in self.plan.heads
         ]

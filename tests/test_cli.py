@@ -256,6 +256,17 @@ class TestSession:
         assert ws.run_command(["dump", "C"]) == ["6"]
 
 
+class TestDumpSens:
+    def test_disjunction_indices_are_named_by_branch(self, ws, tmp_path):
+        load_unary(ws, tmp_path)
+        ws.run_command(["rule", "U(x) <- (A(x) ; B(x)). @force_sens"])
+        ws.run_command(["eval", "r1"])
+        assert ws.run_command(["dump-sens", "r1"]) == [
+            "b0.A_sens = {[-inf,0], [0,2], [2,4], [4,5], [5,6], [6,+inf]}",
+            "b1.B_sens = {[-inf,1], [1,2], [2,6], [6,7], [7,+inf]}",
+        ]
+
+
 class TestDump:
     def test_round_trip_reload(self, ws, tmp_path):
         p = write(tmp_path / "r.tsv", "1\t2\n3\t4\n")

@@ -5,10 +5,11 @@ import weakref
 import pytest
 
 from conftest import Engine, expected_head, head_snapshot, naive_assignments
-from leapjoin.driver import bootstrap, build_oracle, maintain
+from leapjoin.driver import RuleInstance, bootstrap, build_oracle, maintain
 from leapjoin.errors import IntegrityError, UserError
 from leapjoin.heads import ScanBackedAggregate
 from leapjoin.keys import KEY_MAX, KEY_MIN
+from leapjoin.store import Relation
 
 
 def unary_example():
@@ -34,6 +35,20 @@ def apply_unary_deltas(eng):
 def sens_set(eng, pred):
     pos = {ap.name: i for i, ap in enumerate(eng.plan.branches[0].atoms)}[pred]
     return [(r.lo, r.hi) for r in eng.inst.indices[(0, pos, 1)].enumerate()]
+
+
+class TestHeadRelationKind:
+    def test_relation_for_a_value_head_is_refused(self):
+        eng = Engine("S(x) <- A2(x,y).", {"A2": (2, False)})
+        assert eng.plan.heads[0].stores_value
+        with pytest.raises(UserError, match="^head S needs a function, not S2$"):
+            RuleInstance(eng.plan, [Relation("S2", 1)])
+
+    def test_function_for_a_direct_relation_head_is_refused(self):
+        eng = Engine("C(x) <- A(x).", {"A": (1, False)})
+        assert not eng.plan.heads[0].stores_value
+        with pytest.raises(UserError, match="^head C needs a relation, not C2$"):
+            RuleInstance(eng.plan, [Relation("C2", 1, is_function=True)])
 
 
 class TestBootstrap:

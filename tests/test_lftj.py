@@ -43,6 +43,13 @@ class TestLeapfrogJoin:
         sets = {"A": [0, 2, 4, 5, 6], "B": [1, 2, 6, 7]}
         assert intersect("C(x) <- A(x), B(x).", sets) == [2, 6]
 
+    def test_parenthesized_conjunction_evaluates_as_flat(self):
+        sets = {"A": [0, 2, 4, 5, 6], "B": [1, 2, 6, 7]}
+        want = intersect("C(x) <- A(x), B(x).", sets)
+        assert want == [2, 6]
+        assert intersect("C(x) <- (A(x), B(x)).", sets) == want
+        assert intersect("C(x) <- A(x), (B(x)).", sets) == want
+
     def test_single_iterator_identity(self):
         assert intersect("C(x) <- A(x).", {"A": [3, 1, 4, 1, 5]}) == [1, 3, 4, 5]
 

@@ -3,7 +3,6 @@ import pytest
 from leapjoin.errors import UserError
 from leapjoin.parser import parse_rule
 from leapjoin.rules import (
-    Disj,
     classify_variables,
     default_key_order,
     is_projection_free,
@@ -53,6 +52,31 @@ class TestProjectionFree:
     def test_same_atom_both_sides(self):
         r = parse_rule("C(x) <- A(x).", CATALOG)
         assert is_projection_free(r)
+
+
+class TestHeadVariables:
+    def test_head_variable_missing_from_body_is_refused(self):
+        r = parse_rule("S(x,w) <- A2(x,y).", CATALOG)
+        with pytest.raises(UserError, match="^variable w does not occur in the body$"):
+            classify_variables(r)
+
+    def test_first_missing_variable_in_name_order_is_named(self):
+        r = parse_rule("S(w,v), T[x]=u <- A(x).", CATALOG)
+        with pytest.raises(UserError, match="^variable u does not occur in the body$"):
+            validate_key_order(r)
+
+    def test_checked_before_the_key_order(self):
+        r = parse_rule("S(x,w) <- A2(x,y). @order(q)", CATALOG)
+        with pytest.raises(UserError, match="^variable w does not occur in the body$"):
+            validate_key_order(r)
+
+    def test_aggregation_output_is_exempt(self):
+        r = parse_rule("D[x]=c <- agg<< c=count() >> A2(x,y).", CATALOG)
+        assert "c" not in classify_variables(r)
+        assert validate_key_order(r).heads[0].kind == "COUNT"
+        bad = parse_rule("D[x,w]=c <- agg<< c=count() >> A2(x,y).", CATALOG)
+        with pytest.raises(UserError, match="^variable w does not occur in the body$"):
+            validate_key_order(bad)
 
 
 class TestKeyOrder:
@@ -159,6 +183,53 @@ class TestHeadKinds:
         assert [hp.kind for hp in plan.heads] == ["DIRECT", "COUNTED"]
 
 
+class TestProjectionFreeMatchesHeadKind:
+    RULES = [
+        "C(x) <- A(x).",
+        "C(x) <- A(x), B(x).",
+        "T(x,y,z) <- A2(x,y), B2(y,z).",
+        "S(x,y) <- A2(x,y), B2(y,z).",
+        "S(x) <- A2(x,y).",
+        "S(x,y) <- A2(x,y), add[x,y]=z.",
+        "S(x,y) <- F1[x]=a, G1[y]=b, add[a,b]=r.",
+        "S[x]=a <- F1[x]=a.",
+        "S[x]=a <- F1[x]=a, A2(x,y).",
+        "C(x) <- (A(x) ; B(x)).",
+        "S(x) <- A(x), (A2(x,y) ; B2(x,y)).",
+        "T(x,y,z), S(x) <- A2(x,y), B2(y,z).",
+        "F(x,y) <- G(x,z), H(y,z), I(x,y,z), R(z). @order(x,y,z)",
+    ]
+
+    @pytest.mark.parametrize("text", RULES)
+    def test_projection_free_iff_every_head_is_direct(self, text):
+        # aggregation heads take their kind from the aggregation instead
+        r = parse_rule(text, CATALOG)
+        kinds = [hp.kind for hp in validate_key_order(r).heads]
+        assert is_projection_free(r) == all(k == "DIRECT" for k in kinds)
+
+
+class TestPlanDecidesStorageAndNames:
+    def test_stores_value(self):
+        cases = {
+            "C(x) <- A(x).": False,
+            "S(x) <- A2(x,y).": True,
+            "S[x]=a <- F1[x]=a.": True,
+            "D[x]=c <- agg<< c=count() >> A2(x,y).": True,
+            "M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.": True,
+        }
+        for text, want in cases.items():
+            plan = validate_key_order(parse_rule(text, CATALOG))
+            assert plan.heads[0].stores_value is want, text
+
+    def test_disjunction_atoms_carry_their_branch(self):
+        r = parse_rule("C(x) <- A(x), (A(x) ; B(x), A(x)).", CATALOG)
+        plan = validate_key_order(r)
+        assert [[ap.name for ap in bp.atoms] for bp in plan.branches] == [
+            ["b0.A#1", "b0.A#2"],
+            ["b1.A#1", "b1.B", "b1.A#2"],
+        ]
+
+
 class TestParser:
     def test_unknown_predicate(self):
         with pytest.raises(UserError, match="unknown predicate"):
@@ -174,6 +245,13 @@ class TestParser:
         plan = validate_key_order(r)
         assert len(plan.branches) == 2
 
+    @pytest.mark.parametrize(
+        "text", ["C(x) <- (A(x), B(x)).", "C(x) <- A(x), (B(x))."]
+    )
+    def test_parenthesized_conjunction_is_one_branch(self, text):
+        plan = validate_key_order(parse_rule(text, CATALOG))
+        assert [[ap.name for ap in bp.atoms] for bp in plan.branches] == [["A", "B"]]
+
     def test_nested_disjunction_expands(self):
         r = parse_rule("C(x) <- ((A(x) ; B(x)) ; A(x)).", CATALOG)
         assert len(validate_key_order(r).branches) == 3
@@ -186,18 +264,6 @@ class TestParser:
     def test_arity_mismatch(self):
         with pytest.raises(UserError, match="arity"):
             parse_rule("C(x) <- A2(x).", CATALOG)
-
-    def test_existentials_inferred_at_top_conjunction(self):
-        r = parse_rule("S(x) <- A2(x,y).", CATALOG)
-        assert r.universals == ("x",)
-        assert r.body.existentials == ("y",)
-
-    def test_existentials_inferred_inside_disjunction_branch(self):
-        r = parse_rule("S(x) <- A(x), (A2(x,y) ; B(x), B2(x,z)).", CATALOG)
-        disj = next(f for f in r.body.forms if isinstance(f, Disj))
-        assert disj.branches[0].existentials == ("y",)
-        assert disj.branches[1].existentials == ("z",)
-        assert r.body.existentials == ()
 
     def test_annotations(self):
         r = parse_rule("C(x) <- A(x), B(x). @order(x) @force_sens", CATALOG)
