@@ -31,7 +31,8 @@ merge and the min/max edits of a round that raised are undone.
 
 Atoms whose key arguments prefix the join order carry no indices; their
 surgeries contribute their own key as a point interval, which names the
-changed region directly in join-order coordinates.
+changed region directly in join-order coordinates.  Every other stab hit
+maps back to its bound key prefix by the plan's ``IndexPlan``.
 """
 
 from bisect import bisect_right
@@ -53,6 +54,7 @@ from .heads import (
 from .intervals import IntervalIndex
 from .keys import KEY_MAX, render_key
 from .lftj import Counter, SensitivityRecorder, evaluate
+from .rules import tuple_getter
 from .scantree import MAX_OP, MIN_OP
 from .store import ERASE, INSERT, surgery_iter
 
@@ -123,8 +125,7 @@ class ChangeOracle:
     point intervals so the evaluator can reach them.
     """
 
-    def __init__(self, depth_count: int):
-        self.depth_count = depth_count
+    def __init__(self):
         self._admit = {}  # (depth, prefix) -> [(lo, hi)]
         self._points = {}  # (depth, prefix) -> set of keys
         self._entries = None
@@ -172,13 +173,10 @@ def _extractor(head_plan, key_depth_count, scan_backed):
         tag, i = src
         return i - 1 if tag == "k" else key_depth_count + i
 
-    keys = [at(src) for src in head_plan.key_sources]
     if scan_backed:
         target = itemgetter(slice(0, key_depth_count))
-    elif len(keys) == 1:  # one itemgetter index would give a scalar
-        target = itemgetter(slice(keys[0], keys[0] + 1))
     else:
-        target = itemgetter(*keys)
+        target = tuple_getter([at(src) for src in head_plan.key_sources])
     vs = head_plan.value_source
     payload = (lambda row: None) if vs is None else itemgetter(at(vs))
 
@@ -262,8 +260,8 @@ class RuleInstance:
 
     def fresh_indices(self):
         return {
-            key: IntervalIndex(plen, clen)
-            for key, (plen, clen) in self.plan.index_specs.items()
+            key: IntervalIndex(spec.prefix_len, spec.context_len)
+            for key, spec in self.plan.index_specs.items()
         }
 
     def current_versions(self, relations):
@@ -274,16 +272,6 @@ class RuleInstance:
         }
 
 
-def _assemble_prefix(ap, lvl, rec):
-    d = ap.depths[lvl - 1]
-    arr = [None] * (d - 1)
-    for i, ad in enumerate(ap.depths[: lvl - 1]):
-        arr[ad - 1] = rec.prefix[i]
-    for i, cd in enumerate(ap.context_depths[lvl - 1]):
-        arr[cd - 1] = rec.context[i]
-    return tuple(arr)
-
-
 def build_oracle(inst, old_versions, new_versions, consume=True):
     """Match tree surgeries against the sensitivity indices.
 
@@ -291,7 +279,7 @@ def build_oracle(inst, old_versions, new_versions, consume=True):
     for every atom over it.
     """
     plan = inst.plan
-    oracle = ChangeOracle(len(plan.key_order))
+    oracle = ChangeOracle()
     consumed = 0
     surgeries = {}  # pred -> its round's surgeries, shared by its atoms
     for bi, bp in enumerate(plan.branches):
@@ -306,25 +294,18 @@ def build_oracle(inst, old_versions, new_versions, consume=True):
                 lvl = surg.depth
                 k = surg.prefix[-1]
                 alpha = surg.prefix[:-1]
-                idx = inst.indices.get((bi, pos, lvl))
-                if idx is not None:
-                    hits = (
-                        idx.stab_and_remove(alpha, k)
-                        if consume
-                        else idx.stab(alpha, k)
-                    )
-                    consumed += len(hits)
-                    d = ap.depths[lvl - 1]
-                    for rec in hits:
-                        oracle.add(d, _assemble_prefix(ap, lvl, rec), rec.lo, rec.hi)
-                elif ap.exempt[lvl - 1]:
+                spec = plan.index_specs.get((bi, pos, lvl))
+                if spec is None:
                     # args prefix the join order: the surgery names its own
                     # position in order coordinates
                     oracle.add(ap.depths[lvl - 1], alpha, k, k)
-                else:
-                    raise UserError(
-                        f"no sensitivity index for {ap.name} level {lvl}"
-                    )
+                    continue
+                idx = inst.indices[bi, pos, lvl]
+                hits = idx.stab_and_remove(alpha, k) if consume else idx.stab(alpha, k)
+                consumed += len(hits)
+                for rec in hits:
+                    bound = spec.oracle_prefix(rec.prefix + rec.context)
+                    oracle.add(spec.depth, bound, rec.lo, rec.hi)
     oracle.finalize()
     return oracle, consumed
 

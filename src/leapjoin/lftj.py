@@ -13,9 +13,10 @@ converted into a sensitivity interval:
 
 with v' = +inf when the transition runs off the end of the level.  Each
 interval is stored under the owning atom's argument prefix together with
-the other key variables bound at shallower depths.  Emitted intervals are
-buffered per index while the evaluation runs and merged into the
-indices once, when the assignment stream is exhausted.
+the other key variables bound at shallower depths, laid out by the plan's
+``IndexPlan.emit``.  Emitted intervals are buffered per index while the
+evaluation runs and merged into the indices once, when the assignment
+stream is exhausted.
 
 The accounting is inline: each move reads its cursor's landing key once
 (None when next/seek_lub report the end), keeps it as that cursor's key
@@ -178,18 +179,12 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
     oracle_name = f"b{bi}.oracle" if len(plan.branches) > 1 else "oracle"
     keystack = [None] * K
     vslots = [None] * len(plan.value_order)
-    # (atom, level) -> (buffer append, sort key getter over (*keystack, lo, hi))
+    # (atom, level) -> (buffer append, IndexPlan.emit over (*keystack, lo, hi))
     sens = {}
     if recorder is not None:
         for (b, pos, lvl), records in recorder.pending.items():
             if b == bi:
-                ap = atoms[pos]
-                prefix = [d - 1 for d in ap.depths[: lvl - 1]]
-                context = [d - 1 for d in ap.context_depths[lvl - 1]]
-                sens[(pos, lvl)] = (
-                    records.append,
-                    itemgetter(*prefix, K, K + 1, *context),
-                )
+                sens[(pos, lvl)] = (records.append, plan.index_specs[b, pos, lvl].emit)
     # per depth: (cursor, iterator name, sensitivity slot or None) of
     # each participating atom; descend appends the oracle's under it
     levels = [None] + [

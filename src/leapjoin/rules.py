@@ -12,17 +12,20 @@ function payloads and primitives once their inputs bind.
 ``validate_key_order`` is the one place a rule's facts are decided.  It
 expands the body to disjunctive normal form, assigns every key variable
 a depth in the join order, schedules value bindings and primitive
-filters at the depth where their inputs complete, and decides which
-(atom, level) pairs need sensitivity indices: an index is elided when
-the atom's key arguments up to that level form a prefix of the join
-order, since branch changes there already name their position in order
-coordinates.  The plan also names each atom's iterator for traces and
-dumps (``b<i>.`` qualifies a disjunction branch's atoms) and decides
-each head's kind and whether its relation stores a value
-(``HeadPlan.stores_value``).
+filters at the depth where their inputs complete, and fixes each
+sensitivity index in one ``IndexPlan`` per (branch, atom, level): an
+index is elided when the atom's key arguments up to that level form a
+prefix of the join order, since branch changes there already name their
+position in order coordinates; otherwise the ``IndexPlan`` holds the
+record layout, as the evaluator's sort-key getter and its inverse, the
+oracle builder's bound prefix.  The plan also names each atom's
+iterator for traces and dumps (``b<i>.`` qualifies a disjunction
+branch's atoms) and decides each head's kind and whether its relation
+stores a value (``HeadPlan.stores_value``).
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import UserError
@@ -186,8 +189,22 @@ class AtomPlan:
     atom: Atom
     name: str  # iterator name in traces and dumps: b<i>.<pred>[#n] in a disjunction
     depths: tuple  # global depth of each key arg, strictly increasing
-    exempt: tuple  # per level: True when args[:level] prefix the key order
-    context_depths: tuple  # per level: depths of bound vars not in the args
+
+
+@dataclass(frozen=True)
+class IndexPlan:
+    """The record layout of one (branch, atom, level) sensitivity index.
+
+    A record is (prefix..., lo, hi, context...): the atom's arguments
+    bound before the level, the interval, then the other key variables
+    bound at shallower depths, each in depth order.
+    """
+
+    prefix_len: int
+    context_len: int
+    depth: int  # the join-order depth of the indexed argument
+    emit: Callable  # (*keystack, lo, hi) -> the record's sort key
+    oracle_prefix: Callable  # prefix + context -> keystack[:depth - 1]
 
 
 @dataclass
@@ -219,11 +236,35 @@ class Plan:
     value_order: tuple
     branches: list
     heads: list
-    index_specs: dict  # (branch, atom_pos, level) -> (prefix_len, context_len)
+    index_specs: dict  # (branch, atom_pos, level) -> IndexPlan
     short_circuit_depth: int
 
 
-def _schedule_branch(atoms, order, value_order, force_sens, qualifier):
+def tuple_getter(positions):
+    """An itemgetter that returns a tuple for any number of positions
+    (a single-position itemgetter would return the item itself)."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
+
+
+def _index_plan(depths, lvl, key_count):
+    """The layout of the index on an atom's level ``lvl``; ``depths`` are
+    its arguments' join-order depths, over ``key_count`` key variables."""
+    depth = depths[lvl - 1]
+    prefix = depths[: lvl - 1]
+    context = tuple(d for d in range(1, depth) if d not in prefix)
+    emit = itemgetter(
+        *(d - 1 for d in prefix), key_count, key_count + 1, *(d - 1 for d in context)
+    )
+    # prefix + context holds every depth above ``depth`` once: put it back
+    # in depth order
+    slots = prefix + context
+    order = sorted(range(len(slots)), key=slots.__getitem__)
+    return IndexPlan(len(prefix), len(context), depth, emit, tuple_getter(order))
+
+
+def _schedule_branch(atoms, order, value_order, qualifier):
     depth_of = {v: i + 1 for i, v in enumerate(order)}
     vslot = {v: i for i, v in enumerate(value_order)}
     K = len(order)
@@ -252,24 +293,12 @@ def _schedule_branch(atoms, order, value_order, force_sens, qualifier):
                     f"{list(order)}"
                 )
             depths.append(d)
-        exempt = tuple(
-            atom.key_args[:lvl] == order[:lvl] and not force_sens
-            for lvl in range(1, len(depths) + 1)
-        )
-        context_depths = tuple(
-            tuple(
-                d
-                for d in range(1, depths[lvl - 1])
-                if d not in depths[: lvl - 1]
-            )
-            for lvl in range(1, len(depths) + 1)
-        )
         if counts[atom.pred] > 1:
             seen[atom.pred] = seen.get(atom.pred, 0) + 1
             name = f"{qualifier}{atom.pred}#{seen[atom.pred]}"
         else:
             name = qualifier + atom.pred
-        plans.append(AtomPlan(atom, name, tuple(depths), exempt, context_depths))
+        plans.append(AtomPlan(atom, name, tuple(depths)))
         pos_in_plans = len(plans) - 1
         for lvl, d in enumerate(depths, start=1):
             participants[d].append((pos_in_plans, lvl))
@@ -374,9 +403,7 @@ def validate_key_order(rule: RuleIR, order=None) -> Plan:
     # a disjunction's atoms are named b<i>.<name> after their branch
     qualify = len(branch_atom_lists) > 1
     branches = [
-        _schedule_branch(
-            atoms, order, value_order, rule.force_sens, f"b{bi}." if qualify else ""
-        )
+        _schedule_branch(atoms, order, value_order, f"b{bi}." if qualify else "")
         for bi, atoms in enumerate(branch_atom_lists)
     ]
 
@@ -422,15 +449,13 @@ def validate_key_order(rule: RuleIR, order=None) -> Plan:
             kind = "DIRECT" if _mentions_all(h, keys) else "COUNTED"
             heads.append(HeadPlan(h, kind, key_sources, value_source))
 
-    index_specs = {}
-    for bi, bp in enumerate(branches):
-        for pos, ap in enumerate(bp.atoms):
-            for lvl in range(1, len(ap.depths) + 1):
-                if not ap.exempt[lvl - 1]:
-                    index_specs[(bi, pos, lvl)] = (
-                        lvl - 1,
-                        len(ap.context_depths[lvl - 1]),
-                    )
+    index_specs = {
+        (bi, pos, lvl): _index_plan(ap.depths, lvl, len(order))
+        for bi, bp in enumerate(branches)
+        for pos, ap in enumerate(bp.atoms)
+        for lvl in range(1, len(ap.depths) + 1)
+        if rule.force_sens or ap.atom.key_args[:lvl] != order[:lvl]
+    }
 
     head_key_depths = [
         d for hp in heads for (tag, d) in hp.key_sources if tag == "k"

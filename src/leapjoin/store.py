@@ -324,11 +324,7 @@ class Transaction:
             alloc = [0]
             reps = _apply(base.root, edits, rel, alloc)
             while len(reps) > 1:
-                reps = [
-                    _Branch(reps[i : i + _BR_TARGET])
-                    for i in range(0, len(reps), _BR_TARGET)
-                ]
-                alloc[0] += len(reps)
+                reps = _pack(reps, _BR_MAX, _BR_TARGET, _Branch, alloc)
             root = reps[0] if reps else None
             while isinstance(root, _Branch) and len(root.children) == 1:
                 root = root.children[0]

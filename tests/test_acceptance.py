@@ -209,7 +209,7 @@ def _run_workload(name, rule, spec, value_of, *, seed, twin_no_oracle=False):
     if twin_no_oracle:
         twin = RuleInstance(eng.plan, [
             Relation(f"{hp.atom.pred}__twin", len(hp.atom.key_args),
-                     is_function=hp.kind != "DIRECT" or bool(hp.atom.value_args))
+                     is_function=hp.stores_value)
             for hp in eng.plan.heads
         ])
         bootstrap(twin, eng.versions())

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from leapjoin.errors import UserError
@@ -6,6 +8,7 @@ from leapjoin.rules import (
     classify_variables,
     default_key_order,
     is_projection_free,
+    tuple_getter,
     validate_key_order,
 )
 
@@ -102,8 +105,10 @@ class TestKeyOrder:
         assert needed("R") == [1]
         assert len(plan.index_specs) == 4
         # index record shapes: prefix/context lengths per the SensIndex layout
-        assert plan.index_specs[(0, by_name["R"], 1)] == (0, 2)
-        assert plan.index_specs[(0, by_name["H"], 2)] == (1, 1)
+        r_spec = plan.index_specs[(0, by_name["R"], 1)]
+        assert (r_spec.prefix_len, r_spec.context_len) == (0, 2)
+        h_spec = plan.index_specs[(0, by_name["H"], 2)]
+        assert (h_spec.prefix_len, h_spec.context_len) == (1, 1)
 
     def test_sub_join_structure(self):
         r = parse_rule(
@@ -275,3 +280,69 @@ class TestParser:
             parse_rule("D[x]=c <- agg<< c=count(v) >> A2(x,y).", CATALOG)
         with pytest.raises(UserError):
             parse_rule("D[x]=c <- agg<< c=sum() >> A2(x,y).", CATALOG)
+
+
+# criterion 5's rule shapes, and a disjunction over two of its atoms
+INDEX_SHAPES = [
+    "C(x) <- A(x), B(x).",
+    "F(x,y) <- G(x,z), H(y,z), I(x,y,z). @order(x,y,z)",
+    "F(x,y) <- G(x,z), H(y,z), I(x,y,z), R(z). @order(x,y,z)",
+    "S(x,y) <- A2(x,y), B2(y,z).",
+    "D[x]=c <- agg<< c=count() >> A2(x,y).",
+    "T[x]=s <- agg<< s=sum(v) >> E2[x,y]=v.",
+    "N[x]=m <- agg<< m=min(v) >> E2[x,y]=v.",
+    "F(x,y) <- (G(x,z) ; H(y,z)), I(x,y,z), R(z). @order(x,y,z)",
+    "S(x,z) <- A2(x,y), (B2(y,z) ; G(y,z)).",
+]
+
+
+def _index_plans(text):
+    """(plan, [(branch, pos, level, atom plan)]) for every atom level."""
+    plan = validate_key_order(parse_rule(text, CATALOG))
+    levels = [
+        (bi, pos, lvl, ap)
+        for bi, bp in enumerate(plan.branches)
+        for pos, ap in enumerate(bp.atoms)
+        for lvl in range(1, len(ap.depths) + 1)
+    ]
+    return plan, levels
+
+
+class TestIndexPlan:
+    @pytest.mark.parametrize("force", ["", " @force_sens"])
+    @pytest.mark.parametrize("text", INDEX_SHAPES)
+    def test_index_exists_unless_the_args_prefix_the_order(self, text, force):
+        plan, levels = _index_plans(text + force)
+        for bi, pos, lvl, ap in levels:
+            elided = ap.atom.key_args[:lvl] == plan.key_order[:lvl]
+            assert ((bi, pos, lvl) in plan.index_specs) == (bool(force) or not elided)
+        assert set(plan.index_specs) <= {(bi, pos, lvl) for bi, pos, lvl, _ in levels}
+
+    @pytest.mark.parametrize("force", ["", " @force_sens"])
+    @pytest.mark.parametrize("text", INDEX_SHAPES)
+    def test_oracle_prefix_inverts_the_emitted_record(self, text, force):
+        plan, levels = _index_plans(text + force)
+        K = len(plan.key_order)
+        rng = random.Random(text + force)
+        for bi, pos, lvl, ap in levels:
+            spec = plan.index_specs.get((bi, pos, lvl))
+            if spec is None:
+                continue
+            assert spec.depth == ap.depths[lvl - 1]
+            for _ in range(20):
+                keystack = tuple(rng.randrange(-50, 50) for _ in range(K))
+                lo, hi = sorted(rng.randrange(-50, 50) for _ in range(2))
+                key = spec.emit((*keystack, lo, hi))
+                p = spec.prefix_len
+                assert len(key) == p + 2 + spec.context_len
+                assert key[p : p + 2] == (lo, hi)
+                prefix, context = key[:p], key[p + 2 :]
+                assert prefix == tuple(keystack[d - 1] for d in ap.depths[: lvl - 1])
+                bound = spec.oracle_prefix(prefix + context)
+                assert bound == keystack[: spec.depth - 1]
+
+
+@pytest.mark.parametrize("positions", [[], [2], [0, 2], [2, 0, 1]])
+def test_tuple_getter_returns_a_tuple(positions):
+    row = (10, 11, 12)
+    assert tuple_getter(positions)(row) == tuple(row[i] for i in positions)

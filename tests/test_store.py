@@ -257,10 +257,10 @@ class TestWriteSorted:
             txn.write_sorted([((1,), None)])
 
 
-# sha256 of everything page_shape_digest() feeds it, pinned before the
-# leaf and branch builders were folded into one packer; a change to how
-# a commit cuts or counts pages moves it
-PAGE_SHAPE_DIGEST = "af47b60c85a4aefb5a60d5f58c076fce4d9d9e219f13cb1995d37f138616394c"
+# sha256 of everything page_shape_digest() feeds it, pinned when a
+# commit's root levels came to be cut by the same packer as every other
+# page; a change to how a commit cuts or counts pages moves it
+PAGE_SHAPE_DIGEST = "4f316ce6d9767e77df138aad28ed2d8090980b1b61b703fd910300694470c3d9"
 
 
 def page_shape_digest():
@@ -297,6 +297,31 @@ def page_shape_digest():
 class TestPageShapeDigest:
     def test_page_shapes_match_pinned_digest(self):
         assert page_shape_digest() == PAGE_SHAPE_DIGEST
+
+
+def _branch_fanouts(node, out, root=True):
+    """Append the child count of every non-root branch under ``node``."""
+    if hasattr(node, "children"):
+        if not root:
+            out.append(len(node.children))
+        for child in node.children:
+            _branch_fanouts(child, out, False)
+    return out
+
+
+class TestBulkLoadFanOut:
+    def test_every_non_root_branch_holds_min_to_max_children(self):
+        # small leaves give many branch pages per load; the sizes step
+        # through many remainders of a root level's cut
+        for n in range(1, 3000, 13):
+            v = fill(Relation("R", 1, leaf_capacity=2), [(k,) for k in range(n)])
+            for fanout in _branch_fanouts(v.root, []):
+                assert store._BR_MIN <= fanout <= store._BR_MAX, (n, fanout)
+
+    def test_a_graph_sized_load_is_two_branch_levels_deep(self):
+        rel = Relation("E", 2)
+        v = fill(rel, [(k // 100, k % 100) for k in range(20_000)])
+        assert _branch_levels(v) == 2
 
 
 class TestStructuralSharing:
