@@ -7,6 +7,9 @@ the stream is exhausted).  The old side is empty, so every assignment
 routes to the heads as an insert, with no diff; a head whose keys prefix
 the join order then receives its batch already in key order, which
 ``HeadState.apply``, the one place a head batch is ordered, keeps.
+Routing makes one pass over the changes: each head reads its target keys
+and payload from an assignment's keys + values through C-level getters,
+so no Python function runs per assignment.
 Heads stage on cleared workspaces, min/max heads into fresh scan trees,
 and nothing of the instance changes until every head has staged: a
 bootstrap that raises leaves it as it was.
@@ -162,11 +165,11 @@ class ChangeOracle:
             yield f"oracle depth={depth} prefix={ptxt} {e.render()}"
 
 
-def _extractor(head_plan, key_depth_count, scan_backed):
-    """Map an assignment (keys, values) to one head's (target keys, payload).
+def _getters(head_plan, key_depth_count, scan_backed):
+    """One head's C-level getters over an assignment's keys + values: its
+    target keys, and its payload (None for a head without one).
 
-    Both are read by position from keys + values; a scan-backed head's
-    intermediate is keyed by the full binding.
+    A scan-backed head's intermediate is keyed by the full binding.
     """
 
     def at(src):
@@ -178,17 +181,11 @@ def _extractor(head_plan, key_depth_count, scan_backed):
     else:
         target = tuple_getter([at(src) for src in head_plan.key_sources])
     vs = head_plan.value_source
-    payload = (lambda row: None) if vs is None else itemgetter(at(vs))
-
-    def extract(assignment):
-        row = assignment[0] + assignment[1]
-        return target(row), payload(row)
-
-    return extract
+    return target, None if vs is None else itemgetter(at(vs))
 
 
 class HeadState:
-    """One head atom's store; its kind picks extract, update and render once."""
+    """One head atom's store; its kind picks getters, update and render once."""
 
     def __init__(self, head_plan, relation, key_depth_count):
         self.plan = head_plan
@@ -208,7 +205,9 @@ class HeadState:
             group = FUNCTION_VALUE if fd else GROUPS[kind]
             self._update = partial(apply_group, group=group)
             self.render = group.render
-        self.extract = _extractor(head_plan, key_depth_count, self.agg is not None)
+        self.target, self.payload = _getters(
+            head_plan, key_depth_count, self.agg is not None
+        )
         # a bootstrap's head replaces the relation's records: it stages
         # on a cleared workspace
         self.replaces = False
@@ -222,12 +221,10 @@ class HeadState:
         order do).  The caller commits the transaction, or aborts it; a
         raise aborts it here.
         """
-        if ERASE in map(_delta_kind, deltas):
-            ordered = False
-        else:
-            keys = list(map(_delta_target, deltas))
-            ordered = not any(map(gt, keys, islice(keys, 1, None)))
-        if not ordered:
+        targets = partial(map, _delta_target)
+        if ERASE in map(_delta_kind, deltas) or any(
+            map(gt, targets(deltas), targets(islice(deltas, 1, None)))
+        ):
             deltas = sorted(deltas, key=_erases_first)
         txn = self.relation.begin()
         try:
@@ -334,17 +331,19 @@ def _diff(old_stream, new_stream, counts):
 def _route(heads, changes):
     """Apply (assignment, delta) changes to every head, committing none.
 
+    One pass over the changes builds every head's (target keys, payload,
+    delta) batch by its C-level getters, with no Python call per change.
     Each head stages its batch in its own open transaction; when one
     head raises, every transaction staged so far is aborted, so a round
     either commits every head or none.  Returns the open transactions
     and the number of changes routed.
     """
     per_head = [[] for _ in heads]
-    routes = [(h.extract, deltas.append) for h, deltas in zip(heads, per_head)]
-    for assignment, delta in changes:
-        for extract, append in routes:
-            target, payload = extract(assignment)
-            append((target, payload, delta))
+    routes = [(h.target, h.payload, b.append) for h, b in zip(heads, per_head)]
+    for (keys, values), delta in changes:
+        row = keys + values
+        for target, payload, append in routes:
+            append((target(row), payload and payload(row), delta))
     staged = []
     try:
         for head, deltas in zip(heads, per_head):

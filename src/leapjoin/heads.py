@@ -11,7 +11,10 @@ through ``Transaction.write_sorted``, which refuses a batch out of order.
 A write is a ``(keys, value)`` pair, the value ``ABSENT`` when keys end
 absent, the one format of every ordered tree's sorted batch:
 
-* direct -- projection-free rules insert/remove head records 1:1;
+* direct -- projection-free rules insert/remove head records 1:1; into
+  an empty head, a batch of inserts whose keys strictly increase (every
+  bootstrap's) is its own write list, its deltas' ``(keys, payload)``
+  pairs, checked and built by C-level passes with no fold;
 * support-counted groups -- every other head but min/max keeps a group
   value and a support count eta per head key, and drops the record when
   the count reaches zero (erases apply before inserts per key, so a
@@ -26,7 +29,7 @@ absent, the one format of every ordered tree's sorted batch:
   once when the record is written).  Each group also renders its stored
   value for ``dump``;
 * scan-backed min/max -- an intermediate full-key relation with a
-  min/max scan-tree, written 1:1 by the direct writer: a batch is
+  min/max scan-tree, written 1:1 as a direct head is: a batch is
   folded and checked whole, then its writes change the tree in one
   descent (a bulk build into an empty tree), and only the group
   prefixes of keys whose value changed recompute by range scan into the
@@ -35,8 +38,8 @@ absent, the one format of every ordered tree's sorted batch:
 
 import math
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter, methodcaller
+from itertools import groupby, islice
+from operator import countOf, itemgetter, lt, methodcaller
 from typing import Callable, NamedTuple, Optional
 
 from .errors import IntegrityError, UserError
@@ -162,6 +165,23 @@ class SegmentedFloat:
 # None when the head reads as empty.
 
 _keys = itemgetter(0)  # of a delta or a write
+_write = itemgetter(0, 1)  # a delta's (keys, payload)
+_delta = itemgetter(2)
+
+
+def _insert_pairs(get, deltas):
+    """The write list of a batch into an empty store (``get`` None) that
+    only inserts, with strictly increasing keys (as a direct head's and
+    the min/max intermediate's batch at bootstrap does): its deltas'
+    (keys, payload) pairs, checked and built by C-level passes.  None for
+    any other batch, which the fold checks and writes."""
+    if (
+        get is None
+        and countOf(map(_delta, deltas), INSERT) == len(deltas)
+        and all(map(lt, map(_keys, deltas), map(_keys, islice(deltas, 1, None))))
+    ):
+        return list(map(_write, deltas))
+    return None
 
 
 def _direct_writes(what, get, deltas):
@@ -193,8 +213,11 @@ def _direct_writes(what, get, deltas):
 
 def apply_direct(txn, deltas):
     """1:1 head updates for projection-free rules."""
-    name = txn.relation.name
-    txn.write_sorted(_direct_writes(f"{name}: direct", txn.reader(), deltas))
+    get = txn.reader()
+    writes = _insert_pairs(get, deltas)
+    if writes is None:
+        writes = _direct_writes(f"{txn.relation.name}: direct", get, deltas)
+    txn.write_sorted(writes)
 
 
 def render_value(v):
@@ -337,7 +360,10 @@ class ScanBackedAggregate:
         tree changes in one ``ScanTree.apply_sorted`` descent (a bulk
         build into an empty tree).
         """
-        writes = list(_direct_writes("aggregate", self.tree.get, deltas))
+        get = self.tree.get if self.tree.root is not None else None
+        writes = _insert_pairs(get, deltas)
+        if writes is None:
+            writes = list(_direct_writes("aggregate", get, deltas))
         self.tree.apply_sorted(writes)
         return writes
 

@@ -25,10 +25,15 @@ appends the trace event and emits the interval.  Each depth's
 participants carry their sensitivity buffer and sort-key getter, looked
 up once per evaluation.  The trie cursors step within their leaf at the
 last level (see ``store.TrieCursor``).
+
+A disjunction's branches are evaluated as separate streams, each
+increasing and duplicate-free, and meet in a fold of two-way sorted
+unions, which yields an item the branches share once; a one-branch rule
+yields its stream as it is.
 """
 
-import heapq
 from bisect import bisect_left
+from functools import reduce
 from operator import itemgetter
 
 from .errors import UserError
@@ -159,16 +164,40 @@ def evaluate(
         _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_depth)
         for bi, bp in enumerate(plan.branches)
     ]
-    if len(gens) == 1:
-        yield from gens[0]
-    else:
-        last = None
-        for item in heapq.merge(*gens):
-            if item != last:
-                yield item
-                last = item
+    yield from reduce(_union, gens)
     if recorder is not None:
         recorder.flush()
+
+
+def _union(left, right):
+    """The sorted union of two increasing, duplicate-free streams.
+
+    It steps the streams as ``heapq.merge`` over the branches does: the
+    left stream first, each stream again once the item it stands at has
+    been yielded, and on equal items (yielded once) the left stream
+    before the right one.  Folded over the branches from the left, it
+    therefore steps them, and so appends their trace events, in
+    ``heapq.merge``'s order.
+    """
+    a = next(left, None)
+    b = next(right, None)
+    while a is not None and b is not None:
+        if a < b:
+            yield a
+            a = next(left, None)
+        elif b < a:
+            yield b
+            b = next(right, None)
+        else:
+            yield a
+            a = next(left, None)
+            b = next(right, None)
+    if a is not None:
+        yield a
+        yield from left
+    elif b is not None:
+        yield b
+        yield from right
 
 
 def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_depth):

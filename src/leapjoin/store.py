@@ -8,8 +8,9 @@ its predecessor; versions form a linear chain per relation.
 
 A transaction takes writes key by key (``insert``/``erase``, as loads
 and input deltas do) or as exactly one sorted batch of final writes
-(``write_sorted``, as rule heads do), never both.  Either way ``commit``
-merges one write format into the page tree through the same ``_apply``:
+(``write_sorted``, as rule heads do), never both.  A batch list is
+checked and staged as it is, with no copy.  Either way ``commit`` merges
+one write format into the page tree through the same ``_apply``:
 ``(keys, value)`` pairs sorted by keys, where the value ``ABSENT`` (the
 scan tree's marker, shared by every ordered tree) means keys end absent
 and any other pair becomes the page record as it is.  ``_apply`` builds
@@ -230,17 +231,31 @@ class Transaction:
         ``(keys, value)`` leaves keys holding value, whatever held it
         before; ``(keys, ABSENT)`` removes keys.  Each pair becomes the
         page record as it is.  Each insert is checked as ``insert``
-        checks it.  ``writes`` is read once, in order, so a generator that
-        raises part-way raises here and stages nothing.
+        checks it, and the keys must strictly increase.  A list is
+        checked and staged as it is, with no copy.  Any other iterable is
+        read into a list first; if it raises part-way, nothing is staged,
+        and the error of a write at fault among those read so far goes
+        first, as a check made while reading would have met it.
         """
         self._check_open()
         if self._edit_map():
             raise UserError(f"{self.relation.name}: transaction holds per-key edits")
+        if type(writes) is not list:
+            batch = []
+            try:
+                batch.extend(writes)
+            except Exception:
+                self._check_writes(batch)
+                raise
+            writes = batch
+        self._check_writes(writes)
+        self._batch = writes
+
+    def _check_writes(self, writes):
+        """Raise the error of the first write at fault, if any."""
         arity, valueless = self.relation.arity, not self.relation.is_function
-        batch = []
         prev = ()
-        for write in writes:
-            keys, value = write
+        for keys, value in writes:
             if value is not ABSENT:
                 if (
                     len(keys) != arity
@@ -254,8 +269,6 @@ class Transaction:
                     f"{self.relation.name}: batch keys not increasing at {keys}"
                 )
             prev = keys
-            batch.append(write)
-        self._batch = batch
 
     def insert(self, keys: tuple, value=None):
         self._check_open()

@@ -1,10 +1,13 @@
 import gc
 import random
+import sys
+import tracemalloc
 import weakref
 
 import pytest
 
 from conftest import Engine, expected_head, head_snapshot, naive_assignments
+from leapjoin import driver
 from leapjoin.driver import RuleInstance, bootstrap, build_oracle, maintain
 from leapjoin.errors import IntegrityError, UserError
 from leapjoin.heads import ScanBackedAggregate
@@ -109,6 +112,50 @@ class TestBootstrap:
         (refilled,) = rel.versions[n:]
         assert refilled.count == len(first)
         assert list(refilled.records()) == first
+
+    @pytest.mark.parametrize("with_value", [False, True])
+    def test_repeated_assignment_meets_the_direct_check(
+        self, monkeypatch, with_value
+    ):
+        rule = "H[x]=v <- F[x]=v." if with_value else "H(x) <- A(x)."
+        eng = Engine(rule, {"F": (1, True)} if with_value else {"A": (1, False)})
+        stream = [((1,), (7,)), ((2,), (8,)), ((2,), (8,)), ((3,), (9,))]
+        if not with_value:
+            stream = [(keys, ()) for keys, _ in stream]
+        monkeypatch.setattr(driver, "evaluate", lambda *args, **kwargs: iter(stream))
+        message = r"^H: direct insert of live record \(2,\)$"
+        with pytest.raises(IntegrityError, match=message):
+            bootstrap(eng.inst, eng.versions())
+        assert eng.inst.bound_versions is None
+        assert eng.head_rels["H"].current.count == 0
+
+    # The peak a bootstrap adds over its inputs, in units of the head
+    # batches it stages: one (target, payload, delta) tuple and list slot
+    # per assignment and head.  Staging holds a batch and its write list;
+    # a per-assignment list kept next to the batches (as a routing that
+    # lists every row before it fills the heads' batches does) exceeds
+    # the bound.
+    PEAK_PER_BATCH = 2.85
+
+    @pytest.mark.parametrize(
+        "rule", ["H[x]=v <- F[x]=v.", "P(x), Q[x]=v <- F[x]=v."]
+    )
+    def test_peak_memory_is_a_multiple_of_the_head_batches(self, rule):
+        eng = Engine(rule, {"F": (1, True)}, leaf_capacity=64)
+        eng.random_fill(random.Random(5), per_relation=8000, dom=10**6)
+        versions = eng.versions()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = bootstrap(eng.inst, versions, with_trace=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        per_delta = sys.getsizeof((None,) * 3) + 8
+        batches = report.head_inserts * len(eng.plan.heads) * per_delta
+        assert report.head_inserts > 7000
+        assert peak < self.PEAK_PER_BATCH * batches
 
 
 class TestBuildOracle:

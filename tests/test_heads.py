@@ -813,6 +813,13 @@ APPLY_CASES = {
 }
 
 
+def head_delta(head, assignment, delta):
+    """The (target, payload, delta) a change routes to ``head``."""
+    row = assignment[0] + assignment[1]
+    payload = None if head.payload is None else head.payload(row)
+    return head.target(row), payload, delta
+
+
 def arranged(rng, deltas, mode):
     """A round's head deltas in one of the orders a caller may hand on."""
     if mode == "unsorted":
@@ -862,7 +869,7 @@ class TestHeadStateApply:
                     v = draw()
                 live[k] = v
                 changes.append(((k, (v,) if func else ()), INSERT))
-            deltas = [(*head.extract(a), delta) for a, delta in changes]
+            deltas = [head_delta(head, a, delta) for a, delta in changes]
             head.apply(arranged(rng, deltas, mode)).commit()
             assignments = [(k, (v,) if func else ()) for k, v in live.items()]
             want = expected_head(eng.plan, 0, assignments)

@@ -1,10 +1,12 @@
 import gc
 import hashlib
+import heapq
 import random
 
 import pytest
 
 from conftest import Engine, naive_assignments
+from leapjoin import lftj
 from leapjoin.driver import bootstrap, maintain
 from leapjoin.errors import UserError
 from leapjoin.keys import KEY_MAX, KEY_MIN
@@ -266,6 +268,89 @@ class TestShortCircuit:
         eng.load("A2", [(1, 2)])
         with pytest.raises(UserError):
             list(evaluate(eng.plan, eng.versions(), short_circuit=True))
+
+
+def heap_merged(plan, versions, trace, counter, short_circuit):
+    """The branches' union as heapq.merge and a per-item dedupe give it."""
+    sc_depth = lftj._check_short_circuit(plan) if short_circuit else 0
+    gens = [
+        lftj._branch_gen(plan, bi, bp, versions, None, None, trace, counter, sc_depth)
+        for bi, bp in enumerate(plan.branches)
+    ]
+    last = None
+    for item in heapq.merge(*gens):
+        if item != last:
+            yield item
+            last = item
+
+
+class TestBranchUnion:
+    """The fold of two-way unions steps the branches as heapq.merge does."""
+
+    @pytest.mark.parametrize(
+        "rule,spec,empty",
+        [
+            (
+                "S(x) <- (A2(x,y) ; B2(x,y) ; C2(x,y)). @order(x,y)",
+                {n: (2, False) for n in ("A2", "B2", "C2")},
+                "B2",
+            ),
+            (
+                "Q(x,v) <- (F[x]=v ; G[x]=v ; H[x]=v ; K[x]=v).",
+                {n: (1, True) for n in "FGHK"},
+                "K",
+            ),
+            (
+                "S(x) <- (F2[x,y]=v ; G2[x,y]=v ; H2[x,y]=v ; K2[x,y]=v)."
+                " @order(x,y)",
+                {n: (2, True) for n in ("F2", "G2", "H2", "K2")},
+                "F2",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("short_circuit", [False, True])
+    def test_matches_heap_merge(self, rule, spec, empty, short_circuit):
+        rng = random.Random(f"{rule}-{short_circuit}")
+        arity = next(iter(spec.values()))[0]  # every relation's
+
+        def draw():
+            return tuple(rng.randrange(8) for _ in range(arity))
+
+        for trial in range(15):
+            eng = Engine(rule, spec, leaf_capacity=4)
+            # keys most branches hold: equal items, or equal keys whose
+            # function values differ
+            shared = {draw(): rng.randrange(3) for _ in range(rng.randrange(25))}
+            for name, (_, func) in spec.items():
+                if name == empty:
+                    continue
+                rows = {k: v for k, v in shared.items() if rng.random() < 0.6}
+                for k in rows:
+                    if rng.random() < 0.5:
+                        rows[k] = rng.randrange(3)
+                for _ in range(rng.randrange(10)):
+                    rows[draw()] = rng.randrange(3)
+                rows = sorted(rows.items())
+                eng.load(name, [k + (v,) if func else k for k, v in rows])
+            want_counter, want_trace = Counter(), []
+            want = list(
+                heap_merged(
+                    eng.plan, eng.versions(), want_trace, want_counter, short_circuit
+                )
+            )
+            counter, trace = Counter(), []
+            got = list(
+                evaluate(
+                    eng.plan,
+                    eng.versions(),
+                    trace=trace,
+                    counter=counter,
+                    short_circuit=short_circuit,
+                )
+            )
+            assert got == want == sorted(set(want)), trial
+            assert trace == want_trace, trial
+            assert counter.ops == want_counter.ops, trial
 
 
 class TestTraceDistance:

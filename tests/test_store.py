@@ -7,6 +7,7 @@ import pytest
 
 from leapjoin import store
 from leapjoin.errors import IntegrityError, UserError
+from leapjoin.keys import KEY_MAX, KEY_MIN, check_storable_tuple
 from leapjoin.scantree import ABSENT
 from leapjoin.store import ERASE, INSERT, Relation, delta_iter, surgery_iter
 
@@ -255,6 +256,154 @@ class TestWriteSorted:
         txn.commit()
         with pytest.raises(UserError, match="transaction already closed"):
             txn.write_sorted([((1,), None)])
+
+
+
+def checked_one_by_one(rel, writes):
+    """The batch ``write_sorted`` stages, or the error it raises, from a
+    check of one write at a time as each is read."""
+    arity, func, name = rel.arity, rel.is_function, rel.name
+    batch, prev = [], ()
+    try:
+        for write in writes:
+            keys, value = write
+            if value is not ABSENT:
+                if len(keys) != arity:
+                    raise UserError(f"{name}: expected arity {arity}, got {len(keys)}")
+                check_storable_tuple(keys)
+                if func and value is None:
+                    raise UserError(f"{name}: function tuple requires a value")
+                if not func and value is not None:
+                    raise UserError(f"{name}: relation tuples carry no value")
+                if value != value:
+                    raise UserError(
+                        f"{name}: value {value!r} at key {keys} is not equal to itself"
+                    )
+            if keys <= prev:
+                raise UserError(f"{name}: batch keys not increasing at {keys}")
+            prev = keys
+            batch.append(write)
+    except Exception as e:
+        return type(e), str(e)
+    return batch
+
+
+def raising_after(writes, n):
+    """A generator of writes that raises once it has yielded n of them."""
+    yield from writes[:n]
+    raise RuntimeError(f"writer failed after {n}")
+
+
+class TestWriteSortedChecks:
+    """write_sorted stages a list as it is, exactly when a check of one
+    write at a time accepts it, and raises that check's error; a
+    generator that raises part-way raises the error of a faulty write
+    read before it, else its own."""
+
+    ODD_KEYS = [
+        True,
+        False,
+        KEY_MIN,
+        KEY_MAX,
+        KEY_MIN + 1,
+        KEY_MAX - 1,
+        2**62,
+        -(2**62),
+        2**63,
+        -(2**63) - 1,
+        1.5,
+        2.0,
+        "k",
+    ]
+
+    def random_batch(self, rng, arity, func):
+        keys = sorted(
+            {tuple(rng.randrange(-5, 30) for _ in range(arity)) for _ in range(12)}
+        )
+        writes = []
+        for k in keys:
+            roll = rng.random()
+            if roll < 0.15:
+                value = ABSENT
+            elif func:
+                value = rng.choice([1, -7, 2.5, (1, 2), "v"])
+            else:
+                value = None
+            writes.append((k, value))
+        for _ in range(rng.choice([0, 0, 0, 1, 2])):  # one or two faults
+            i = rng.randrange(len(writes))
+            k, value = writes[i]
+            fault = rng.randrange(6)
+            if fault == 0:  # wrong arity
+                k = k + (1,) if rng.random() < 0.5 else k[:-1]
+            elif fault == 1:  # an odd key, which may be storable
+                j = rng.randrange(arity)
+                k = k[:j] + (rng.choice(self.ODD_KEYS),) + k[j + 1 :]
+            elif fault == 2:  # a value of the wrong kind
+                value = 5 if not func else None
+            elif fault == 3:
+                value = math.nan if func else ABSENT
+            elif fault == 4 and i:  # a duplicate key
+                k = writes[i - 1][0]
+            elif fault == 5 and i:  # a decreasing key
+                writes[i - 1], (k, value) = (k, value), writes[i - 1]
+            writes[i] = (k, value)
+        return writes
+
+    def staged(self, rel, writes):
+        txn = rel.begin()
+        try:
+            txn.write_sorted(writes)
+        except Exception as e:
+            assert txn._batch is None  # a refused batch stages nothing
+            return type(e), str(e)
+        finally:
+            txn.abort()
+        return txn._batch
+
+    @pytest.mark.parametrize("arity", [1, 3])
+    @pytest.mark.parametrize("func", [False, True])
+    def test_random_batches_match_one_by_one(self, arity, func):
+        rng = random.Random(f"checks-{arity}-{func}")
+        rel = Relation("F" if func else "R", arity, is_function=func)
+        refused = 0
+        for trial in range(400):
+            writes = self.random_batch(rng, arity, func)
+            want = checked_one_by_one(rel, writes)
+            got = self.staged(rel, writes)
+            assert got == want, (trial, writes)
+            if isinstance(want, list):
+                assert got is writes  # a list is staged as it is
+            else:
+                refused += 1
+            n = rng.randrange(len(writes) + 1)
+            want = checked_one_by_one(rel, raising_after(writes, n))
+            assert self.staged(rel, raising_after(writes, n)) == want, (trial, n)
+        assert 50 < refused < 350  # both outcomes are exercised
+
+    @pytest.mark.parametrize(
+        "writes,want",
+        [
+            ([((True,), None), ((2,), None)], None),  # bool keys are ints
+            ([((KEY_MAX - 1,), None)], None),
+            ([((KEY_MIN + 1,), None), ((1,), ABSENT)], None),
+            ([((KEY_MAX,), None)], "key 9223372036854775807 outside storable"),
+            ([((1,), ABSENT), ((KEY_MIN,), None)], "key -9223372036854775808 out"),
+            ([((1.0,), None)], r"key 1.0 outside storable"),
+            ([((1,), ABSENT), ((1,), ABSENT)], r"R: batch keys not increasing at \(1"),
+            ([((2,), None), ((1,), ABSENT)], r"R: batch keys not increasing at \(1"),
+        ],
+    )
+    def test_edge_keys(self, writes, want):
+        rel = Relation("R", 1)
+        txn = rel.begin()
+        if want is None:
+            txn.write_sorted(writes)
+            assert txn._batch is writes
+        else:
+            with pytest.raises(UserError, match=want):
+                txn.write_sorted(writes)
+        txn.abort()
 
 
 # sha256 of everything page_shape_digest() feeds it, pinned when a
