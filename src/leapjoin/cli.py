@@ -20,9 +20,13 @@ with a command file like::
 Relation files hold one tuple per line, tab-separated decimal integers,
 with a trailing value column for functions.  Delta files prefix each
 tuple with + or -.  Exit codes: 0 ok, 1 user error, 2 integrity error.
+The ``COMMANDS`` table states each command once; it drives dispatch,
+every usage error and ``--help``.
 """
 
 import sys
+from dataclasses import dataclass
+from typing import Optional
 
 from .driver import RuleInstance, bootstrap, maintain
 from .errors import IntegrityError, UserError
@@ -34,21 +38,48 @@ from .rules import validate_key_order
 from .store import Relation
 from .trace import render_event
 
-USAGE = """\
-usage: leapjoin <command> [args]
-commands:
-  load NAME[/ARITY] FILE [--function]   load a relation from a tuple file
-  rule RULE-TEXT                        install a rule
-  delta NAME FILE                       apply +/- tuple edits as one transaction
-  eval RULE-ID                          full evaluation (bootstrap)
-  maintain RULE-ID [--no-oracle]        incremental maintenance round
-  dump NAME [--eta]                     print a relation or head, sorted
-  dump-sens RULE-ID                     print sensitivity indices
-  scan HEAD LO HI                       range-scan a min/max head's intermediate
-  dump-trace RULE-ID                    print the last evaluation trace
-  stats                                 print workspace counters
-  script FILE                           run commands from a file
-"""
+
+@dataclass(frozen=True)
+class Command:
+    """One command: what runs it, what it takes and how help shows it."""
+
+    method: str  # the Workspace method that runs it
+    nargs: Optional[int]  # positional arguments; None: all words, as one text
+    flags: dict  # flag -> keyword argument the method takes as True
+    syntax: str  # the command's name, then its arguments
+    summary: str
+    hint: str = ""  # appended to the usage error only
+
+
+COMMANDS = {
+    c.syntax.split()[0]: c
+    for c in (
+        Command("cmd_load", 2, {"--function": "function"},
+                "load NAME[/ARITY] FILE [--function]",
+                "load a relation from a tuple file"),
+        Command("cmd_rule", None, {}, "rule RULE-TEXT", "install a rule"),
+        Command("cmd_delta", 2, {}, "delta NAME FILE",
+                "apply +/- tuple edits as one transaction"),
+        Command("cmd_eval", 1, {}, "eval RULE-ID", "full evaluation (bootstrap)"),
+        Command("cmd_maintain", 1, {"--no-oracle": "no_oracle"},
+                "maintain RULE-ID [--no-oracle]", "incremental maintenance round"),
+        Command("cmd_dump", 1, {"--eta": "eta"}, "dump NAME [--eta]",
+                "print a relation or head, sorted"),
+        Command("cmd_dump_sens", 1, {}, "dump-sens RULE-ID",
+                "print sensitivity indices"),
+        Command("cmd_scan", 3, {}, "scan HEAD LO HI",
+                "range-scan a min/max head's intermediate",
+                hint=" (comma-separated keys)"),
+        Command("cmd_dump_trace", 1, {}, "dump-trace RULE-ID",
+                "print the last evaluation trace"),
+        Command("cmd_stats", 0, {}, "stats", "print workspace counters"),
+        Command("run_script", 1, {}, "script FILE", "run commands from a file"),
+    )
+}
+
+USAGE = "usage: leapjoin <command> [args]\ncommands:\n" + "".join(
+    f"  {c.syntax:<38}{c.summary}\n" for c in COMMANDS.values()
+)
 
 
 def _parse_value(text, where):
@@ -108,7 +139,7 @@ class Workspace:
     def __init__(self):
         self.relations = {}
         self.idb = {}  # head predicate name -> (rule_id, head_position)
-        self.rules = {}  # rule id -> (text, RuleInstance)
+        self.rules = {}  # rule id -> RuleInstance
         self._next_rule = 1
 
     # -- commands, each returning printable lines -------------------------
@@ -164,13 +195,12 @@ class Workspace:
         rid = f"r{self._next_rule}"
         self._next_rule += 1
         inst = RuleInstance(plan, heads)
-        self.rules[rid] = (text, inst)
-        for i, hp in enumerate(plan.heads):
-            self.relations[hp.atom.pred] = heads[i]
-            self.idb[hp.atom.pred] = (rid, i)
+        self.rules[rid] = inst
+        for i, pred in enumerate(preds):
+            self.relations[pred] = heads[i]
+            self.idb[pred] = (rid, i)
         return [
-            f"rule {rid} installed: heads="
-            + ",".join(hp.atom.pred for hp in plan.heads)
+            f"rule {rid} installed: heads={','.join(preds)}"
             + f" order=({','.join(plan.key_order)})"
             + f" indices={len(plan.index_specs)}"
         ]
@@ -208,21 +238,18 @@ class Workspace:
     def _instance(self, rid):
         if rid not in self.rules:
             raise UserError(f"unknown rule {rid}")
-        return self.rules[rid][1]
-
-    def _body_versions(self, inst):
-        return inst.current_versions(self.relations)
+        return self.rules[rid]
 
     def cmd_eval(self, rid):
         inst = self._instance(rid)
-        report = bootstrap(inst, self._body_versions(inst))
+        report = bootstrap(inst, inst.current_versions(self.relations))
         return report.to_text().splitlines()
 
     def cmd_maintain(self, rid, no_oracle=False):
         inst = self._instance(rid)
         report = maintain(
             inst,
-            self._body_versions(inst),
+            inst.current_versions(self.relations),
             use_oracle=not no_oracle,
             with_trace=True,
         )
@@ -239,7 +266,7 @@ class Workspace:
         render = render_record
         if name in self.idb:
             rid, hi = self.idb[name]
-            render = self.rules[rid][1].heads[hi].render
+            render = self.rules[rid].heads[hi].render
         return [
             "\t".join([*map(str, keys), *render(value, eta)])
             for keys, value in rel.current.records()
@@ -250,7 +277,7 @@ class Workspace:
         if name not in self.idb:
             raise UserError(f"{name} is not a rule head")
         rid, hi_pos = self.idb[name]
-        head = self.rules[rid][1].heads[hi_pos]
+        head = self.rules[rid].heads[hi_pos]
         if head.agg is None:
             raise UserError(f"{name} is not backed by a scan tree")
         tree = head.agg.tree
@@ -295,7 +322,7 @@ class Workspace:
                 f"records={rel.current.count} pages={rel.stats['pages_allocated']}"
             )
         for rid in sorted(self.rules, key=lambda r: int(r[1:])):
-            text, inst = self.rules[rid]
+            inst = self.rules[rid]
             sens = sum(len(ix) for ix in inst.indices.values())
             bound = (
                 ",".join(
@@ -313,56 +340,17 @@ class Workspace:
     def run_command(self, argv):
         if not argv:
             raise UserError("empty command")
-        cmd, args = argv[0], argv[1:]
-        if cmd == "load":
-            flags = [a for a in args if a == "--function"]
-            rest = [a for a in args if a != "--function"]
-            if len(rest) != 2:
-                raise UserError("usage: load NAME[/ARITY] FILE [--function]")
-            return self.cmd_load(rest[0], rest[1], function=bool(flags))
-        if cmd == "rule":
-            if not args:
-                raise UserError("usage: rule RULE-TEXT")
-            return self.cmd_rule(" ".join(args))
-        if cmd == "delta":
-            if len(args) != 2:
-                raise UserError("usage: delta NAME FILE")
-            return self.cmd_delta(*args)
-        if cmd == "eval":
-            if len(args) != 1:
-                raise UserError("usage: eval RULE-ID")
-            return self.cmd_eval(args[0])
-        if cmd == "maintain":
-            no_oracle = "--no-oracle" in args
-            rest = [a for a in args if a != "--no-oracle"]
-            if len(rest) != 1:
-                raise UserError("usage: maintain RULE-ID [--no-oracle]")
-            return self.cmd_maintain(rest[0], no_oracle=no_oracle)
-        if cmd == "dump":
-            eta = "--eta" in args
-            rest = [a for a in args if a != "--eta"]
-            if len(rest) != 1:
-                raise UserError("usage: dump NAME [--eta]")
-            return self.cmd_dump(rest[0], eta=eta)
-        if cmd == "scan":
-            if len(args) != 3:
-                raise UserError("usage: scan HEAD LO HI (comma-separated keys)")
-            return self.cmd_scan(*args)
-        if cmd == "dump-sens":
-            if len(args) != 1:
-                raise UserError("usage: dump-sens RULE-ID")
-            return self.cmd_dump_sens(args[0])
-        if cmd == "dump-trace":
-            if len(args) != 1:
-                raise UserError("usage: dump-trace RULE-ID")
-            return self.cmd_dump_trace(args[0])
-        if cmd == "stats":
-            return self.cmd_stats()
-        if cmd == "script":
-            if len(args) != 1:
-                raise UserError("usage: script FILE")
-            return self.run_script(args[0])
-        raise UserError(f"unknown command {cmd!r}\n{USAGE}")
+        name, args = argv[0], argv[1:]
+        command = COMMANDS.get(name)
+        if command is None:
+            raise UserError(f"unknown command {name!r}\n{USAGE}")
+        rest = [a for a in args if a not in command.flags]
+        if command.nargs is None and rest:
+            rest = [" ".join(rest)]  # a text: every word, as one argument
+        elif len(rest) != command.nargs:  # for a text: no word at all
+            raise UserError(f"usage: {command.syntax}{command.hint}")
+        flags = {kw: True for flag, kw in command.flags.items() if flag in args}
+        return getattr(self, command.method)(*rest, **flags)
 
     def run_script(self, path):
         out = []

@@ -39,7 +39,7 @@ maps back to its bound key prefix by the plan's ``IndexPlan``.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import islice, repeat
 from operator import gt, itemgetter
@@ -76,18 +76,7 @@ class MaintenanceReport:
     head_erases: int = 0
 
     def to_text(self) -> str:
-        return "\n".join(
-            f"{name}={getattr(self, name)}"
-            for name in (
-                "ops_old",
-                "ops_new",
-                "oracle_intervals",
-                "sens_consumed",
-                "sens_added",
-                "head_inserts",
-                "head_erases",
-            )
-        )
+        return "\n".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
 
 
 def _merge_intervals(pairs):

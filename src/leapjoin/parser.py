@@ -9,12 +9,13 @@ Surface syntax, one rule per string::
     D(x) <- A(x), !B(x).          # parses; evaluation rejects negation
 
 Predicates resolve against a catalog of declared relations/functions;
-add/sub/mul and the comparison relations are primitives.  Aggregation
-kinds: count(), sum(v), min(v), max(v), total(v) -- total is the exact
-floating-point sum.  A parenthesized group without ``;`` stays a nested
-``Conj``.  The parser only builds the ``RuleIR`` as written: variable
-classification, head storage and iterator names are decided by
-``rules.validate_key_order``.
+add/sub/mul and the comparison relations are primitives.  An atom's
+bracket decides its form (``_FORMS``), and one path parses and checks
+both.  Aggregation kinds: count(), sum(v), min(v), max(v), total(v) --
+total is the exact floating-point sum.  A parenthesized group without
+``;`` stays a nested ``Conj``.  The parser only builds the ``RuleIR`` as
+written: variable classification, head storage and iterator names are
+decided by ``rules.validate_key_order``.
 """
 
 import re
@@ -44,6 +45,15 @@ _AGG_NAMES = {
     "min": "MIN",
     "max": "MAX",
     "total": "FLOAT_TOTAL",
+}
+
+# per opening bracket: the closer, the catalog kind and the primitives
+# written so, and the refusal for a predicate of the other form
+_FORMS = {
+    "(": (")", MATERIALIZED_RELATION, PRIMITIVE_RELS,
+          "{0} is a function: write {0}[..]=.."),
+    "[": ("]", MATERIALIZED_FUNCTION, PRIMITIVE_FUNCS,
+          "{0} is a relation: write {0}(..)"),
 }
 
 
@@ -84,66 +94,51 @@ class _Parser:
             raise UserError(f"expected a name, found {tok!r}")
         return tok
 
-    def var_list(self, closer):
-        out = [self.ident()]
-        while self.peek() == ",":
+    def listed(self, item, sep=","):
+        """One or more ``item()`` results, separated by ``sep``."""
+        out = [item()]
+        while self.peek() == sep:
             self.take()
-            out.append(self.ident())
+            out.append(item())
+        return out
+
+    def var_list(self, closer):
+        out = tuple(self.listed(self.ident))
         self.take(closer)
-        return tuple(out)
+        return out
 
     def atom(self, head=False):
         name = self.ident()
-        tok = self.peek()
-        if tok == "(":
-            self.take()
-            args = self.var_list(")")
-            if name in PRIMITIVE_RELS:
-                if head:
-                    raise UserError(f"primitive {name} cannot appear in a head")
-                if len(args) != 2:
-                    raise UserError(f"{name} takes 2 arguments")
-                return Atom(name, PRIMITIVE, args)
-            if name in PRIMITIVE_FUNCS:
-                raise UserError(f"{name} is a function: write {name}[..]=..")
-            if not head:
-                info = self.catalog.get(name)
-                if info is None:
-                    raise UserError(f"unknown predicate {name}")
-                arity, is_func = info
-                if is_func:
-                    raise UserError(f"{name} is a function: write {name}[..]=..")
-                if arity != len(args):
-                    raise UserError(
-                        f"{name} has arity {arity}, used with {len(args)}"
-                    )
-            return Atom(name, MATERIALIZED_RELATION, args)
-        if tok == "[":
-            self.take()
-            args = self.var_list("]")
+        form = _FORMS.get(self.peek())
+        if form is None:
+            raise UserError(f"expected ( or [ after {name}")
+        closer, kind, primitives, misuse = form
+        self.take()
+        args = self.var_list(closer)
+        values = ()
+        if kind == MATERIALIZED_FUNCTION:
             self.take("=")
-            out = self.ident()
-            if name in PRIMITIVE_FUNCS:
-                if head:
-                    raise UserError(f"primitive {name} cannot appear in a head")
-                if len(args) != 2:
-                    raise UserError(f"{name} takes 2 arguments")
-                return Atom(name, PRIMITIVE, args, (out,))
-            if name in PRIMITIVE_RELS:
-                raise UserError(f"{name} is a relation: write {name}(..)")
-            if not head:
-                info = self.catalog.get(name)
-                if info is None:
-                    raise UserError(f"unknown predicate {name}")
-                arity, is_func = info
-                if not is_func:
-                    raise UserError(f"{name} is a relation: write {name}(..)")
-                if arity != len(args):
-                    raise UserError(
-                        f"{name} has arity {arity}, used with {len(args)}"
-                    )
-            return Atom(name, MATERIALIZED_FUNCTION, args, (out,))
-        raise UserError(f"expected ( or [ after {name}")
+            values = (self.ident(),)
+        if name in primitives:
+            if head:
+                raise UserError(f"primitive {name} cannot appear in a head")
+            if len(args) != 2:
+                raise UserError(f"{name} takes 2 arguments")
+            return Atom(name, PRIMITIVE, args, values)
+        if name in PRIMITIVE_RELS or name in PRIMITIVE_FUNCS:
+            raise UserError(misuse.format(name))
+        if not head:
+            info = self.catalog.get(name)
+            if info is None:
+                raise UserError(f"unknown predicate {name}")
+            arity, is_func = info
+            if is_func != (kind == MATERIALIZED_FUNCTION):
+                raise UserError(misuse.format(name))
+            if arity != len(args):
+                raise UserError(
+                    f"{name} has arity {arity}, used with {len(args)}"
+                )
+        return Atom(name, kind, args, values)
 
     def dform(self):
         tok = self.peek()
@@ -151,29 +146,21 @@ class _Parser:
             self.take()
             if self.peek() == "(":
                 self.take()
-                inner = self.conj(stop={")"})
+                inner = self.conj()
                 self.take(")")
                 return Negation(inner)
             return Negation(Conj((self.atom(),)))
         if tok == "(":
             self.take()
-            first = self.conj(stop={";", ")"})
-            branches = [first]
-            while self.peek() == ";":
-                self.take()
-                branches.append(self.conj(stop={";", ")"}))
+            branches = self.listed(self.conj, sep=";")
             self.take(")")
             if len(branches) == 1:
                 return branches[0]
             return Disj(tuple(branches))
         return self.atom()
 
-    def conj(self, stop):
-        forms = [self.dform()]
-        while self.peek() == ",":
-            self.take()
-            forms.append(self.dform())
-        return Conj(tuple(forms))
+    def conj(self):
+        return Conj(tuple(self.listed(self.dform)))
 
     def agg_block(self):
         # agg<< out=kind(in?) >>
@@ -200,17 +187,14 @@ class _Parser:
 
 def parse_rule(text: str, catalog: dict) -> RuleIR:
     p = _Parser(_tokenize(text), catalog)
-    heads = [p.atom(head=True)]
-    while p.peek() == ",":
-        p.take()
-        heads.append(p.atom(head=True))
+    heads = p.listed(lambda: p.atom(head=True))
     p.take("<-")
     agg = None
     if p.peek() == "agg":
         agg = p.agg_block()
         if len(heads) != 1:
             raise UserError("aggregation rules take a single head atom")
-    body = p.conj(stop={"."})
+    body = p.conj()
     p.take(".")
     order = None
     force = False

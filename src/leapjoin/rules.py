@@ -24,6 +24,7 @@ branch's atoms) and decides each head's kind and whether its relation
 stores a value (``HeadPlan.stores_value``).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional
@@ -271,10 +272,7 @@ def _schedule_branch(atoms, order, value_order, qualifier):
     plans = []
     participants = [[] for _ in range(K + 1)]  # index 1..K
     steps = [[] for _ in range(K + 1)]
-    counts: dict[str, int] = {}
-    for atom in atoms:
-        if atom.kind != PRIMITIVE:
-            counts[atom.pred] = counts.get(atom.pred, 0) + 1
+    counts = Counter(a.pred for a in atoms if a.kind != PRIMITIVE)
     seen: dict[str, int] = {}
     value_bind_depth: dict[str, int] = {}
     producers: dict[str, list] = {}  # value var -> [(done_at, plan_pos)]
@@ -324,6 +322,14 @@ def _schedule_branch(atoms, order, value_order, qualifier):
         for other_at, other_pos in plist[1:]:
             steps[other_at].append(("checkval", other_pos, vslot[var]))
 
+    def bound(v):
+        """(source, depth) of a variable bound so far, else None."""
+        if v in depth_of:
+            return ("k", depth_of[v]), depth_of[v]
+        if v in value_bind_depth:
+            return ("v", vslot[v]), value_bind_depth[v]
+        return None
+
     # primitive scheduling: repeat until every primitive has bound inputs
     pending = [a for a in atoms if a.kind == PRIMITIVE]
     progress = True
@@ -331,39 +337,24 @@ def _schedule_branch(atoms, order, value_order, qualifier):
         progress = False
         rest = []
         for atom in pending:
-            fn = PRIMITIVE_FUNCS.get(atom.pred) or PRIMITIVE_RELS.get(atom.pred)
-            srcs = []
-            ready = True
-            hi = 1
-            for v in atom.key_args:
-                if v in depth_of:
-                    srcs.append(("k", depth_of[v]))
-                    hi = max(hi, depth_of[v])
-                elif v in value_bind_depth:
-                    srcs.append(("v", vslot[v]))
-                    hi = max(hi, value_bind_depth[v])
-                else:
-                    ready = False
-                    break
-            if not ready:
+            inputs = [bound(v) for v in atom.key_args]
+            if None in inputs:
                 rest.append(atom)
                 continue
             progress = True
+            fn = PRIMITIVE_FUNCS.get(atom.pred) or PRIMITIVE_RELS.get(atom.pred)
+            srcs = tuple(src for src, _ in inputs)
+            hi = max(d for _, d in inputs)
             if atom.pred in PRIMITIVE_RELS:
-                steps[hi].append(("filter", fn, tuple(srcs)))
+                steps[hi].append(("filter", fn, srcs))
+                continue
+            out = atom.value_args[0]
+            done = bound(out)
+            if done is None:
+                value_bind_depth[out] = hi
+                steps[hi].append(("primbind", fn, srcs, vslot[out]))
             else:
-                out = atom.value_args[0]
-                if out in depth_of:
-                    steps[max(hi, depth_of[out])].append(
-                        ("primcheck", fn, tuple(srcs), ("k", depth_of[out]))
-                    )
-                elif out in value_bind_depth:
-                    steps[max(hi, value_bind_depth[out])].append(
-                        ("primcheck", fn, tuple(srcs), ("v", vslot[out]))
-                    )
-                else:
-                    value_bind_depth[out] = hi
-                    steps[hi].append(("primbind", fn, tuple(srcs), vslot[out]))
+                steps[max(hi, done[1])].append(("primcheck", fn, srcs, done[0]))
         pending = rest
     if pending:
         bad = ", ".join(a.render() for a in pending)
@@ -410,44 +401,31 @@ def validate_key_order(rule: RuleIR, order=None) -> Plan:
     depth_of = {v: i + 1 for i, v in enumerate(order)}
     vslot = {v: i for i, v in enumerate(value_order)}
 
+    def source(v):
+        """Where a head reads a variable: a key's depth or a value's slot."""
+        return ("k", depth_of[v]) if kinds.get(v) == KEY else ("v", vslot[v])
+
     heads = []
     for h in rule.heads:
-        key_sources = tuple(
-            ("k", depth_of[v]) if kinds.get(v) == KEY else ("v", vslot[v])
-            for v in h.key_args
-        )
-        if rule.agg is not None:
+        key_sources = tuple(source(v) for v in h.key_args)
+        if rule.agg is None:
+            kind = "DIRECT" if _mentions_all(h, keys) else "COUNTED"
+            value_var = h.value_args[0] if h.value_args else None
+        else:
+            kind, value_var = rule.agg.kind, rule.agg.input_var
             if h.value_args != (rule.agg.output_var,):
                 raise UserError(
                     "aggregation head must assign the aggregation output"
                 )
-            if rule.agg.kind in ("MIN", "MAX"):
-                # scan-backed heads group by a contiguous key prefix
-                want = tuple(range(1, len(h.key_args) + 1))
-                if tuple(d for tag, d in key_sources if tag == "k") != want or any(
-                    tag != "k" for tag, _ in key_sources
-                ):
-                    raise UserError(
-                        f"{rule.agg.kind} head keys must form a prefix of the "
-                        f"key order {list(order)}"
-                    )
-            if rule.agg.input_var is None:
-                value_source = None
-            else:
-                iv = rule.agg.input_var
-                value_source = (
-                    ("k", depth_of[iv]) if kinds.get(iv) == KEY else ("v", vslot[iv])
+            # scan-backed heads group by a contiguous key prefix
+            prefix = tuple(("k", d) for d in range(1, len(key_sources) + 1))
+            if kind in ("MIN", "MAX") and key_sources != prefix:
+                raise UserError(
+                    f"{kind} head keys must form a prefix of the "
+                    f"key order {list(order)}"
                 )
-            heads.append(HeadPlan(h, rule.agg.kind, key_sources, value_source))
-        else:
-            value_source = None
-            if h.value_args:
-                v = h.value_args[0]
-                value_source = (
-                    ("k", depth_of[v]) if kinds.get(v) == KEY else ("v", vslot[v])
-                )
-            kind = "DIRECT" if _mentions_all(h, keys) else "COUNTED"
-            heads.append(HeadPlan(h, kind, key_sources, value_source))
+        value_source = None if value_var is None else source(value_var)
+        heads.append(HeadPlan(h, kind, key_sources, value_source))
 
     index_specs = {
         (bi, pos, lvl): _index_plan(ap.depths, lvl, len(order))

@@ -435,6 +435,13 @@ class TestMain:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    def test_stats_refuses_arguments(self, ws):
+        rejects(ws, ["stats", "x"], "usage: stats")
+
+    def test_stats_with_arguments_exits_1(self, capsys):
+        assert main(["stats", "x", "y"]) == 1
+        assert capsys.readouterr() == ("", "error: usage: stats\n")
+
     def test_script_from_main(self, tmp_path, capsys):
         write(tmp_path / "a.tsv", "1\n")
         script = write(tmp_path / "s.txt", f"load A/1 {tmp_path}/a.tsv\ndump A\n")
