@@ -318,7 +318,8 @@ class Workspace:
             tag = "idb" if name in self.idb else "edb"
             kind = "function" if rel.is_function else "relation"
             out.append(
-                f"{tag} {name}/{rel.arity} {kind} versions={len(rel.versions)} "
+                f"{tag} {name}/{rel.arity} {kind} "
+                f"versions={rel.current.version_id + 1} "
                 f"records={rel.current.count} pages={rel.stats['pages_allocated']}"
             )
         for rid in sorted(self.rules, key=lambda r: int(r[1:])):

@@ -131,10 +131,11 @@ class ChangeOracle:
 
     def finalize(self):
         entries = {}
-        for key in set(self._admit) | set(self._points):
-            admit = _merge_intervals(self._admit.get(key, ()))
-            pts = [(p, p) for p in self._points.get(key, ())]
-            merged = _merge_intervals(admit + pts)
+        for key in self._admit.keys() | self._points.keys():
+            admit = _merge_intervals(self._admit[key]) if key in self._admit else []
+            pts = self._points.get(key)
+            # a second merge changes merged admits only where points join them
+            merged = _merge_intervals(admit + [(p, p) for p in pts]) if pts else admit
             entries[key] = OracleEntry(merged, admit)
         self._entries = entries
         return self

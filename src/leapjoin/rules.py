@@ -407,6 +407,10 @@ def validate_key_order(rule: RuleIR, order=None) -> Plan:
 
     heads = []
     for h in rule.heads:
+        if rule.agg is not None and rule.agg.output_var in h.key_args:
+            raise UserError(
+                f"aggregation output {rule.agg.output_var} cannot be a head key"
+            )
         key_sources = tuple(source(v) for v in h.key_args)
         if rule.agg is None:
             kind = "DIRECT" if _mentions_all(h, keys) else "COUNTED"

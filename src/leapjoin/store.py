@@ -4,7 +4,10 @@ Relations hold fixed-arity integer-key tuples (optionally carrying a
 value payload, for functional relations) in lexicographic key order
 inside an immutable copy-on-write page tree.  Committing a transaction
 builds a new version that structurally shares every untouched page with
-its predecessor; versions form a linear chain per relation.
+its predecessor.  A relation keeps its current version only: a
+superseded one lives while a reader still holds it (a rule instance's
+bound versions, an open transaction's base, a cursor, a caller), and
+reference counting then frees it with the pages no other version shares.
 
 A transaction takes writes key by key (``insert``/``erase``, as loads
 and input deltas do) or as exactly one sorted batch of final writes
@@ -144,7 +147,11 @@ class RelationVersion:
 
 
 class Relation:
-    """A named relation with its linear version chain."""
+    """A named relation; it keeps its current version, and no other.
+
+    Each commit numbers its version one past its base, so ids run from 0
+    along the chain of commits.
+    """
 
     def __init__(self, name, arity, is_function=False, leaf_capacity=64):
         if arity < 1:
@@ -157,11 +164,12 @@ class Relation:
         self.leaf_capacity = leaf_capacity
         self.stats = {"pages_allocated": 0}
         self._txn_open = False
-        self.versions = [RelationVersion(object(), arity, 0, None, 0)]
+        self.current = RelationVersion(object(), arity, 0, None, 0)
 
     @property
-    def current(self) -> RelationVersion:
-        return self.versions[-1]
+    def versions(self) -> tuple:
+        """The versions the relation itself keeps alive: the current one."""
+        return (self.current,)
 
     def begin(self) -> "Transaction":
         """Open the single writer's workspace over the current version."""
@@ -348,7 +356,7 @@ class Transaction:
         version = RelationVersion(
             base.lineage, base.arity, base.version_id + 1, root, count
         )
-        rel.versions.append(version)
+        rel.current = version
         return version
 
 

@@ -481,8 +481,7 @@ def test_criterion_10_sensitivity_completeness():
                 else:
                     txn.insert(t)
                 perturbed[pred] = txn.commit()
-                rel.versions.pop()  # rollback: the chain stays at the base
-                rel._txn_open = False
+                rel.current = txn.base  # rollback: the relation stays at the base
                 checked += 1
                 if naive_assignments(eng.plan, perturbed) == base:
                     continue

@@ -449,6 +449,17 @@ class TestMain:
         out = capsys.readouterr().out
         assert out == "loaded A arity=1 version=1 records=1\n1\n"
 
+    def test_script_refuses_the_aggregation_output_as_a_head_key(
+        self, tmp_path, capsys
+    ):
+        f = write(tmp_path / "e.tsv", "1\t2\t3\n")
+        rule = "T[s]=s <- agg<< s=sum(v) >> E2[x,y]=v."
+        lines = [f"load E2/2 {f} --function", f"rule {rule}"]
+        script = write(tmp_path / "s.txt", "\n".join(lines) + "\n")
+        assert main(["script", script]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: aggregation output s cannot be a head key\n"
+
     @pytest.mark.parametrize(
         "rows,commands,message",
         [

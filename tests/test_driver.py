@@ -8,11 +8,18 @@ import pytest
 
 from conftest import Engine, expected_head, head_snapshot, naive_assignments
 from leapjoin import driver
-from leapjoin.driver import RuleInstance, bootstrap, build_oracle, maintain
+from leapjoin.driver import (
+    ChangeOracle,
+    OracleEntry,
+    RuleInstance,
+    bootstrap,
+    build_oracle,
+    maintain,
+)
 from leapjoin.errors import IntegrityError, UserError
 from leapjoin.heads import ScanBackedAggregate
 from leapjoin.keys import KEY_MAX, KEY_MIN
-from leapjoin.store import Relation
+from leapjoin.store import Relation, RelationVersion
 
 
 def unary_example():
@@ -106,10 +113,11 @@ class TestBootstrap:
         txn = rel.begin()  # a stray record the evaluation does not derive
         txn.insert((99,) * rel.arity, 0 if rel.is_function else None)
         txn.commit()
-        n = len(rel.versions)
+        before = rel.current.version_id
         bootstrap(eng.inst, eng.versions())
         # one version, staged on a cleared workspace: the stray is gone
-        (refilled,) = rel.versions[n:]
+        refilled = rel.current
+        assert refilled.version_id == before + 1
         assert refilled.count == len(first)
         assert list(refilled.records()) == first
 
@@ -516,3 +524,135 @@ class TestGarbage:
             assert [r() for r in refs] == [None] * len(refs)
         finally:
             gc.enable()
+
+
+TRIANGLE = ("T(x,y,z) <- E(x,y), E(y,z), E(x,z).", {"E": (2, False)})
+UNARY = ("C(x) <- A(x), B(x).", {"A": (1, False), "B": (1, False)})
+MAX = ("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)})
+
+
+def live_versions(rels):
+    """The RelationVersion objects alive in the process for these relations."""
+    lineages = {rel.current.lineage for rel in rels}
+    return sum(
+        1
+        for o in gc.get_objects()
+        if type(o) is RelationVersion and o.lineage in lineages
+    )
+
+
+def tracked_objects():
+    """The number of objects the collector tracks, once it is settled.
+
+    A collection untracks a tuple only when no item of it is tracked, so
+    nested tuples leave the count one level per collection: collect until
+    the count stands still.
+    """
+    before = None
+    while True:
+        gc.collect()
+        count = len(gc.get_objects())
+        if count == before:
+            return count
+        before = count
+
+
+class TestBoundedState:
+    """A relation keeps its current version only: superseded versions and
+    the pages only they hold die with their last reader."""
+
+    @pytest.mark.parametrize(
+        "rule,spec", [TRIANGLE, UNARY], ids=["triangle", "unary"]
+    )
+    def test_rounds_keep_one_live_version_per_relation(self, rule, spec):
+        rng = random.Random(31)
+        eng = Engine(rule, spec)
+        eng.random_fill(rng, per_relation=150, dom=25)
+        rels = [*eng.relations.values(), *eng.head_rels.values()]
+        gc.collect()
+        gc.disable()  # reference counting alone must free them
+        try:
+            bootstrap(eng.inst, eng.versions())
+            counts = [live_versions(rels)]
+            for i in range(1, 2001):
+                eng.random_edits(rng, rng.randrange(1, 4), dom=25)
+                maintain(eng.inst, eng.versions())
+                if i % 250 == 0:
+                    counts.append(live_versions(rels))
+        finally:
+            gc.enable()
+        assert counts == [len(rels)] * len(counts)
+
+    @pytest.mark.parametrize(
+        "rule,spec", [UNARY, MAX, TRIANGLE], ids=["unary", "max", "triangle"]
+    )
+    def test_toggling_one_key_leaves_no_objects_behind(self, rule, spec):
+        rng = random.Random(32)
+        eng = Engine(rule, spec)
+        eng.random_fill(rng, per_relation=150, dom=25)
+        bootstrap(eng.inst, eng.versions())
+        name = sorted(eng.relations)[0]
+        keys, value = next(eng.relations[name].current.records())
+        counts = []
+        for i in range(1, 401):
+            edit(eng, name, keys, value, erase=i % 2 == 1)
+            maintain(eng.inst, eng.versions())
+            if i in (200, 300, 400):
+                counts.append(tracked_objects())
+        assert counts[0] == counts[1] == counts[2], counts
+
+    def test_failed_round_keeps_its_old_versions_alive(self):
+        eng = Engine("P(x,y), Q[x]=v <- F[x,y]=v.", {"F": (2, True)})
+        eng.load("F", [(1, 0, 5), (2, 0, 7)])
+        bootstrap(eng.inst, eng.versions())
+        rel = eng.relations["F"]
+        edit(eng, "F", (1, 1), 6)
+        with pytest.raises(IntegrityError):
+            maintain(eng.inst, eng.versions())
+        # the relation moved on; the instance still holds the version it read
+        assert eng.inst.bound_versions["F"] is not rel.current
+        assert live_versions([rel]) == 2
+        edit(eng, "F", (1, 1), erase=True)
+        maintain(eng.inst, eng.versions())
+        assert live_versions([rel]) == 1
+        assert head_records(eng.inst) == head_records(eng.fresh_reference())
+
+
+def two_merge_oracle(oracle):
+    """The reference finalize: each key's admits merged, then merged again
+    with its points, whether it has any or not."""
+    entries = {}
+    for key in set(oracle._admit) | set(oracle._points):
+        admit = driver._merge_intervals(oracle._admit.get(key, ()))
+        pts = [(p, p) for p in oracle._points.get(key, ())]
+        entries[key] = OracleEntry(driver._merge_intervals(admit + pts), admit)
+    ref = ChangeOracle()
+    ref._entries = entries
+    return ref
+
+
+class TestOracleFinalize:
+    # SHAPES[:10] are criterion 5's ten rule shapes
+    @pytest.mark.parametrize(
+        "rule,spec,value_of", SHAPES[:10], ids=[s[0] for s in SHAPES[:10]]
+    )
+    def test_one_merge_per_key_matches_two(self, rule, spec, value_of):
+        rng = random.Random(rule)
+        eng = Engine(rule, spec)
+        eng.random_fill(rng, per_relation=40, dom=10, value_of=value_of)
+        bootstrap(eng.inst, eng.versions())
+        nonempty = 0
+        for _ in range(40):
+            eng.random_edits(rng, rng.randrange(1, 5), dom=10, value_of=value_of)
+            oracle, _ = build_oracle(
+                eng.inst, eng.inst.bound_versions, eng.versions(), consume=False
+            )
+            ref = two_merge_oracle(oracle)
+            assert list(oracle.render_lines()) == list(ref.render_lines())
+            assert oracle.interval_count() == ref.interval_count()
+            assert {k: e.admit for k, e in oracle._entries.items()} == {
+                k: e.admit for k, e in ref._entries.items()
+            }
+            nonempty += not oracle.is_empty()
+            maintain(eng.inst, eng.versions())
+        assert nonempty

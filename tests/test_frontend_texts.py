@@ -80,6 +80,8 @@ PLANNER_REFUSALS = [
         "T[x]=y <- agg<< s=sum(v) >> E2[x,y]=v.",
         "aggregation head must assign the aggregation output",
     ),
+    ("T[s]=s <- agg<< s=sum(v) >> E2[x,y]=v.", "aggregation output s cannot be a head key"),
+    ("D[x,c]=c <- agg<< c=count() >> A2(x,y).", "aggregation output c cannot be a head key"),
     (
         "M[y]=m <- agg<< m=max(v) >> E2[x,y]=v.",
         "MAX head keys must form a prefix of the key order ['x', 'y']",

@@ -434,8 +434,7 @@ class TestSensitivityCompleteness:
                 else:
                     txn.insert(t)
                 perturbed[ap.atom.pred] = txn.commit()
-                rel.versions.pop()  # roll the chain back after the probe
-                rel._txn_open = False
+                rel.current = txn.base  # roll the relation back after the probe
                 changed = naive_assignments(eng.plan, perturbed) != base
                 if not changed:
                     continue

@@ -537,6 +537,7 @@ class TestDeltaIter:
     def test_random_pairs_match_set_difference(self):
         rng = random.Random(2)
         rel = Relation("R", 2, leaf_capacity=8)
+        versions = [rel.current]  # the relation keeps only its current one
         for _ in range(25):
             txn = rel.begin()
             for _ in range(rng.randrange(1, 60)):
@@ -545,10 +546,10 @@ class TestDeltaIter:
                     txn.insert(t)
                 else:
                     txn.erase(t)
-            txn.commit()
+            versions.append(txn.commit())
         for _ in range(40):
-            i, j = sorted(rng.sample(range(len(rel.versions)), 2))
-            old, new = rel.versions[i], rel.versions[j]
+            i, j = sorted(rng.sample(range(len(versions)), 2))
+            old, new = versions[i], versions[j]
             got = list(delta_iter(old, new))
             olds, news = set(old.records()), set(new.records())
             assert {(d.keys, d.value) for d in got if d.delta == ERASE} == olds - news
@@ -705,6 +706,7 @@ class TestSurgeryIter:
     def test_random_pairs_match_trie_node_diff(self):
         rng = random.Random(4)
         rel = Relation("R", 3, leaf_capacity=4)
+        versions = [rel.current]  # the relation keeps only its current one
         for _ in range(20):
             txn = rel.begin()
             for _ in range(rng.randrange(1, 40)):
@@ -713,7 +715,7 @@ class TestSurgeryIter:
                     txn.insert(t)
                 else:
                     txn.erase(t)
-            txn.commit()
+            versions.append(txn.commit())
 
         def trie_nodes(version):
             nodes = set()
@@ -723,8 +725,8 @@ class TestSurgeryIter:
             return nodes
 
         for _ in range(30):
-            i, j = sorted(rng.sample(range(len(rel.versions)), 2))
-            old, new = rel.versions[i], rel.versions[j]
+            i, j = sorted(rng.sample(range(len(versions)), 2))
+            old, new = versions[i], versions[j]
             got = list(surgery_iter(old, new))
             olds, news = trie_nodes(old), trie_nodes(new)
             assert {s.prefix for s in got if s.delta == ERASE} == olds - news
