@@ -26,11 +26,13 @@ index, when its stream is exhausted.  Nothing reads an index while an
 evaluation runs, because the oracle is built before either side starts.
 
 Each head stages a round in its own open transaction.  The heads commit
-together once every one of them has succeeded; a raise aborts them all,
-leaves the bound versions as they were, and puts the root of every
-sensitivity index and min/max scan tree back (their edits path-copy, so
-an old root is still a whole tree): the consumed hits, the new side's
-merge and the min/max edits of a round that raised are undone.
+together once every one of them has staged, and a round publishes all of
+its heads or none: a raise, in a commit too, aborts the transactions
+still open, puts every head relation's version back, leaves the bound
+versions as they were, and puts the root of every sensitivity index and
+min/max scan tree back (their edits path-copy, so an old root is still a
+whole tree): the consumed hits, the new side's merge and the min/max
+edits of a round that raised are undone.
 
 Atoms whose key arguments prefix the join order carry no indices; their
 surgeries contribute their own key as a point interval, which names the
@@ -319,14 +321,15 @@ def _diff(old_stream, new_stream, counts):
 
 
 def _route(heads, changes):
-    """Apply (assignment, delta) changes to every head, committing none.
+    """Apply (assignment, delta) changes to every head and commit them.
 
     One pass over the changes builds every head's (target keys, payload,
     delta) batch by its C-level getters, with no Python call per change.
-    Each head stages its batch in its own open transaction; when one
-    head raises, every transaction staged so far is aborted, so a round
-    either commits every head or none.  Returns the open transactions
-    and the number of changes routed.
+    Each head stages its batch in its own open transaction, and the heads
+    commit once every one has staged.  A raise, in a stage or a commit,
+    aborts the transactions still open and puts every head relation's
+    version back, so a round publishes every head or none.  Returns the
+    number of changes routed.
     """
     per_head = [[] for _ in heads]
     routes = [(h.target, h.payload, b.append) for h, b in zip(heads, per_head)]
@@ -334,15 +337,21 @@ def _route(heads, changes):
         row = keys + values
         for target, payload, append in routes:
             append((target(row), payload and payload(row), delta))
-    staged = []
+    before = [head.relation.current for head in heads]
+    staged, committed = [], 0
     try:
         for head, deltas in zip(heads, per_head):
             staged.append(head.apply(deltas))
-    except BaseException:
         for txn in staged:
+            txn.commit()
+            committed += 1
+    except BaseException:
+        for txn in staged[committed:]:
             txn.abort()
+        for head, version in zip(heads, before):
+            head.relation.current = version
         raise
-    return staged, len(per_head[0])  # every head takes one delta per change
+    return len(per_head[0])  # every head takes one delta per change
 
 
 def bootstrap(inst, versions, with_trace=True):
@@ -351,8 +360,9 @@ def bootstrap(inst, versions, with_trace=True):
     The evaluation fills fresh indices, and fresh head states (with empty
     min/max scan trees) stage each head on a cleared workspace.  Only
     once every head has staged are the indices and head states swapped
-    in, the heads committed and the bound versions advanced: a bootstrap
-    that raises leaves the instance as it was.
+    in and the bound versions advanced: a bootstrap that raises, in a
+    head's commit too, leaves the instance and its head relations as they
+    were.
     """
     plan = inst.plan
     indices = inst.fresh_indices()
@@ -364,9 +374,8 @@ def bootstrap(inst, versions, with_trace=True):
     trace = [] if with_trace else None
     # the old side is empty: every assignment routes as an insert
     stream = evaluate(plan, versions, recorder=recorder, trace=trace, counter=counter)
-    staged, n = _route(heads, zip(stream, repeat(INSERT)))
-    for head, txn in zip(heads, staged):
-        txn.commit()
+    n = _route(heads, zip(stream, repeat(INSERT)))
+    for head in heads:
         head.replaces = False
     inst.heads = heads
     inst.indices = indices
@@ -407,13 +416,11 @@ def maintain(inst, new_versions, use_oracle=True, with_trace=False):
             trace=trace,
         )
         counts = [0, 0]
-        staged, _ = _route(inst.heads, _diff(old_stream, new_stream, counts))
+        _route(inst.heads, _diff(old_stream, new_stream, counts))
     except BaseException:
         for tree, root, size in saved:
             tree.root, tree.size = root, size
         raise
-    for txn in staged:
-        txn.commit()
     inst.bound_versions = dict(new_versions)
     if trace is not None:
         inst.last_trace = trace

@@ -43,10 +43,10 @@ class SensitivityRecord(NamedTuple):
 
 
 class IntervalIndex:
-    def __init__(self, prefix_len: int, context_len: int, leaf_target: int = 12):
+    def __init__(self, prefix_len: int, context_len: int):
         self.prefix_len = prefix_len
         self.context_len = context_len
-        self.tree = ScanTree(MAX_OP, leaf_target=leaf_target)
+        self.tree = ScanTree(MAX_OP)
         self.stats = {"visits": 0}
 
     def __len__(self):

@@ -105,34 +105,6 @@ class _OracleCursor:
         return False
 
 
-def _check_short_circuit(plan):
-    sc = plan.short_circuit_depth
-    if plan.rule.agg is not None:
-        raise UserError("short-circuit evaluation cannot feed an aggregation")
-    depths = sorted(
-        {d for hp in plan.heads for (tag, d) in hp.key_sources if tag == "k"}
-    )
-    if depths != list(range(1, sc + 1)):
-        raise UserError(
-            "short-circuit needs the head key variables to form a prefix "
-            f"of the key order {list(plan.key_order)}"
-        )
-    for hp in plan.heads:
-        sources = list(hp.key_sources)
-        if hp.value_source is not None:
-            sources.append(hp.value_source)
-        for tag, i in sources:
-            if tag != "v":
-                continue
-            var = plan.value_order[i]
-            for bp in plan.branches:
-                if bp.value_bind_depth[var] > sc:
-                    raise UserError(
-                        f"head value {var} binds below the short-circuit depth"
-                    )
-    return sc
-
-
 def evaluate(
     plan,
     versions,
@@ -141,7 +113,6 @@ def evaluate(
     oracle=None,
     trace=None,
     counter=None,
-    short_circuit=False,
 ):
     """Yield satisfying assignments (key tuple, value tuple) in key order.
 
@@ -158,10 +129,9 @@ def evaluate(
                 raise UserError(f"no version bound for {ap.atom.pred}")
     if counter is None:
         counter = Counter()
-    sc_depth = _check_short_circuit(plan) if short_circuit else 0
 
     gens = [
-        _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_depth)
+        _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter)
         for bi, bp in enumerate(plan.branches)
     ]
     yield from reduce(_union, gens)
@@ -200,7 +170,7 @@ def _union(left, right):
         yield from right
 
 
-def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_depth):
+def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter):
     """The assignment stream of one branch: a generator over depth 1."""
     K = len(plan.key_order)
     atoms = bp.atoms
@@ -300,17 +270,7 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter, sc_dep
                         yield (tuple(keystack), tuple(vslots))
                     else:
                         adm = admitted or oc.entry.admits(cur_max)
-                        sub = deeper(d + 1, adm, deeper)
-                        if d == sc_depth:
-                            # one witness per head prefix: close the rest away
-                            try:
-                                for item in sub:
-                                    yield item
-                                    break
-                            finally:
-                                sub.close()
-                        else:
-                            yield from sub
+                        yield from deeper(d + 1, adm, deeper)
                 frm = keys[0]
                 to = None if first.next() else first.key()
                 counter.ops += 1

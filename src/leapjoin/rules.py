@@ -213,7 +213,6 @@ class BranchPlan:
     atoms: list
     participants: list  # per depth (1-based): list of (atom_pos, level)
     steps: list  # per depth: list of evaluation steps
-    value_bind_depth: dict  # value var -> depth where it binds
 
 
 @dataclass
@@ -238,7 +237,6 @@ class Plan:
     branches: list
     heads: list
     index_specs: dict  # (branch, atom_pos, level) -> IndexPlan
-    short_circuit_depth: int
 
 
 def tuple_getter(positions):
@@ -313,8 +311,12 @@ def _schedule_branch(atoms, order, value_order, qualifier):
             )
 
     # bind each value variable at its shallowest producer; later producers
-    # become equality checks at their own completion depth
+    # become equality checks at their own completion depth.  A function's
+    # value may not be a key of the branch too (a primitive's output may:
+    # see primcheck)
     for var, plist in producers.items():
+        if var in depth_of:
+            raise UserError(f"variable {var} is both a key and a value")
         plist.sort()
         done_at, pos = plist[0]
         value_bind_depth[var] = done_at
@@ -363,7 +365,7 @@ def _schedule_branch(atoms, order, value_order, qualifier):
     unbound = [v for v in value_order if v not in value_bind_depth]
     if unbound:
         raise UserError(f"value variables never bound: {', '.join(unbound)}")
-    return BranchPlan(plans, participants, steps, value_bind_depth)
+    return BranchPlan(plans, participants, steps)
 
 
 def validate_key_order(rule: RuleIR, order=None) -> Plan:
@@ -439,11 +441,6 @@ def validate_key_order(rule: RuleIR, order=None) -> Plan:
         if rule.force_sens or ap.atom.key_args[:lvl] != order[:lvl]
     }
 
-    head_key_depths = [
-        d for hp in heads for (tag, d) in hp.key_sources if tag == "k"
-    ]
-    sc_depth = max(head_key_depths) if head_key_depths else 0
-
     return Plan(
         rule=rule,
         key_order=order,
@@ -451,5 +448,4 @@ def validate_key_order(rule: RuleIR, order=None) -> Plan:
         branches=branches,
         heads=heads,
         index_specs=index_specs,
-        short_circuit_depth=sc_depth,
     )

@@ -107,7 +107,6 @@ class ScanTree:
         self.root = None
         self.size = 0
         self.stats = {"combines": 0, "rebuilds": 0}
-        self.last_recomputed = []  # internal-node ranges rebuilt by the last edit
         self._added = 0
 
     # -- point access ----------------------------------------------------
@@ -148,7 +147,6 @@ class ScanTree:
         are, so the batch is never copied into another form.  Keys that do
         not strictly increase are refused, before the tree changes.
         """
-        self.last_recomputed = []
         if not edits:
             return 0
         following = map(_rec_key, islice(edits, 1, None))
@@ -218,7 +216,6 @@ class ScanTree:
     def _settle(self, left, right):
         """The internal node over changed children, rebalanced if needed."""
         node = _SNode(left, right, self.op)
-        self.last_recomputed.append((node.min_key, node.max_key))
         if _violates(node.left, node.right) or self._leaf_underflow(node):
             return self._rebuild(node)
         return node

@@ -181,16 +181,20 @@ class Engine:
         }
         catalog = {n: spec for n, spec in rel_specs.items()}
         self.plan = validate_key_order(parse_rule(rule_text, catalog))
+        self.inst = self.instance("")
+        self.head_rels = {h.relation.name: h.relation for h in self.inst.heads}
+
+    def instance(self, suffix):
+        """A new instance of the rule; its head relations' names end in ``suffix``."""
         heads = [
             Relation(
-                hp.atom.pred,
+                f"{hp.atom.pred}{suffix}",
                 len(hp.atom.key_args),
                 is_function=hp.stores_value,
             )
             for hp in self.plan.heads
         ]
-        self.head_rels = {rel.name: rel for rel in heads}
-        self.inst = RuleInstance(self.plan, heads)
+        return RuleInstance(self.plan, heads)
 
     def versions(self):
         return {n: r.current for n, r in self.relations.items()}
@@ -200,15 +204,7 @@ class Engine:
 
     def fresh_reference(self):
         """A throwaway instance over the same plan for from-scratch checks."""
-        heads = [
-            Relation(
-                f"{hp.atom.pred}__ref",
-                len(hp.atom.key_args),
-                is_function=hp.stores_value,
-            )
-            for hp in self.plan.heads
-        ]
-        ref = RuleInstance(self.plan, heads)
+        ref = self.instance("__ref")
         bootstrap(ref, self.versions(), with_trace=False)
         return ref
 

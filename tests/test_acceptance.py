@@ -97,7 +97,8 @@ def test_criterion_02_interval_tree_figures():
         (67, 78), (72, 87), (77, 96), (82, 94), (83, 99), (86, 98), (90, 93),
         (93, 100), (98, 107),
     ]
-    ix2 = IntervalIndex(0, 0, leaf_target=1)
+    ix2 = IntervalIndex(0, 0)
+    ix2.tree = ScanTree(MAX_OP, leaf_target=1)  # one record per leaf, as in the figure
     for lo, hi in figure:
         ix2.add(SensitivityRecord((), lo, hi, ()))
     got80 = [(r.lo, r.hi) for r in ix2.stab((), 80)]

@@ -460,6 +460,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "error: aggregation output s cannot be a head key\n"
 
+    def test_script_refuses_a_function_value_used_as_a_key(self, tmp_path, capsys):
+        f = write(tmp_path / "f.tsv", "1\t2\n")
+        e = write(tmp_path / "e.tsv", "1\t2\n")
+        lines = [
+            f"load F/1 {f} --function",
+            f"load E/2 {e}",
+            "rule H(x,z) <- F[x]=z, E(x,z).",
+            "eval r1",
+        ]
+        script = write(tmp_path / "s.txt", "\n".join(lines) + "\n")
+        assert main(["script", script]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: variable z is both a key and a value\n"
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize(
         "rows,commands,message",
         [

@@ -3,11 +3,12 @@ import random
 import sys
 import tracemalloc
 import weakref
+from itertools import count as counting
 
 import pytest
 
 from conftest import Engine, expected_head, head_snapshot, naive_assignments
-from leapjoin import driver
+from leapjoin import driver, intervals, lftj, scantree, store
 from leapjoin.driver import (
     ChangeOracle,
     OracleEntry,
@@ -483,6 +484,115 @@ class TestFailedRound:
         assert list(tree.items()) == before
         tree.audit()
         maintain(eng.inst, eng.versions())
+        assert head_records(eng.inst) == head_records(eng.fresh_reference())
+
+
+class Injected(BaseException):
+    """A fault no ``except Exception`` handler catches."""
+
+
+# every entry point a round passes through on its way to publishing heads
+FAULT_POINTS = [
+    (store.Transaction, "commit"),
+    (store.Transaction, "write_sorted"),
+    (store, "_apply"),
+    (store, "_pack"),
+    (scantree.ScanTree, "apply_sorted"),
+    (intervals.IntervalIndex, "stab_and_remove"),
+    (intervals.IntervalIndex, "add_batch"),
+    (lftj.SensitivityRecorder, "flush"),
+    (driver.HeadState, "apply"),
+    (ScanBackedAggregate, "refresh_head"),
+]
+
+FAULT_RULES = [
+    # one value throughout, so that Q's functional dependency holds
+    ("P(x,y), Q[x]=v <- F[x,y]=v.", {"F": (2, True)}, lambda rng: 7),
+    ("T(x,y,z) <- E(x,y), E(y,z), E(x,z).", {"E": (2, False)}, None),
+    ("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)}, None),
+    ("P(x,z) <- E(x,y), E(y,z).", {"E": (2, False)}, None),
+]
+
+
+def instance_state(inst):
+    """What a round that raised must leave as it found it."""
+    return (
+        head_records(inst),
+        {key: list(ix.enumerate()) for key, ix in inst.indices.items()},
+        [list(h.agg.tree.items()) for h in inst.heads if h.agg is not None],
+        dict(inst.bound_versions),
+    )
+
+
+def raise_at_call(patch, owner, attr, k):
+    """Patch ``owner.attr`` to raise Injected at its k-th call."""
+    original = getattr(owner, attr)
+    calls = [0]
+
+    def faulty(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == k:
+            raise Injected(f"{attr} call {k}")
+        return original(*args, **kwargs)
+
+    patch.setattr(owner, attr, faulty)
+
+
+class TestFaultSweep:
+    """A raise at any call of a round's entry points publishes no head.
+
+    For each entry point a fresh round of input edits is run again and
+    again, raising at its first call, then its second, and so on, until
+    the round completes without the fault.  After each raise the
+    instance must be as it was before the round, with no head
+    transaction left open; the completed round must equal a fresh
+    bootstrap.
+    """
+
+    @pytest.mark.parametrize("run", ["maintain", "bootstrap"])
+    @pytest.mark.parametrize(
+        "rule,spec,value_of", FAULT_RULES, ids=[r[0] for r in FAULT_RULES]
+    )
+    def test_raise_at_every_call(self, rule, spec, value_of, run, monkeypatch):
+        step = {"maintain": maintain, "bootstrap": bootstrap}[run]
+        for seed in (1, 2, 3):
+            rng = random.Random(f"{rule}-{run}-{seed}")
+            eng = Engine(rule, spec, leaf_capacity=4)
+            eng.random_fill(rng, per_relation=40, dom=8, value_of=value_of)
+            bootstrap(eng.inst, eng.versions())
+            for owner, attr in FAULT_POINTS:
+                eng.random_edits(rng, 6, dom=8, value_of=value_of)
+                before = instance_state(eng.inst)
+                for k in counting(1):
+                    with monkeypatch.context() as patch:
+                        raise_at_call(patch, owner, attr, k)
+                        try:
+                            step(eng.inst, eng.versions())
+                        except Injected:
+                            pass
+                        else:
+                            break
+                    where = (seed, attr, k)
+                    assert instance_state(eng.inst) == before, where
+                    for head in eng.inst.heads:
+                        head.relation.begin().abort()  # none is left open
+                assert head_records(eng.inst) == head_records(eng.fresh_reference())
+
+    def test_second_commit_raising_publishes_neither_head(self, monkeypatch):
+        """P committed (3,0) and Q did not; every later round then
+        refused P's direct insert of a live record."""
+        eng = Engine("P(x,y), Q[x]=v <- F[x,y]=v.", {"F": (2, True)})
+        eng.load("F", [(1, 0, 5), (2, 0, 7)])
+        bootstrap(eng.inst, eng.versions())
+        before = instance_state(eng.inst)
+        edit(eng, "F", (3, 0), 9)
+        with monkeypatch.context() as patch:
+            raise_at_call(patch, store.Transaction, "commit", 2)
+            with pytest.raises(Injected):
+                maintain(eng.inst, eng.versions())
+        assert instance_state(eng.inst) == before
+        maintain(eng.inst, eng.versions())
+        assert eng.head_records("P") == [(1, 0), (2, 0), (3, 0)]
         assert head_records(eng.inst) == head_records(eng.fresh_reference())
 
 

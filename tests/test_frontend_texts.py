@@ -102,6 +102,12 @@ PLANNER_REFUSALS = [
         "C(x,y) <- (A2(x,y) ; F1[x]=y).",
         "variable y has no key-position occurrence in some disjunction branch",
     ),
+    ("H(x,z) <- F1[x]=z, A2(x,z).", "variable z is both a key and a value"),
+    ("H(x,y) <- E2[x,y]=y.", "variable y is both a key and a value"),
+    (
+        "H(x,y) <- E2[y,w]=y, eq(w,z), E2[y,x]=v, A(w).",
+        "variable y is both a key and a value",
+    ),
     ("C(x) <- A(x), add[a,b]=c.", "cannot bind primitive inputs: add[a,b]=c"),
     (
         "C(x) <- A(x), lt(x,a), mul[a,b]=c.",

@@ -7,6 +7,7 @@ from conftest import tree_nodes
 from leapjoin.errors import UserError
 from leapjoin.intervals import IntervalIndex, SensitivityRecord
 from leapjoin.keys import KEY_MAX, KEY_MIN
+from leapjoin.scantree import MAX_OP, ScanTree
 
 FIGURE_INTERVALS = [
     (11, 100), (29, 47), (40, 42), (49, 82), (62, 78), (63, 73), (67, 72),
@@ -17,6 +18,13 @@ FIGURE_INTERVALS = [
 
 def rec(lo, hi, prefix=(), ctx=()):
     return SensitivityRecord(prefix, lo, hi, ctx)
+
+
+def index(prefix_len, context_len, leaf_target):
+    """An IntervalIndex whose scan tree holds ``leaf_target`` records per leaf."""
+    ix = IntervalIndex(prefix_len, context_len)
+    ix.tree = ScanTree(MAX_OP, leaf_target=leaf_target)
+    return ix
 
 
 class TestAdd:
@@ -52,7 +60,7 @@ class TestStab:
         assert [(r.lo, r.hi) for r in ix.stab((), 10)] == [(2, 10), (5, 15)]
 
     def test_figure_tree_at_80(self):
-        ix = IntervalIndex(0, 0, leaf_target=1)
+        ix = index(0, 0, 1)
         for lo, hi in FIGURE_INTERVALS:
             ix.add(rec(lo, hi))
         got = [(r.lo, r.hi) for r in ix.stab((), 80)]
@@ -157,8 +165,8 @@ class TestAddBatch:
     def test_batch_equals_sequential_add(self, plen, clen):
         rng = random.Random(23 + 10 * plen + clen)
         for trial in range(40):
-            seq = IntervalIndex(plen, clen, leaf_target=rng.choice((1, 3, 12)))
-            bat = IntervalIndex(plen, clen, leaf_target=seq.tree.leaf_target)
+            seq = index(plen, clen, rng.choice((1, 3, 12)))
+            bat = index(plen, clen, seq.tree.leaf_target)
             if trial % 2:  # non-empty index: the batch overlaps what is there
                 start = self.random_records(rng, plen, clen, rng.randrange(1, 200))
                 for r in start:
@@ -184,7 +192,7 @@ class TestAddBatch:
 
 class TestBatchedEdits:
     def random_index(self, rng, n=600):
-        ix = IntervalIndex(1, 1, leaf_target=rng.choice((1, 3, 12)))
+        ix = index(1, 1, rng.choice((1, 3, 12)))
         for _ in range(4):  # grown in batches, so the shape is not a bulk build
             batch = []
             for _ in range(n // 4):
@@ -202,7 +210,6 @@ class TestBatchedEdits:
         present = [(r.sort_key(), r.hi) for r in ix.enumerate()]
         assert ix.add_batch(rng.sample(present, 50)) == 0
         assert ix.add(next(ix.enumerate())) is False
-        assert tree.last_recomputed == []
         assert tree.stats["rebuilds"] == rebuilds
         after = tree_nodes(tree)
         assert len(after) == len(nodes)

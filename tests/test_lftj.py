@@ -229,52 +229,10 @@ class TestFullEvaluate:
         assert ctr.ops == len(tr)  # every traced event was counted
 
 
-class TestShortCircuit:
-    def make(self, rng, n=80):
-        eng = Engine(
-            "S(x,y) <- A2(x,y), B2(y,z). @order(x,y,z)",
-            {"A2": (2, False), "B2": (2, False)},
-        )
-        eng.random_fill(rng, per_relation=n, dom=6)
-        return eng
-
-    def test_same_head_keys_as_counted(self):
-        rng = random.Random(35)
-        for _ in range(10):
-            eng = self.make(rng)
-            full = list(evaluate(eng.plan, eng.versions()))
-            sc = list(evaluate(eng.plan, eng.versions(), short_circuit=True))
-            assert {k[:2] for k, _ in sc} == {k[:2] for k, _ in full}
-
-    def test_at_most_one_witness_below_head_depth(self):
-        rng = random.Random(36)
-        eng = self.make(rng)
-        sc = list(evaluate(eng.plan, eng.versions(), short_circuit=True))
-        prefixes = [k[:2] for k, _ in sc]
-        assert len(prefixes) == len(set(prefixes))
-
-    def test_short_circuit_skips_iterator_work(self):
-        rng = random.Random(37)
-        eng = self.make(rng, n=200)
-        c1, c2 = Counter(), Counter()
-        list(evaluate(eng.plan, eng.versions(), counter=c1))
-        list(evaluate(eng.plan, eng.versions(), counter=c2, short_circuit=True))
-        assert c2.ops < c1.ops
-
-    def test_gate_requires_prefix_heads(self):
-        eng = Engine(
-            "S(y) <- A2(x,y). @order(x,y)", {"A2": (2, False)}
-        )
-        eng.load("A2", [(1, 2)])
-        with pytest.raises(UserError):
-            list(evaluate(eng.plan, eng.versions(), short_circuit=True))
-
-
-def heap_merged(plan, versions, trace, counter, short_circuit):
+def heap_merged(plan, versions, trace, counter):
     """The branches' union as heapq.merge and a per-item dedupe give it."""
-    sc_depth = lftj._check_short_circuit(plan) if short_circuit else 0
     gens = [
-        lftj._branch_gen(plan, bi, bp, versions, None, None, trace, counter, sc_depth)
+        lftj._branch_gen(plan, bi, bp, versions, None, None, trace, counter)
         for bi, bp in enumerate(plan.branches)
     ]
     last = None
@@ -308,9 +266,8 @@ class TestBranchUnion:
             ),
         ],
     )
-    @pytest.mark.parametrize("short_circuit", [False, True])
-    def test_matches_heap_merge(self, rule, spec, empty, short_circuit):
-        rng = random.Random(f"{rule}-{short_circuit}")
+    def test_matches_heap_merge(self, rule, spec, empty):
+        rng = random.Random(f"{rule}-False")  # the seed string these cases have always used
         arity = next(iter(spec.values()))[0]  # every relation's
 
         def draw():
@@ -333,21 +290,9 @@ class TestBranchUnion:
                 rows = sorted(rows.items())
                 eng.load(name, [k + (v,) if func else k for k, v in rows])
             want_counter, want_trace = Counter(), []
-            want = list(
-                heap_merged(
-                    eng.plan, eng.versions(), want_trace, want_counter, short_circuit
-                )
-            )
+            want = list(heap_merged(eng.plan, eng.versions(), want_trace, want_counter))
             counter, trace = Counter(), []
-            got = list(
-                evaluate(
-                    eng.plan,
-                    eng.versions(),
-                    trace=trace,
-                    counter=counter,
-                    short_circuit=short_circuit,
-                )
-            )
+            got = list(evaluate(eng.plan, eng.versions(), trace=trace, counter=counter))
             assert got == want == sorted(set(want)), trial
             assert trace == want_trace, trial
             assert counter.ops == want_counter.ops, trial

@@ -32,6 +32,17 @@ def eight_leaf_tree(values):
     return t
 
 
+def new_internal_ranges(tree, before):
+    """(min_key, max_key) of each internal node of ``tree`` that is not in
+    ``before`` (a ``tree_nodes`` list) by identity, in walk order."""
+    old = {id(node) for node in before}
+    return [
+        (node.min_key, node.max_key)
+        for node in tree_nodes(tree)
+        if hasattr(node, "left") and id(node) not in old
+    ]
+
+
 class TestRangeScan:
     def test_interval_decompositions_of_eight_leaves(self):
         t = eight_leaf_tree([3, 9, 4, 1, 7, 2, 8, 5])
@@ -91,8 +102,10 @@ class TestRangeScan:
 class TestPointUpdate:
     def test_replace_recomputes_exactly_the_path(self):
         t = eight_leaf_tree([3, 9, 4, 1, 7, 2, 8, 5])
+        before, rebuilds = tree_nodes(t), t.stats["rebuilds"]
         assert t.apply_sorted([((5,), 100)]) == 0  # a replace adds no key
-        assert t.last_recomputed == [((5,), (6,)), ((5,), (8,)), ((1,), (8,))]
+        assert t.stats["rebuilds"] == rebuilds
+        assert new_internal_ranges(t, before) == [((1,), (8,)), ((5,), (8,)), ((5,), (6,))]
         assert t.range_scan((1,), (8,)) == 100
 
     def test_insert_into_empty(self):
@@ -274,9 +287,12 @@ class TestInsertSorted:
         for k in (1, 2, 3, 4):
             t.insert((k,))
         assert t.root.count == 4 and not hasattr(t.root, "left")
+        before, rebuilds = tree_nodes(t), t.stats["rebuilds"]
         t.insert((5,))
         assert [lf.count for lf in (t.root.left, t.root.right)] == [2, 3]
-        assert t.last_recomputed == []
+        # the split's root is the only new internal node: no path recompute
+        assert new_internal_ranges(t, before) == [((1,), (5,))]
+        assert t.stats["rebuilds"] == rebuilds
 
     def test_overflowing_leaf_splits_recursively(self):
         t = ScanTree(COUNT_OP, leaf_target=2)
@@ -368,7 +384,6 @@ class TestApplySorted:
         nodes, rebuilds = tree_nodes(t), t.stats["rebuilds"]
         for batch in (list(t.items()), rng.sample(list(t.items()), 30)):
             assert t.apply_sorted(sorted(batch)) == 0
-            assert t.last_recomputed == []
             assert t.stats["rebuilds"] == rebuilds
             after = tree_nodes(t)
             assert len(after) == len(nodes)
@@ -376,9 +391,11 @@ class TestApplySorted:
 
     def test_single_erase_recomputes_exactly_the_path(self):
         t = eight_leaf_tree([3, 9, 4, 1, 7, 2, 8, 5])
+        before, rebuilds = tree_nodes(t), t.stats["rebuilds"]
         t.erase((5,))
+        assert t.stats["rebuilds"] == rebuilds
         # the emptied leaf's sibling takes its parent's place
-        assert t.last_recomputed == [((6,), (8,)), ((1,), (8,))]
+        assert new_internal_ranges(t, before) == [((1,), (8,)), ((6,), (8,))]
         assert t.range_scan((1,), (8,)) == 9
         t.audit()
 
