@@ -275,7 +275,7 @@ def build_oracle(inst, old_versions, new_versions, consume=True):
         for pos, ap in enumerate(bp.atoms):
             pred = ap.atom.pred
             old, new = old_versions[pred], new_versions[pred]
-            if old is new or old.version_id == new.version_id:
+            if old is new:  # by identity: a rolled-back version's id comes again
                 continue
             if pred not in surgeries:
                 surgeries[pred] = list(surgery_iter(old, new))

@@ -283,6 +283,11 @@ def _schedule_branch(atoms, order, value_order, qualifier):
             d = depth_of.get(v)
             if d is None:
                 raise UserError(f"{atom.render()}: {v} is not a key variable")
+            if d in depths:
+                raise UserError(
+                    f"{atom.render()}: key argument {v} repeats; "
+                    "an atom's key arguments must be distinct"
+                )
             if depths and d <= depths[-1]:
                 raise UserError(
                     f"{atom.render()}: key arguments must follow the join order "

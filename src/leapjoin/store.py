@@ -19,7 +19,10 @@ scan tree's marker, shared by every ordered tree) means keys end absent
 and any other pair becomes the page record as it is.  ``_apply`` builds
 bottom-up when the base is empty; one ``_pack`` cuts every leaf and
 branch it makes.  A version keeps no reference to its relation,
-so a dropped relation is freed by reference counting.
+so a dropped relation is freed by reference counting.  A commit over a
+non-empty base keeps its net change in the new version's ``log``: a weak
+reference to the base, the sorted writes it merged and the base records
+they superseded, which the leaf merge meets as it splices each write in.
 
 Three access paths matter downstream:
 
@@ -29,7 +32,10 @@ Three access paths matter downstream:
   skipping page subtrees shared by both (page touches stay proportional
   to the change count times tree height).
 * ``surgery_iter`` -- the delta stream refined into trie-branch
-  insert/remove operations at every depth.
+  insert/remove operations at every depth.  For a version and the very
+  base it was committed on, the stream is read from the version's log;
+  any other pair (several commits apart, a rolled-back base, a load or a
+  commit over a cleared workspace) is walked by ``delta_iter``.
 
 Per-round cost model, for k edits into a relation of height h (branch
 fan-out at most 32, so every per-page pass below is bounded):
@@ -41,6 +47,9 @@ fan-out at most 32, so every per-page pass below is bounded):
 * far seek -- O(h) bisects however far the target: the cursor climbs
   by compares and descends once (``TrieCursor._seek_record``), through
   the one page-tree descent ``_descend`` that lookups use from the root;
+* surgeries of a version against its base -- O(k) reads of the log, no
+  page of the delta walk, and (at arity above 1) one O(h) prefix lookup
+  per delta record and trie level;
 * delta walk -- O((k + 1) * h) pages touched, shared pages and records
   dropped a whole run at a time.
 """
@@ -49,6 +58,7 @@ from bisect import bisect_left, bisect_right
 from itertools import compress, count
 from operator import attrgetter, is_not, itemgetter
 from typing import Iterator, NamedTuple, Optional
+from weakref import ref
 
 from .errors import IntegrityError, UserError
 from .keys import KEY_MIN, check_storable_tuple
@@ -101,16 +111,24 @@ class SurgeryOp(NamedTuple):
 
 
 class RelationVersion:
-    """Immutable committed snapshot of a relation."""
+    """Immutable committed snapshot of a relation.
 
-    __slots__ = ("lineage", "arity", "version_id", "root", "count")
+    Its ``log``, kept by a commit over a non-empty base, holds no page and
+    only a weak reference to the base, so it keeps no superseded version
+    alive.
+    """
 
-    def __init__(self, lineage, arity, version_id, root, count):
+    __slots__ = (
+        "lineage", "arity", "version_id", "root", "count", "log", "__weakref__"
+    )
+
+    def __init__(self, lineage, arity, version_id, root, count, log=None):
         self.lineage = lineage  # a token shared by every version of one relation
         self.arity = arity
         self.version_id = version_id
         self.root = root
         self.count = count
+        self.log = log  # (ref(base), writes, superseded), or None
 
     def records(self) -> Iterator[tuple]:
         """All (keys, value) records in key order."""
@@ -339,11 +357,12 @@ class Transaction:
         edits = self._batch
         if edits is None:
             edits = sorted(self._edits.items())
+        superseded = []
         if not edits:
             root, count = base.root, base.count
         else:
             alloc = [0]
-            reps = _apply(base.root, edits, rel, alloc)
+            reps = _apply(base.root, edits, rel, alloc, superseded)
             while len(reps) > 1:
                 reps = _pack(reps, _BR_MAX, _BR_TARGET, _Branch, alloc)
             root = reps[0] if reps else None
@@ -353,8 +372,11 @@ class Transaction:
             rel.stats["pages_allocated"] += alloc[0]
         self._done = True
         rel._txn_open = False
+        # a load or a commit over a cleared workspace keeps no log: the walk
+        # from its empty base reads only the new records anyway
+        log = (ref(base), edits, superseded) if base.root is not None else None
         version = RelationVersion(
-            base.lineage, base.arity, base.version_id + 1, root, count
+            base.lineage, base.arity, base.version_id + 1, root, count, log
         )
         rel.current = version
         return version
@@ -384,16 +406,20 @@ def _pack(items, fit, part, make, alloc):
     return out
 
 
-def _merged_records(records, edits):
+def _merged_records(records, edits, superseded):
     """Leaf records with sorted edits spliced in: each edit is placed by
-    one bisect, and the records between edits are copied by slice."""
+    one bisect, and the records between edits are copied by slice.  The
+    records the edits supersede are appended to ``superseded``."""
     out = []
     at, n = 0, len(records)
     for edit in edits:
         keys = edit[0]
         i = bisect_left(records, keys, at, n, key=_rec_keys)
         out += records[at:i]
-        at = i + (i < n and records[i][0] == keys)  # superseded by the edit
+        at = i
+        if i < n and records[i][0] == keys:
+            superseded.append(records[i])
+            at += 1
         if edit[1] is not ABSENT:
             out.append(edit)
     out += records[at:]
@@ -436,20 +462,22 @@ def _fix_siblings(nodes, cap, leaf_min, alloc):
     return out
 
 
-def _apply(node, edits, rel, alloc):
+def _apply(node, edits, rel, alloc, superseded):
     """Rebuild the subtree with sorted edits; returns replacement nodes.
 
     Each run of edits that falls to one child is found with one bisect,
     and the untouched children between runs are copied by slice, so a
     commit of k edits allocates O(k * height) fresh pages and makes
-    O(k * height) bisects.
+    O(k * height) bisects.  Leaves are reached in key order, so the
+    records the edits supersede are appended to ``superseded`` in key
+    order.
     """
     cap = rel.leaf_capacity
     if not isinstance(node, _Branch):  # a leaf, or no base at all
         if node is None:
             records = [e for e in edits if e[1] is not ABSENT]
         else:
-            records = _merged_records(node.records, edits)
+            records = _merged_records(node.records, edits, superseded)
         return _pack(records, 2 * cap, cap, _Leaf, alloc)
     children, mins = node.children, node.mins
     last = len(children) - 1
@@ -461,7 +489,7 @@ def _apply(node, edits, rel, alloc):
             i = 0
         hi = bisect_left(edits, mins[i + 1], lo, n, key=_rec_keys) if i < last else n
         new_children += children[at:i]
-        new_children += _apply(children[i], edits[lo:hi], rel, alloc)
+        new_children += _apply(children[i], edits[lo:hi], rel, alloc, superseded)
         at, lo = i + 1, hi
     new_children = new_children + children[at:]  # exact size: a page keeps it
     new_children = _fix_siblings(new_children, cap, max(1, cap // 2), alloc)
@@ -540,17 +568,39 @@ def delta_iter(old: RelationVersion, new: RelationVersion, stats=None):
                 _expand(b, y, stats)
 
 
+def _logged_delta(writes, superseded):
+    """delta_iter's stream for a version and its base, read from the
+    commit's sorted writes and the base records they superseded."""
+    olds = iter(superseded)
+    old = next(olds, None)
+    for keys, value in writes:
+        if old is not None and old[0] == keys:
+            prior, old = old, next(olds, None)
+            if value is not ABSENT and prior[1] == value:
+                continue  # rewritten to an equal value
+            yield DeltaRecord(prior[0], prior[1], ERASE)
+        if value is not ABSENT:
+            yield DeltaRecord(keys, value, INSERT)
+
+
 def surgery_iter(old: RelationVersion, new: RelationVersion, stats=None):
     """Yield trie-branch changes between two versions.
 
-    Derived from delta_iter by prefix bookkeeping: a record change also
-    removes every branch left childless in the new trie (emitted
+    Derived from the delta stream by prefix bookkeeping: a record change
+    also removes every branch left childless in the new trie (emitted
     deepest-first, with the last delta record under the branch) and adds
     every branch absent from the old trie (emitted shallowest-first, with
-    the first delta record under it).
+    the first delta record under it).  When ``new`` was committed directly
+    on ``old`` (the very object, not an equal version id: a rolled-back
+    version's id comes again), the stream is read from ``new``'s log and
+    touches no page; any other pair is walked by ``delta_iter``.
     """
     arity = old.arity
-    deltas = delta_iter(old, new, stats)
+    log = new.log
+    if log is not None and log[0]() is old:
+        deltas = _logged_delta(log[1], log[2])
+    else:
+        deltas = delta_iter(old, new, stats)
     prev = None
     cur = next(deltas, None)
     while cur is not None:

@@ -728,6 +728,30 @@ class TestBoundedState:
         assert head_records(eng.inst) == head_records(eng.fresh_reference())
 
 
+class TestRolledBackProbe:
+    """A rolled-back version's id comes again, so a round names the versions
+    it compares by identity, never by version id."""
+
+    @pytest.mark.parametrize("commits", [1, 2])
+    def test_a_rule_bound_to_a_rolled_back_probe(self, commits):
+        eng = Engine(*TRIANGLE)
+        eng.load("E", [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)])
+        bootstrap(eng.inst, eng.versions())
+        rel = eng.relations["E"]
+        txn = rel.begin()
+        txn.insert((0, 3))
+        probe = txn.commit()
+        maintain(eng.inst, eng.versions())  # the rule now holds the probe
+        rel.current = txn.base  # roll back
+        edit(eng, "E", (1, 2), erase=True)  # the probe's id, another change
+        assert rel.current.version_id == probe.version_id
+        if commits == 2:
+            edit(eng, "E", (1, 2))  # committed on a version with the probe's id
+        maintain(eng.inst, eng.versions())
+        assert eng.inst.bound_versions["E"] is rel.current
+        assert head_records(eng.inst) == head_records(eng.fresh_reference())
+
+
 def two_merge_oracle(oracle):
     """The reference finalize: each key's admits merged, then merged again
     with its points, whether it has any or not."""

@@ -18,7 +18,7 @@ from leapjoin.rules import (
 
 CATALOG = {
     "A": (1, False), "A2": (2, False), "B2": (2, False),
-    "F1": (1, True), "G1": (1, True), "E2": (2, True),
+    "F1": (1, True), "G1": (1, True), "E2": (2, True), "R3": (3, False),
 }
 
 PARSER_REFUSALS = [
@@ -97,6 +97,23 @@ PLANNER_REFUSALS = [
     (
         "S(x,y) <- A2(x,y). @order(y,x)",
         "A2(x,y): key arguments must follow the join order ['y', 'x']",
+    ),
+    (
+        "C(x) <- A2(x,x).",
+        "A2(x,x): key argument x repeats; an atom's key arguments must be distinct",
+    ),
+    (
+        "C(x) <- E2[x,x]=v.",
+        "E2[x,x]=v: key argument x repeats; an atom's key arguments must be distinct",
+    ),
+    (
+        "C(x,y) <- R3(x,y,x).",
+        "R3(x,y,x): key argument x repeats; an atom's key arguments must be distinct",
+    ),
+    # the refusal met first in argument order wins
+    (
+        "C(x,y) <- R3(y,x,x). @order(x,y)",
+        "R3(y,x,x): key arguments must follow the join order ['x', 'y']",
     ),
     (
         "C(x,y) <- (A2(x,y) ; F1[x]=y).",

@@ -36,7 +36,7 @@ VALUES = ("u", "v")
 RULES = 2000
 ROUNDS = 4
 SEED = 1303
-FUZZ_DIGEST = "563e6df22425b8396e3150af01078329094fbd133495e96718635211a3df2654"
+FUZZ_DIGEST = "78a355d99e972e9ea4f488d312f3ccfcec5e15e7f7e78c911e5f1390936a84f8"
 
 
 def draw_atom(rng, keys):

@@ -1,7 +1,9 @@
 import bisect
+import gc
 import hashlib
 import math
 import random
+import weakref
 
 import pytest
 
@@ -741,6 +743,165 @@ class TestSurgeryIter:
                     assert s.prefix not in replay
                     replay.add(s.prefix)
             assert replay == news
+
+
+def _height(version):
+    node, h = version.root, 0
+    while node is not None:
+        h += 1
+        node = node.children[0] if hasattr(node, "children") else None
+    return h
+
+
+def _walked(version):
+    """The same pages without the commit's log: surgery_iter walks them."""
+    return store.RelationVersion(
+        version.lineage, version.arity, version.version_id, version.root, version.count
+    )
+
+
+def _random_commit(rel, rng, dom):
+    """One random commit: per-key edits, a sorted batch, or a clear.
+    Returns the version and whether the workspace was cleared."""
+    present = dict(rel.current.records())
+    fn = rel.is_function
+
+    def draw_value():
+        return rng.choice([0, 1, 2, 1.0]) if fn else None
+
+    def draw_keys():
+        return tuple(rng.randrange(dom) for _ in range(rel.arity))
+
+    txn = rel.begin()
+    cleared = rng.random() < 0.1
+    roll = rng.random()
+    if cleared:
+        txn.clear()
+        for _ in range(rng.randrange(4)):
+            txn.insert(draw_keys(), draw_value())
+    elif roll < 0.5:  # per-key edits
+        for _ in range(rng.choice([1, 3, 40])):
+            keys, kind = draw_keys(), rng.random()
+            cur = txn.lookup(keys)
+            if cur is None:
+                txn.insert(keys, draw_value())
+            elif kind < 0.3:  # erase, then insert another value or an equal one
+                txn.erase(keys)
+                txn.insert(keys, draw_value() if fn else None)
+            else:
+                txn.erase(keys)
+    else:  # one sorted batch
+        picked = {draw_keys() for _ in range(rng.choice([1, 3, 40]))}
+        if present and rng.random() < 0.3:  # erase half the keys: pages merge
+            picked.update(rng.sample(sorted(present), len(present) // 2))
+        writes = []
+        for keys in sorted(picked):
+            kind = rng.random()
+            if kind < 0.3:
+                value = ABSENT  # absent keys too
+            elif keys in present and kind < 0.5:
+                value = present[keys]  # an equal rewrite
+            else:
+                value = draw_value()
+            writes.append((keys, value))
+        txn.write_sorted(writes)
+    return txn.commit(), cleared
+
+
+class TestCommitLog:
+    """A commit keeps its delta against its base; surgery_iter reads it for
+    that pair and walks every other one, with the same output."""
+
+    @pytest.mark.parametrize("arity,is_function", [(1, False), (2, False), (2, True)])
+    def test_logged_delta_matches_the_walk(self, arity, is_function):
+        rng = random.Random(f"log-{arity}-{is_function}")
+        rel = Relation("R", arity, is_function=is_function, leaf_capacity=2)
+        heights, logged = set(), 0
+        for _ in range(150):
+            old = rel.current
+            new, cleared = _random_commit(rel, rng, dom=12 if arity == 1 else 6)
+            heights.add(_height(new))
+            walked = list(delta_iter(old, new))
+            want = _expected_delta(dict(old.records()), dict(new.records()))
+            assert [(d.keys, d.value, d.delta) for d in walked] == want
+            surgeries = list(surgery_iter(old, _walked(new)))
+            if old.root is None or cleared:  # a load, or over a cleared workspace
+                assert new.log is None
+                continue
+            logged += 1
+            assert new.log[0]() is old
+            assert list(store._logged_delta(*new.log[1:])) == walked
+            stats = {}
+            assert list(surgery_iter(old, new, stats)) == surgeries
+            assert stats == {}  # read from the log: no page touched
+        assert logged > 100
+        assert len(heights) >= 3  # pages split and merged
+
+    def test_value_rewrites(self):
+        rel = Relation("F", 1, is_function=True, leaf_capacity=2)
+        txn = rel.begin()
+        txn.write_sorted([((k,), k) for k in range(10)])
+        v1 = txn.commit()
+        txn = rel.begin()
+        txn.erase((1,))
+        txn.insert((1,), 7)  # replaced
+        txn.erase((2,))
+        txn.insert((2,), 2)  # erased and reinserted equal: no change
+        txn.erase((3,))
+        v2 = txn.commit()
+        txn = rel.begin()
+        # equal rewrites, an absent key, a change
+        txn.write_sorted(
+            [((0,), 0), ((3,), ABSENT), ((4,), 4.0), ((5,), 6), ((11,), ABSENT)]
+        )
+        v3 = txn.commit()
+        for old, new, want in [
+            (v1, v2, [(ERASE, (1,), 1), (INSERT, (1,), 7), (ERASE, (3,), 3)]),
+            (v2, v3, [(ERASE, (5,), 5), (INSERT, (5,), 6)]),
+        ]:
+            assert new.log[0]() is old
+            logged = store._logged_delta(*new.log[1:])
+            assert [(d.delta, d.keys, d.value) for d in logged] == want
+            assert list(surgery_iter(old, new)) == list(surgery_iter(old, _walked(new)))
+
+    def test_a_log_keeps_no_base_alive(self):
+        rel = Relation("R", 1, leaf_capacity=2)
+        base = weakref.ref(fill(rel, [(k,) for k in range(50)]))
+        gc.disable()  # reference counting alone must free the base
+        try:
+            new = fill(rel, [(60,)])
+            assert base() is None
+        finally:
+            gc.enable()
+        assert new.log[0]() is None  # any pair into new is walked
+
+    def test_rolled_back_probe_takes_the_walk(self):
+        """A version rolled back repeats its id: only identity names a base."""
+        rel = Relation("R", 2, leaf_capacity=2)
+        fill(rel, [(k, k % 3) for k in range(20)])
+        txn = rel.begin()
+        txn.insert((4, 0))
+        probe = txn.commit()
+        rel.current = txn.base  # roll back
+        txn = rel.begin()
+        txn.erase((4, 1))
+        again = txn.commit()  # the probe's id, another change
+        txn = rel.begin()
+        txn.insert((30, 1))
+        after = txn.commit()  # committed on a version with the probe's id
+        assert again.version_id == probe.version_id
+
+        def trie_nodes(version):
+            return {keys[:d] for keys, _ in version.records() for d in (1, 2)}
+
+        for new in (again, after):
+            stats = {}
+            got = list(surgery_iter(probe, new, stats))
+            assert stats["pages"] > 0  # walked
+            assert got == list(surgery_iter(probe, _walked(new)))
+            olds, news = trie_nodes(probe), trie_nodes(new)
+            assert {s.prefix for s in got if s.delta == ERASE} == olds - news
+            assert {s.prefix for s in got if s.delta == INSERT} == news - olds
 
 
 class TestTrieCursor:
