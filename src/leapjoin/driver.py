@@ -29,10 +29,12 @@ Each head stages a round in its own open transaction.  The heads commit
 together once every one of them has staged, and a round publishes all of
 its heads or none: a raise, in a commit too, aborts the transactions
 still open, puts every head relation's version back, leaves the bound
-versions as they were, and puts the root of every sensitivity index and
-min/max scan tree back (their edits path-copy, so an old root is still a
-whole tree): the consumed hits, the new side's merge and the min/max
-edits of a round that raised are undone.
+versions as they were, puts back every sensitivity index's partition
+map and record count, and puts back the root of every min/max scan tree
+(their edits path-copy, so an old root is still a whole tree, and a copy
+of an index's map holds every partition's old root): the consumed hits,
+the new side's merge, the partitions it created or emptied and the
+min/max edits of a round that raised are undone.
 
 Atoms whose key arguments prefix the join order carry no indices; their
 surgeries contribute their own key as a point interval, which names the
@@ -395,8 +397,8 @@ def maintain(inst, new_versions, use_oracle=True, with_trace=False):
         raise UserError("rule has not been evaluated yet: run eval first")
     plan = inst.plan
     old_versions = inst.bound_versions
-    trees = [ix.tree for ix in inst.indices.values()]
-    trees += [h.agg.tree for h in inst.heads if h.agg is not None]
+    saved_indices = [(ix, dict(ix.parts), ix.size) for ix in inst.indices.values()]
+    trees = [h.agg.tree for h in inst.heads if h.agg is not None]
     saved = [(tree, tree.root, tree.size) for tree in trees]
     try:
         oracle = None
@@ -418,6 +420,8 @@ def maintain(inst, new_versions, use_oracle=True, with_trace=False):
         counts = [0, 0]
         _route(inst.heads, _diff(old_stream, new_stream, counts))
     except BaseException:
+        for ix, parts, size in saved_indices:
+            ix.parts, ix.size = parts, size
         for tree, root, size in saved:
             tree.root, tree.size = root, size
         raise

@@ -6,23 +6,37 @@ arguments bound before the indexed one (the prefix) and the values of
 other key variables bound earlier in the join order (the context, a
 payload for the oracle builder).
 
-Records live in a max-scan tree ordered by (prefix, lo, hi, context);
-interval ends aggregate as MAX while interval starts are ordered by the
-key itself, so a stabbing query can prune every subtree whose max end is
-below the probe or whose min start is above it.
+Every stab and every emitted record names one exact prefix, so the index
+is partitioned by it (Graefe's partitioned B-tree, "Modern B-Tree
+Techniques", 2011): ``parts`` maps each prefix to the root of a max-scan
+tree over that prefix's records, ordered by (prefix, lo, hi, context).
+Interval ends aggregate as MAX while interval starts are ordered by the
+key itself, so a stab looks its prefix's root up and then prunes every
+subtree whose max end is below the probe or whose min start is above it;
+no level of a tree only separates one prefix from another.  The roots
+share one ``ScanTree`` (``tree``) for the op, the leaf target and the
+stats; its own root stays empty, and the index counts its records in
+``size``.  No partition is kept empty.
 
-Every change is one sorted batch applied by ``ScanTree.apply_sorted``:
-an evaluation buffers the records it emits and ``add_batch`` merges them
-once, when its stream is exhausted (it sorts and dedupes the batch in
-place); ``stab_and_remove`` erases a stab's hits in one batch of
-``(sort key, ABSENT)`` pairs; ``add`` is the batch of one.
+Every change is one sorted batch, merged run by run (one run per
+prefix) by ``ScanTree.merge``: an evaluation buffers the records it emits
+and ``add_batch`` merges them once, when its stream is exhausted (it
+sorts and dedupes the batch in place and splits it at prefix boundaries
+by bisection); ``stab_and_remove`` erases a stab's hits in one run of
+``(sort key, ABSENT)`` pairs; ``add`` is the batch of one.  The
+partitions' roots path-copy like any scan tree's, so a copy of ``parts``
+and ``size`` is a whole snapshot of the index (``driver.maintain``
+restores one when a round raises).
 """
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import UserError
-from .keys import KEY_MAX, KEY_MIN, render_key
+from .keys import KEY_MAX, render_key
 from .scantree import ABSENT, MAX_OP, ScanTree, _rec_key, _SLeaf
+
+LEAF_TARGET = 64  # records per leaf; 32, 64 and 128 measured alike on graph
 
 
 class SensitivityRecord(NamedTuple):
@@ -46,17 +60,33 @@ class IntervalIndex:
     def __init__(self, prefix_len: int, context_len: int):
         self.prefix_len = prefix_len
         self.context_len = context_len
-        self.tree = ScanTree(MAX_OP)
+        self.tree = ScanTree(MAX_OP, leaf_target=LEAF_TARGET)
+        self.parts = {}  # prefix -> root of its records; never None
+        self.size = 0
         self.stats = {"visits": 0}
+        # a sort key's tail past its prefix is at most this
+        self._tail = (KEY_MAX,) * (2 + context_len)
 
     def __len__(self):
-        return self.tree.size
+        return self.size
 
     def _record_of(self, sort_key):
         p = self.prefix_len
         return SensitivityRecord(
             sort_key[:p], sort_key[p], sort_key[p + 1], sort_key[p + 2 :]
         )
+
+    def _merge(self, prefix, edits, lo, hi):
+        """Merge edits[lo:hi], all of ``prefix``, into its partition;
+        returns how many records were new."""
+        parts = self.parts
+        root, added, grown = self.tree.merge(parts.get(prefix), edits, lo, hi)
+        if root is None:
+            parts.pop(prefix, None)
+        else:
+            parts[prefix] = root
+        self.size += grown
+        return added
 
     def add(self, rec: SensitivityRecord) -> bool:
         if len(rec.prefix) != self.prefix_len or len(rec.context) != self.context_len:
@@ -68,7 +98,9 @@ class IntervalIndex:
 
         Sorts ``records`` in place and drops its duplicates; pairs already
         indexed are skipped.  The sort key holds ``hi``, so sorting by it
-        alone orders the pairs, with one tuple walk per compare.
+        alone orders the pairs, with one tuple walk per compare.  Each
+        prefix's run is found by one bisection and merged into its
+        partition.
         """
         records.sort(key=_rec_key)
         p = self.prefix_len
@@ -81,49 +113,62 @@ class IntervalIndex:
             records[kept] = prev = rec
             kept += 1
         del records[kept:]
-        return self.tree.apply_sorted(records)
+        added, lo, tail = 0, 0, self._tail
+        while lo < kept:
+            prefix = records[lo][0][:p]
+            hi = bisect_right(records, prefix + tail, lo, kept, key=_rec_key)
+            added += self._merge(prefix, records, lo, hi)
+            lo = hi
+        return added
 
     def enumerate(self):
-        for key, _ in self.tree.items():
-            yield self._record_of(key)
+        parts = self.parts
+        for prefix in sorted(parts):
+            for key, _ in ScanTree._collect(parts[prefix]):
+                yield self._record_of(key)
 
-    def stab(self, prefix: tuple, x: int):
-        """All records with this prefix whose interval contains x."""
+    def _stab_keys(self, prefix, x):
         out = []
-        root = self.tree.root
+        root = self.parts.get(prefix)
         if root is None:
             return out
         plen = self.prefix_len
-        tail = 2 + self.context_len
-        plo = prefix + (KEY_MIN,) * tail
-        phi = prefix + (KEY_MAX,) * tail
-        stats = self.stats
-
-        def visit(visit, node):  # recurses through its argument: no cycle
-            stats["visits"] += 1
-            if node.max_key < plo or node.min_key > phi:
-                return
-            if node.agg < x:
-                return  # every interval end in here is below x
-            if (
-                node.min_key[:plen] == prefix
-                and node.max_key[:plen] == prefix
-                and node.min_key[plen] > x
-            ):
-                return  # fully inside the prefix and every start is above x
+        stack, visits = [root], 0
+        while stack:
+            node = stack.pop()
+            visits += 1
+            if node.agg < x or node.min_key[plen] > x:
+                continue  # every end in here is below x, or every start above
             if isinstance(node, _SLeaf):
                 for key, hi in node.records:
-                    if key[:plen] == prefix and key[plen] <= x <= hi:
-                        out.append(self._record_of(key))
-                return
-            visit(visit, node.left)
-            visit(visit, node.right)
-
-        visit(visit, root)
+                    if key[plen] > x:
+                        break
+                    if x <= hi:
+                        out.append(key)
+            else:
+                stack += (node.right, node.left)
+        self.stats["visits"] += visits
         return out
 
+    def stab(self, prefix: tuple, x: int):
+        """All records with this prefix whose interval contains x, in key order."""
+        return [self._record_of(key) for key in self._stab_keys(prefix, x)]
+
     def stab_and_remove(self, prefix: tuple, x: int):
-        """``stab``, then erase its hits (in key order) in one batch."""
-        hits = self.stab(prefix, x)
-        self.tree.apply_sorted([(rec.sort_key(), ABSENT) for rec in hits])
-        return hits
+        """``stab``, then erase its hits (in key order) in one run."""
+        keys = self._stab_keys(prefix, x)
+        if keys:
+            self._merge(prefix, [(key, ABSENT) for key in keys], 0, len(keys))
+        return [self._record_of(key) for key in keys]
+
+    # -- invariant checks (used by tests) ----------------------------------
+
+    def audit(self):
+        """Every partition is a sound scan tree of records that carry its
+        prefix, none is empty, and ``size`` is their sum."""
+        p, total = self.prefix_len, 0
+        for prefix, root in self.parts.items():
+            assert len(prefix) == p and root is not None
+            total += self.tree.audit_root(root)
+            assert root.min_key[:p] == prefix == root.max_key[:p]
+        assert total == self.size

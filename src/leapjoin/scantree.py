@@ -6,13 +6,16 @@ their children, so the aggregate of any key interval folds at most
 O(log n) cached values.  Counts are cached alongside, which also powers
 count-pruned complement iteration.
 
-Every edit goes through one path: ``apply_sorted`` takes a batch of
+Every edit goes through one path: ``merge`` takes a run of a batch of
 ``(key, value)`` pairs sorted by key, where the value ``ABSENT`` erases
-its key, and applies it in one descent (a single insert or erase is the
-batch of one).  ``ABSENT`` is defined here once; the store's page tree
-takes batches in the same format.  A subtree the batch does not change is
-returned as it is; each changed node is rebuilt from its new children
-once, on the way up.  Rebalancing: a leaf splits in halves,
+its key, and applies it in one descent to the tree under a given root.
+``apply_sorted`` merges a whole batch into the tree's own root (a single
+insert or erase is the batch of one); a caller that keeps many roots
+under one op, leaf target and stats (``IntervalIndex``, one root per
+prefix) merges into each of them.  ``ABSENT`` is defined here once; the
+store's page tree takes batches in the same format.  A subtree the batch
+does not change is returned as it is; each changed node is rebuilt from
+its new children once, on the way up.  Rebalancing: a leaf splits in halves,
 recursively, while it exceeds twice the bucket target and triggers a
 parent rebuild when it falls under half of it; an internal
 node whose child holds more than twice as many records as its sibling is
@@ -22,8 +25,8 @@ rebuilt (perfectly balanced) on the spot.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
-from operator import itemgetter, lt
+from itertools import islice, repeat
+from operator import is_, itemgetter, lt
 from typing import Callable, Optional
 
 from .errors import IntegrityError, UserError
@@ -108,6 +111,7 @@ class ScanTree:
         self.size = 0
         self.stats = {"combines": 0, "rebuilds": 0}
         self._added = 0
+        self._grown = 0
 
     # -- point access ----------------------------------------------------
 
@@ -135,17 +139,11 @@ class ScanTree:
     def apply_sorted(self, edits):
         """Apply sorted, key-distinct (key, value) edits in one descent.
 
-        A value of ``ABSENT`` erases its key, which must be present; any
-        other value sets its key, inserting or replacing.  A present key
-        set to an equal value is skipped.  Returns how many keys were
-        added.  The batch is split at each node's left max key and merged
-        at the leaves (an overflowing leaf splits in halves,
-        recursively); a subtree the batch leaves as it was is returned
-        untouched, and each changed node is rebuilt and rebalance-checked
-        once on the way up.  Into an empty tree the batch (which then
-        holds no erase) is bulk-built.  Set pairs become records as they
-        are, so the batch is never copied into another form.  Keys that do
-        not strictly increase are refused, before the tree changes.
+        A value of ``ABSENT`` erases its key; any other value sets its
+        key, inserting or replacing.  A present key set to an equal value
+        is skipped, and so is an absent key erased.  Returns how many keys
+        were added.  Keys that do not strictly increase are refused,
+        before the tree changes; the batch is then merged into the root.
         """
         if not edits:
             return 0
@@ -153,13 +151,34 @@ class ScanTree:
         if not all(map(lt, map(_rec_key, edits), following)):  # one C-level pass
             bad = next(b for (a, _), (b, _) in zip(edits, edits[1:]) if not a < b)
             raise UserError(f"scan-tree batch keys not increasing at {bad}")
-        if self.root is None:
-            self.root = self._build(edits)
-            self.size = len(edits)
-            return self.size
-        self._added = 0
-        self.root = self._apply(self.root, edits, 0, len(edits))
-        return self._added
+        self.root, added, grown = self.merge(self.root, edits, 0, len(edits))
+        self.size += grown
+        return added
+
+    def merge(self, root, edits, lo, hi):
+        """The tree under ``root`` with the edits[lo:hi] applied.
+
+        The edits are as ``apply_sorted`` takes them, and are not checked.
+        Returns (new root, keys added, change in record count); the new
+        root is None when no record is left, and ``self.root`` is neither
+        read nor set.  The run is split at each node's left max key and
+        merged at the leaves (an overflowing leaf splits in halves,
+        recursively); a subtree the run leaves as it was is returned
+        untouched, and each changed node is rebuilt and rebalance-checked
+        once on the way up.  Into an empty tree the run's set pairs are
+        bulk-built, each pair a record as it is (a whole batch without
+        erases is not even copied); its erase pairs name absent keys and
+        are dropped.
+        """
+        if root is None:
+            run = edits if hi - lo == len(edits) else edits[lo:hi]
+            if any(map(is_, map(_rec_value, run), repeat(ABSENT))):  # C-level
+                run = [edit for edit in run if edit[1] is not ABSENT]
+            n = len(run)
+            return (self._build(run) if n else None), n, n
+        self._added = self._grown = 0
+        root = self._apply(root, edits, lo, hi)
+        return root, self._added, self._grown
 
     def _apply(self, node, edits, lo, hi):
         """The subtree with edits[lo:hi] applied: ``node`` itself when they
@@ -199,7 +218,7 @@ class ScanTree:
         if not out and not at:
             return leaf  # no edit changed a record
         out.extend(old[at:])
-        self.size += len(out) - n
+        self._grown += len(out) - n
         self._added += added
         if not out:
             return None
@@ -366,8 +385,12 @@ class ScanTree:
     # -- invariant checks (used by tests) ----------------------------------
 
     def audit(self):
-        if self.root is None:
-            return
+        assert self.audit_root(self.root) == self.size
+
+    def audit_root(self, root):
+        """Checks the tree under ``root`` (None: empty); returns its record count."""
+        if root is None:
+            return 0
         op = self.op
 
         def walk(node):
@@ -389,8 +412,7 @@ class ScanTree:
             assert node.agg == op.combine(node.left.agg, node.right.agg)
             return lrecs + rrecs
 
-        recs = walk(self.root)
-        assert len(recs) == self.size
+        return len(walk(root))
 
     def height(self):
         h, node = 0, self.root

@@ -147,7 +147,17 @@ def expected_head(plan, head_index, assignments):
 
 def tree_nodes(tree):
     """Every node object of a ScanTree, in a fixed walk order."""
-    out, stack = [], [tree.root] if tree.root is not None else []
+    return _nodes_under(tree.root)
+
+
+def index_nodes(ix):
+    """Every node object of every partition of an IntervalIndex, in prefix order."""
+    parts = ix.parts
+    return [node for prefix in sorted(parts) for node in _nodes_under(parts[prefix])]
+
+
+def _nodes_under(root):
+    out, stack = [], [root] if root is not None else []
     while stack:
         node = stack.pop()
         out.append(node)

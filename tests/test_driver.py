@@ -498,6 +498,7 @@ FAULT_POINTS = [
     (store, "_apply"),
     (store, "_pack"),
     (scantree.ScanTree, "apply_sorted"),
+    (scantree.ScanTree, "merge"),
     (intervals.IntervalIndex, "stab_and_remove"),
     (intervals.IntervalIndex, "add_batch"),
     (lftj.SensitivityRecorder, "flush"),
@@ -577,6 +578,43 @@ class TestFaultSweep:
                     for head in eng.inst.heads:
                         head.relation.begin().abort()  # none is left open
                 assert head_records(eng.inst) == head_records(eng.fresh_reference())
+
+    def test_raise_after_the_flush_created_and_emptied_partitions(self, monkeypatch):
+        """A round that raised puts back each index's partitions and count.
+
+        The round's stab empties E(y,z)'s partition (2,) and its flush
+        creates (5,).  Putting back only the saved partitions' roots would
+        keep (5,) and the round's record count.
+        """
+        eng = Engine("P(x,z) <- E(x,y), E(y,z).", {"E": (2, False)})
+        eng.load("E", [(1, 2), (2, 3), (4, 5)])
+        bootstrap(eng.inst, eng.versions())
+        ix = eng.inst.indices[0, 1, 2]
+        parts, size, contents = dict(ix.parts), len(ix), list(ix.enumerate())
+        assert list(parts) == [(2,)] and size == 2
+        before = instance_state(eng.inst)
+        txn = eng.relations["E"].begin()
+        txn.erase((2, 3))
+        txn.insert((5, 6))
+        txn.commit()
+        flush = lftj.SensitivityRecorder.flush
+
+        def flush_then_raise(recorder):
+            flush(recorder)
+            assert list(ix.parts) == [(5,)]  # (2,) emptied, (5,) created
+            raise Injected("after the flush")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lftj.SensitivityRecorder, "flush", flush_then_raise)
+            with pytest.raises(Injected):
+                maintain(eng.inst, eng.versions())
+        assert list(ix.parts) == [(2,)] and ix.parts[2,] is parts[2,]
+        assert len(ix) == size and list(ix.enumerate()) == contents
+        ix.audit()
+        assert instance_state(eng.inst) == before
+        maintain(eng.inst, eng.versions())
+        assert list(ix.parts) == [(5,)]
+        assert head_records(eng.inst) == head_records(eng.fresh_reference())
 
     def test_second_commit_raising_publishes_neither_head(self, monkeypatch):
         """P committed (3,0) and Q did not; every later round then

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from conftest import tree_nodes
+from conftest import index_nodes
 from leapjoin.errors import UserError
 from leapjoin.intervals import IntervalIndex, SensitivityRecord
 from leapjoin.keys import KEY_MAX, KEY_MIN
-from leapjoin.scantree import MAX_OP, ScanTree
+from leapjoin.scantree import ABSENT, MAX_OP, ScanTree
 
 FIGURE_INTERVALS = [
     (11, 100), (29, 47), (40, 42), (49, 82), (62, 78), (63, 73), (67, 72),
@@ -21,10 +21,22 @@ def rec(lo, hi, prefix=(), ctx=()):
 
 
 def index(prefix_len, context_len, leaf_target):
-    """An IntervalIndex whose scan tree holds ``leaf_target`` records per leaf."""
+    """An IntervalIndex whose scan trees hold ``leaf_target`` records per leaf."""
     ix = IntervalIndex(prefix_len, context_len)
     ix.tree = ScanTree(MAX_OP, leaf_target=leaf_target)
     return ix
+
+
+def erase_one(ix, r):
+    """Erase one present record from its partition, the sequential reference."""
+    root = ix.parts[r.prefix]
+    root, added, grown = ix.tree.merge(root, [(r.sort_key(), ABSENT)], 0, 1)
+    assert (added, grown) == (0, -1)
+    if root is None:
+        del ix.parts[r.prefix]
+    else:
+        ix.parts[r.prefix] = root
+    ix.size -= 1
 
 
 class TestAdd:
@@ -177,7 +189,8 @@ class TestAddBatch:
             got = bat.add_batch([(r.sort_key(), r.hi) for r in recs])
             assert got == want
             assert list(bat.enumerate()) == list(seq.enumerate())
-            bat.tree.audit()
+            bat.audit()
+            seq.audit()
             for _ in range(50):
                 p = tuple(rng.randrange(3) for _ in range(plen))
                 x = rng.randrange(-5, 240)
@@ -205,15 +218,18 @@ class TestBatchedEdits:
     def test_re_adding_present_records_changes_nothing(self):
         rng = random.Random(24)
         ix = self.random_index(rng)
-        tree = ix.tree
-        nodes, rebuilds = tree_nodes(tree), tree.stats["rebuilds"]
+        parts = dict(ix.parts)
+        assert len(parts) == 3
+        nodes, rebuilds = index_nodes(ix), ix.tree.stats["rebuilds"]
         present = [(r.sort_key(), r.hi) for r in ix.enumerate()]
         assert ix.add_batch(rng.sample(present, 50)) == 0
         assert ix.add(next(ix.enumerate())) is False
-        assert tree.stats["rebuilds"] == rebuilds
-        after = tree_nodes(tree)
+        assert ix.tree.stats["rebuilds"] == rebuilds
+        assert all(ix.parts[p] is root for p, root in parts.items())
+        after = index_nodes(ix)
         assert len(after) == len(nodes)
         assert all(a is b for a, b in zip(after, nodes))
+        ix.audit()
 
     def test_batched_removal_equals_sequential_removal(self):
         rng = random.Random(25)
@@ -226,7 +242,51 @@ class TestBatchedEdits:
                 got = bat.stab_and_remove(p, x)
                 want = seq.stab(p, x)
                 for r in want:
-                    seq.tree.erase(r.sort_key())
+                    erase_one(seq, r)
                 assert got == want
                 assert list(bat.enumerate()) == list(seq.enumerate())
-            bat.tree.audit()
+                assert len(bat) == len(seq)
+            bat.audit()
+            seq.audit()
+
+
+class TestPartitions:
+    @pytest.mark.parametrize("plen", [1, 2])
+    def test_partitions_made_out_of_prefix_order_read_as_one_tree(self, plen):
+        rng = random.Random(26 + plen)
+        ix = index(plen, 1, 3)
+        one = ScanTree(MAX_OP, leaf_target=3)  # the reference: every record in one tree
+        prefixes = [(10,), (2,), (1,), (7,), (2,)]
+        if plen == 2:
+            prefixes = [(p, p % 3) for (p,) in prefixes] + [(2, 0), (2, 9)]
+        batches = [[p] for p in prefixes] + [prefixes]  # last: every prefix at once
+        for batch_prefixes in batches:
+            batch = []
+            for _ in range(rng.randrange(1, 120)):
+                lo = rng.randrange(300)
+                r = rec(lo, lo + rng.randrange(30), rng.choice(batch_prefixes),
+                        (rng.randrange(4),))
+                batch.append((r.sort_key(), r.hi))
+            want = one.apply_sorted(sorted(set(batch)))
+            assert ix.add_batch(batch) == want
+        assert list(ix.parts)[:3] == [prefixes[0], prefixes[1], prefixes[2]]
+        ix.audit()
+        records = [rec(k[plen], hi, k[:plen], k[plen + 2 :]) for k, hi in one.items()]
+        assert list(ix.enumerate()) == records
+        assert len(ix) == one.size
+        for p in sorted(set(prefixes)) + [(5,) * plen]:
+            for x in range(-1, 335, 7):
+                want = [r for r in records if r.prefix == p and r.lo <= x <= r.hi]
+                assert ix.stab(p, x) == want
+
+    def test_emptied_partition_is_dropped(self):
+        ix = IntervalIndex(1, 0)
+        recs = (rec(1, 4, (3,)), rec(2, 6, (3,)), rec(0, 9, (8,)))
+        ix.add_batch([(r.sort_key(), r.hi) for r in recs])
+        assert len(ix.stab_and_remove((3,), 3)) == 2
+        assert list(ix.parts) == [(8,)] and len(ix) == 1
+        assert ix.stab_and_remove((3,), 3) == []
+        ix.audit()
+        assert ix.add(rec(5, 5, (3,))) is True
+        assert sorted(ix.parts) == [(3,), (8,)] and len(ix) == 2
+        ix.audit()

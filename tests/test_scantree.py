@@ -375,6 +375,23 @@ class TestApplySorted:
         assert t.root is None and t.size == 0
         assert t.range_scan((KEY_MIN,), (KEY_MAX,)) is EMPTY
 
+    def test_erases_into_an_empty_tree_are_dropped(self):
+        """An erase of an absent key is a no-op into an empty tree too.
+
+        The bulk path built it as a live record: ``size`` read 1, ``get``
+        gave ``(ABSENT,)`` and ``audit`` failed.
+        """
+        t = ScanTree(MAX_OP)
+        assert t.apply_sorted([((1,), ABSENT)]) == 0
+        assert t.root is None and t.size == 0 and t.get((1,)) is None
+        t.audit()
+        assert t.apply_sorted([((1,), ABSENT), ((2,), 5), ((3,), ABSENT)]) == 1
+        assert list(t.items()) == [((2,), 5)] and t.size == 1
+        t.audit()
+        # the same erases into the filled tree: also no-ops
+        assert t.apply_sorted([((1,), ABSENT), ((3,), ABSENT)]) == 0
+        assert list(t.items()) == [((2,), 5)] and t.size == 1
+
     @pytest.mark.parametrize("leaf_target", [1, 3, 12])
     def test_reapplying_present_records_changes_nothing(self, leaf_target):
         rng = random.Random(20)
