@@ -30,6 +30,8 @@ restores one when a round raises).
 """
 
 from bisect import bisect_right
+from itertools import compress
+from operator import gt, itemgetter, ne
 from typing import NamedTuple
 
 from .errors import UserError
@@ -37,6 +39,8 @@ from .keys import KEY_MAX, render_key
 from .scantree import ABSENT, MAX_OP, ScanTree, _rec_key, _SLeaf
 
 LEAF_TARGET = 64  # records per leaf; 32, 64 and 128 measured alike on graph
+
+_rec_hi = itemgetter(1)
 
 
 class SensitivityRecord(NamedTuple):
@@ -98,22 +102,21 @@ class IntervalIndex:
 
         Sorts ``records`` in place and drops its duplicates; pairs already
         indexed are skipped.  The sort key holds ``hi``, so sorting by it
-        alone orders the pairs, with one tuple walk per compare.  Each
-        prefix's run is found by one bisection and merged into its
-        partition.
+        alone orders the pairs, with one tuple walk per compare.  The
+        dedupe and the ``lo <= hi`` check are C-level passes over the
+        sorted pairs; a faulty pair raises, naming the first one, before
+        any partition changes.  Each prefix's run is found by one
+        bisection and merged into its partition.
         """
         records.sort(key=_rec_key)
+        rest = records[1:]
+        records[1:] = compress(rest, map(ne, rest, records))
         p = self.prefix_len
-        kept, prev = 0, None
-        for rec in records:
-            if rec == prev:
-                continue
-            if rec[0][p] > rec[1]:
-                raise UserError(f"interval lo > hi: {self._record_of(rec[0])}")
-            records[kept] = prev = rec
-            kept += 1
-        del records[kept:]
-        added, lo, tail = 0, 0, self._tail
+        los = map(itemgetter(p), map(_rec_key, records))
+        bad = next(compress(records, map(gt, los, map(_rec_hi, records))), None)
+        if bad is not None:
+            raise UserError(f"interval lo > hi: {self._record_of(bad[0])}")
+        added, lo, kept, tail = 0, 0, len(records), self._tail
         while lo < kept:
             prefix = records[lo][0][:p]
             hi = bisect_right(records, prefix + tail, lo, kept, key=_rec_key)

@@ -18,8 +18,8 @@ the other key variables bound at shallower depths, laid out by the plan's
 evaluation runs and merged into the indices once, when the assignment
 stream is exhausted.
 
-The accounting is inline: each move reads its cursor's landing key once
-(None when next/seek_lub report the end), keeps it as that cursor's key
+The accounting is inline: each move returns its cursor's landing key
+(None at the end of the level), which is kept as that cursor's key
 for the rest of the intersection, and from it bumps the op count,
 appends the trace event and emits the interval.  Each depth's
 participants carry their sensitivity buffer and sort-key getter, looked
@@ -74,35 +74,29 @@ class SensitivityRecorder:
 class _OracleCursor:
     """Presents a merged interval list as a one-level trie iterator.
 
-    ``pos`` is the current key.  The evaluator opens it once, never moves
-    it up, and only seeks it forward: it joins its depth's leapfrog as the
-    last participant.
+    The evaluator opens it once, never moves it up, and only seeks it
+    forward: it joins its depth's leapfrog as the last participant, and
+    the leapfrog keeps the key each move returns.
     """
 
-    __slots__ = ("entry", "iv", "i", "pos")
+    __slots__ = ("entry", "iv", "i")
 
     def __init__(self, entry):
         self.entry = entry
         self.iv = entry.merged
 
     def open(self):
+        """Stand at the first interval's start (the list is never empty)."""
         self.i = 0
-        self.pos = self.iv[0][0]
-
-    def at_end(self):
-        return False  # a merged interval list is never empty
-
-    def key(self):
-        return self.pos
+        return self.iv[0][0]
 
     def seek_lub(self, k):
-        """Move to the least key >= k (k > pos); True when none is left."""
+        """Move to the least key >= k; returns it, or None when none is left."""
         iv = self.iv
         i = self.i = bisect_left(iv, k, self.i, key=_interval_hi)
         if i == len(iv):
-            return True
-        self.pos = max(iv[i][0], k)
-        return False
+            return None
+        return max(iv[i][0], k)
 
 
 def evaluate(
@@ -228,8 +222,7 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter):
         steps = bp.steps[d]
         keys = []  # keys[j]: the key parts[j]'s cursor stands at, or None
         for cur, name, slot in parts:
-            cur.open()
-            to = None if cur.at_end() else cur.key()
+            to = cur.open()
             keys.append(to)
             counter.ops += 1
             if trace is not None:
@@ -248,7 +241,7 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter):
                 for j, k in enumerate(keys):
                     if k < cur_max:
                         cur, name, slot = parts[j]
-                        to = None if cur.seek_lub(cur_max) else cur.key()
+                        to = cur.seek_lub(cur_max)
                         counter.ops += 1
                         if trace is not None:
                             trace.append((name, SEEK, d, k, cur_max, to))
@@ -272,7 +265,7 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter):
                         adm = admitted or oc.entry.admits(cur_max)
                         yield from deeper(d + 1, adm, deeper)
                 frm = keys[0]
-                to = None if first.next() else first.key()
+                to = first.next()
                 counter.ops += 1
                 if trace is not None:
                     trace.append((first_name, NEXT, d, frm, None, to))

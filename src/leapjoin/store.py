@@ -27,7 +27,11 @@ they superseded, which the leaf merge meets as it splices each write in.
 Three access paths matter downstream:
 
 * ``TrieCursor`` -- the trie iterator (open/up/next/seek_lub) used by the
-  join evaluator.
+  join evaluator.  ``open``, ``next`` and ``seek_lub`` return the key they
+  land on, or None at the end of the level, so a move is one call.  A
+  first-level open stands at the version's first record, read once per
+  version and cached on it (``RelationVersion.first``), and builds its
+  page path only when a move needs it.
 * ``delta_iter`` -- ordered symmetric difference of two versions,
   skipping page subtrees shared by both (page touches stay proportional
   to the change count times tree height).
@@ -43,10 +47,18 @@ fan-out at most 32, so every per-page pass below is bounded):
 * commit -- O(k * h) bisects and fresh pages: each run of edits that
   falls to one child is routed with one bisect, untouched children are
   copied by slice, the sibling fix-up runs only when a page is
-  undersized, and a leaf splices each edit in with one bisect;
-* far seek -- O(h) bisects however far the target: the cursor climbs
-  by compares and descends once (``TrieCursor._seek_record``), through
-  the one page-tree descent ``_descend`` that lookups use from the root;
+  undersized, and a leaf splices each edit in with one bisect.  A branch
+  whose edits all fall to one child that comes back as one page of legal
+  size (in a one-edit commit, every branch but those where a page splits
+  or merges) is a copy of the branch with that child's slot swapped
+  (``_swap_child``): no sibling is read, ``mins`` is shared unless the
+  child's min key moved, and ``count`` moves by the child's change;
+* cursor move -- a target in the current leaf is found there by the
+  move's own call (no bisect for the next record); a target past the
+  leaf's last record climbs by compares and descends once, O(h) bisects
+  however far the target, through the one page-tree descent
+  ``_descend`` that lookups use from the root; an open followed by a far
+  seek descends once, from the root;
 * surgeries of a version against its base -- O(k) reads of the log, no
   page of the delta walk, and (at arity above 1) one O(h) prefix lookup
   per delta record and trie level;
@@ -115,11 +127,13 @@ class RelationVersion:
 
     Its ``log``, kept by a commit over a non-empty base, holds no page and
     only a weak reference to the base, so it keeps no superseded version
-    alive.
+    alive.  Its first record is read once, by the first ``first`` call,
+    and kept.
     """
 
     __slots__ = (
-        "lineage", "arity", "version_id", "root", "count", "log", "__weakref__"
+        "lineage", "arity", "version_id", "root", "count", "log", "_first",
+        "__weakref__",
     )
 
     def __init__(self, lineage, arity, version_id, root, count, log=None):
@@ -129,6 +143,17 @@ class RelationVersion:
         self.root = root
         self.count = count
         self.log = log  # (ref(base), writes, superseded), or None
+        self._first = None
+
+    def first(self) -> Optional[tuple]:
+        """The first (keys, value) record, or None when the version is empty."""
+        rec = self._first
+        if rec is None and self.root is not None:
+            node = self.root
+            while isinstance(node, _Branch):
+                node = node.children[0]
+            rec = self._first = node.records[0]
+        return rec
 
     def records(self) -> Iterator[tuple]:
         """All (keys, value) records in key order."""
@@ -468,9 +493,13 @@ def _apply(node, edits, rel, alloc, superseded):
     Each run of edits that falls to one child is found with one bisect,
     and the untouched children between runs are copied by slice, so a
     commit of k edits allocates O(k * height) fresh pages and makes
-    O(k * height) bisects.  Leaves are reached in key order, so the
-    records the edits supersede are appended to ``superseded`` in key
-    order.
+    O(k * height) bisects.  When every edit falls to one child and it
+    comes back as one page of legal size, the branch is that child's slot
+    swapped (``_swap_child``): its siblings are as the base left them, and
+    no commit leaves a page but the root undersized, so the sibling fix-up
+    and the repack would change nothing.  Leaves are reached in key
+    order, so the records the edits supersede are appended to
+    ``superseded`` in key order.
     """
     cap = rel.leaf_capacity
     if not isinstance(node, _Branch):  # a leaf, or no base at all
@@ -481,19 +510,47 @@ def _apply(node, edits, rel, alloc, superseded):
         return _pack(records, 2 * cap, cap, _Leaf, alloc)
     children, mins = node.children, node.mins
     last = len(children) - 1
-    new_children = []
-    lo, n, at = 0, len(edits), 0  # children[:at] are placed
-    while lo < n:
-        i = bisect_right(mins, edits[lo][0]) - 1  # the child taking edits[lo]
-        if i < 0:
-            i = 0
-        hi = bisect_left(edits, mins[i + 1], lo, n, key=_rec_keys) if i < last else n
-        new_children += children[at:i]
-        new_children += _apply(children[i], edits[lo:hi], rel, alloc, superseded)
-        at, lo = i + 1, hi
-    new_children = new_children + children[at:]  # exact size: a page keeps it
-    new_children = _fix_siblings(new_children, cap, max(1, cap // 2), alloc)
+    leaf_min = max(1, cap // 2)
+    n = len(edits)
+    i = bisect_right(mins, edits[0][0]) - 1  # the child taking edits[0]
+    if i < 0:
+        i = 0
+    if i == last or edits[-1][0] < mins[i + 1]:  # one run
+        reps = _apply(children[i], edits, rel, alloc, superseded)
+        if len(reps) == 1 and not _undersized(reps[0], leaf_min):
+            alloc[0] += 1
+            return [_swap_child(node, i, reps[0])]
+        new_children = children[:i] + reps + children[i + 1 :]
+    else:
+        new_children = []
+        lo, at = 0, 0  # children[:at] are placed
+        while lo < n:
+            if lo:  # edits[0]'s child is i already
+                i = bisect_right(mins, edits[lo][0]) - 1
+            hi = bisect_left(edits, mins[i + 1], lo, n, key=_rec_keys) if i < last else n
+            new_children += children[at:i]
+            new_children += _apply(children[i], edits[lo:hi], rel, alloc, superseded)
+            at, lo = i + 1, hi
+        new_children = new_children + children[at:]  # exact size: a page keeps it
+    new_children = _fix_siblings(new_children, cap, leaf_min, alloc)
     return _pack(new_children, _BR_MAX, _BR_MAX, _Branch, alloc)
+
+
+def _swap_child(node, i, child):
+    """A copy of branch ``node`` with ``children[i]`` replaced by ``child``:
+    ``mins`` is shared unless the child's min key moved, and ``count``
+    moves by the child's change."""
+    new = _Branch.__new__(_Branch)
+    new.children = children = node.children.copy()
+    old, children[i] = children[i], child
+    mins = node.mins
+    if child.min_key != mins[i]:
+        mins = mins.copy()
+        mins[i] = child.min_key
+    new.mins = mins
+    new.min_key = mins[0]
+    new.count = node.count - old.count + child.count
+    return new
 
 
 def _expand(stack, item, stats):
@@ -631,18 +688,26 @@ class TrieCursor:
 
     Presents the relation as a trie whose level d enumerates, in strictly
     increasing order, the distinct d-th keys under the current (d-1)-key
-    prefix.  Positions are backed by a root-to-leaf path into the page
-    tree; open() snapshots the path so up() can restore the outer level
-    even after the inner level ran to its end.
+    prefix.  ``open``, ``next`` and ``seek_lub`` each return the key they
+    land on, or None at the end of the level, so a caller reads its
+    position in the call that moved it.
+
+    Positions are backed by a root-to-leaf path into the page tree;
+    open() snapshots the path so up() can restore the outer level even
+    after the inner level ran to its end.  A first-level open() stands at
+    the version's cached first record (``RelationVersion.first``) and
+    builds no path: an empty path marks the cursor as standing there, and
+    the first move that needs pages builds it, so an open followed by a
+    far seek makes one descent.
 
     At the last level (depth == arity) full keys are distinct, so next()
-    steps to the following record of the current leaf and leaves the leaf,
-    through _seek_record, only at its end; seek_lub() there seeks the full
-    key itself, with no KEY_MIN padding.  A shallower move seeks the least
-    record under the successor prefix.  Neither compares prefixes at
-    depth 1, where there is none.  A seek within the current leaf bisects
-    only when the target lies beyond the next record; a seek past it
-    climbs by compares and descends once, O(height) bisects however far
+    steps to the following record of the current leaf and leaves the leaf
+    only at its end; seek_lub() there seeks the full key itself, with no
+    KEY_MIN padding.  A shallower next() seeks the successor key.
+    Neither compares prefixes at depth 1, where there is none.  A seek
+    target inside the current leaf is found there, with no bisect when it
+    is the next record; a target past the leaf's last record climbs at
+    once, by compares, and descends once: O(height) bisects however far
     the target is.
     """
 
@@ -671,22 +736,25 @@ class TrieCursor:
         return self._rec[1]
 
     def open(self):
-        if self.depth >= self.arity:
+        """Descend one level; returns its first key, or None if it is empty."""
+        d = self.depth
+        if d >= self.arity:
             raise IntegrityError("open() below leaf level")
-        if self.depth > 0 and self._ended:
+        if d > 0 and self._ended:
             raise IntegrityError("open() at end")
         self._snaps.append((list(self._path), self._rec, self._ended))
-        self.depth += 1
-        if self.depth == 1:
-            root = self.version.root
-            if root is None:
+        self.depth = d + 1
+        if d == 0:
+            # the path is empty at depth 0 (up() restores it so): stand at
+            # the first record and leave the path to the first move
+            rec = self.version.first()
+            if rec is None:
                 self._rec, self._ended = None, True
-                return
-            self._path.clear()
-            self._rec = _leftmost(root, self._path)
-            self._ended = False
+                return None
+            self._rec, self._ended = rec, False
         # deeper open: the current record is the least one under the new
         # prefix already, so the position stands.
+        return self._rec[0][d]
 
     def up(self):
         if self.depth == 0:
@@ -697,12 +765,16 @@ class TrieCursor:
         self.depth -= 1
 
     def next(self):
+        """Move to the following key at the current depth; returns it, or
+        None when the level has no more keys."""
         if self._ended:
             raise IntegrityError("next() at end")
         d = self.depth
         keys = self._rec[0]
         if d == self.arity:
             path = self._path
+            if not path:  # standing at the first record: build its path
+                _leftmost(self.version.root, path)
             leaf, i = path[-1]
             i += 1
             if i < len(leaf.records):
@@ -710,59 +782,56 @@ class TrieCursor:
                 if d == 1 or rec[0][:-1] == keys[:-1]:
                     path[-1] = (leaf, i)
                     self._rec = rec
-                    return False
+                    return rec[0][-1]
                 self._ended = True
-                return True
-            rec = self._seek_record(keys[:-1] + (keys[-1] + 1,))
-        else:
-            rec = self._seek_record(
-                keys[: d - 1] + (keys[d - 1] + 1,) + (KEY_MIN,) * (self.arity - d)
-            )
-        if rec is None or (d > 1 and rec[0][: d - 1] != keys[: d - 1]):
-            self._ended = True
-        else:
-            self._rec = rec
-        return self._ended
+                return None
+        return self.seek_lub(keys[d - 1] + 1)
 
     def seek_lub(self, k):
-        """Move to the least key >= k at the current depth (forward only)."""
+        """Move to the least key >= k at the current depth (forward only);
+        returns it, or None when the level has no such key."""
         if self._ended:
             raise IntegrityError("seek_lub() at end")
         d = self.depth
         keys = self._rec[0]
         if k <= keys[d - 1]:
-            return False
+            return keys[d - 1]
         prefix = keys[: d - 1]
         target = prefix + (k,)
         if d < self.arity:
             target += (KEY_MIN,) * (self.arity - d)
-        rec = self._seek_record(target)
+        path = self._path
+        if path:
+            leaf, i = path[-1]
+            recs = leaf.records
+            if target <= recs[-1][0]:  # the answer is in this leaf
+                i += 1  # a short hop lands on the next record: no bisect
+                if recs[i][0] < target:
+                    i = bisect_left(recs, target, i + 1, len(recs), key=_rec_keys)
+                path[-1] = (leaf, i)
+                rec = recs[i]
+            else:
+                rec = self._climb(target, leaf)
+        else:
+            rec = self._climb(target, None)
         if rec is None or (d > 1 and rec[0][: d - 1] != prefix):
             self._ended = True
-        else:
-            self._rec = rec
-        return self._ended
+            return None
+        self._rec = rec
+        return rec[0][d - 1]
 
-    def _seek_record(self, target):
-        """Move the path to the least record >= target; None past the end.
+    def _climb(self, target, leaf):
+        """Move the path to the least record >= target, known to lie past
+        ``leaf`` (the path's leaf, or None when no path is built); None
+        past the end.
 
-        A target within the current leaf is found there.  Otherwise the
-        path climbs, one compare per level, to the lowest branch whose last
-        min exceeds the target (its subtree holds the answer) or past the
-        root, and descends once from there through ``_descend`` (no bisect
-        in the leaf it just left).
+        The path climbs, one compare per level, to the lowest branch whose
+        last min exceeds the target (its subtree holds the answer) or past
+        the root, and descends once from there through ``_descend`` (no
+        bisect in the leaf it just left).
         """
         path = self._path
-        leaf = None  # the leaf the path leaves, known to end below the target
         if path:
-            leaf, idx = path[-1]
-            recs = leaf.records
-            j = idx + 1  # a short hop lands on the next record: no bisect
-            if j < len(recs) and recs[j][0] < target:
-                j = bisect_left(recs, target, j + 1, len(recs), key=_rec_keys)
-            if j < len(recs):
-                path[-1] = (leaf, j)
-                return recs[j]
             path.pop()
             while path and path[-1][0].mins[-1] <= target:
                 path.pop()
@@ -770,8 +839,6 @@ class TrieCursor:
             node = path.pop()[0]
         else:
             node = self.version.root
-            if node is None:
-                return None
         return _descend(node, target, path, leaf)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -201,6 +202,26 @@ class TestAddBatch:
         batch = [(r.sort_key(), r.hi) for r in (rec(1, 2, (0,)), rec(5, 4, (0,)))]
         with pytest.raises(UserError):
             ix.add_batch(batch)
+
+    def test_duplicates_and_faulty_records_mid_batch(self):
+        """The first faulty record in key order is named, over duplicates
+        on both sides of it, and no partition changes."""
+        ix = IntervalIndex(1, 1)
+        ix.add_batch([(r.sort_key(), r.hi) for r in (rec(0, 9, (1,), (0,)),)])
+        before = (dict(ix.parts), len(ix))
+        good = [rec(lo, lo + 3, (p,), (0,)) for p in range(3) for lo in range(5)]
+        faulty = [rec(7, 6, (1,), (2,)), rec(8, 2, (2,), (0,))]
+        batch = good + good[:7] + faulty + faulty + good[3:]
+        random.Random(3).shuffle(batch)
+        want = f"interval lo > hi: {faulty[0]}"
+        with pytest.raises(UserError, match=f"^{re.escape(want)}$"):
+            ix.add_batch([(r.sort_key(), r.hi) for r in batch])
+        assert (ix.parts, len(ix)) == before
+        ix.audit()
+        pairs = [(r.sort_key(), r.hi) for r in good + good[::2]]
+        assert ix.add_batch(pairs) == len(good)
+        assert pairs == sorted({(r.sort_key(), r.hi) for r in good})
+        assert len(ix) == len(good) + 1
 
 
 class TestBatchedEdits:

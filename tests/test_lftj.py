@@ -203,16 +203,16 @@ class TestFullEvaluate:
             cursor = eng.relations[preds[name]].current.cursor()
             for _, op, depth, frm, arg, to in events:
                 if op == OPEN:
-                    cursor.open()
+                    landed = cursor.open()
                 elif op == UP:
                     cursor.up()
                     continue
                 elif op == NEXT:
-                    cursor.next()
+                    landed = cursor.next()
                 else:
-                    cursor.seek_lub(arg)
-                landed = None if cursor.at_end() else cursor.key()
+                    landed = cursor.seek_lub(arg)
                 assert landed == to, (name, op, depth, frm, arg, to, landed)
+                assert landed == (None if cursor.at_end() else cursor.key())
 
     def test_unbound_atom_rejected(self):
         eng = Engine("C(x) <- A(x), B(x).", {"A": (1, False), "B": (1, False)})

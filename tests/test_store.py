@@ -450,6 +450,122 @@ class TestPageShapeDigest:
         assert page_shape_digest() == PAGE_SHAPE_DIGEST
 
 
+# sha256 of everything single_edit_digest() feeds it, pinned before a
+# commit whose edits all fall to one child came to swap that child's slot
+# in its branch; both ways must cut and count pages alike
+SINGLE_EDIT_DIGEST = "34e9b462849d40d943f47162cab0d7830d28e41fe928587a4c164a653246952c"
+
+
+class _PageHashes:
+    """Hashes a page from its fields and its children's hashes, once per
+    page: pages are immutable, and each hashed page is kept alive so its
+    id stays its own."""
+
+    def __init__(self):
+        self.memo = {}  # id(page) -> (page, hash)
+
+    def __call__(self, node):
+        if node is None:
+            return None
+        hit = self.memo.get(id(node))
+        if hit is not None:
+            return hit[1]
+        if hasattr(node, "records"):
+            fields = ("leaf", node.count, node.min_key, node.records)
+        else:
+            kids = [self(c) for c in node.children]
+            fields = ("branch", node.count, node.min_key, node.mins, kids)
+        digest = hashlib.sha256(repr(fields).encode()).hexdigest()
+        self.memo[id(node)] = (node, digest)
+        return digest
+
+
+def _audit_pages(root, cap):
+    """Every branch's mins and count match its children, and no page but
+    the root is undersized (a one-run commit relies on the latter)."""
+    stack = [(root, True)] if root is not None else []
+    while stack:
+        node, is_root = stack.pop()
+        if hasattr(node, "records"):
+            assert node.count == len(node.records) <= 2 * cap
+            assert node.min_key == node.records[0][0]
+            assert is_root or node.count >= max(1, cap // 2)
+        else:
+            kids = node.children
+            assert node.mins == [c.min_key for c in kids]
+            assert node.count == sum(c.count for c in kids)
+            assert node.min_key == node.mins[0]
+            assert (is_root and len(kids) >= 2) or store._BR_MIN <= len(kids)
+            assert len(kids) <= store._BR_MAX
+            stack.extend((c, False) for c in kids)
+
+
+def _single_edit_stream(rng, keys, root):
+    """One-edit commits as (op, key) pairs over loaded multiples of 10:
+    runs of inserts that split leaves, runs of erases that leave leaves
+    undersized, inserts below a child's first key (one at a time below
+    the whole relation's, which moves a mins entry at every level),
+    erases of a child's first key, edits at the first and last child of
+    branches along random paths, and random edits."""
+    lo, hi = keys[0][0], keys[-1][0]
+    m = rng.randrange(len(keys) // 4, len(keys) // 2)
+    for j in range(m, m + 12):  # fill gaps until leaves split
+        for r in range(1, 10):
+            yield "insert", 10 * j + r
+    m = rng.randrange(len(keys) // 2, 3 * len(keys) // 4)
+    for j in range(m, m + 90):  # empty a run until leaves are undersized
+        yield "erase", 10 * j
+    for k in range(1, 6):
+        yield "insert", lo - 3 * k  # below every child on the left spine
+        yield "insert", hi + 3 * k  # past every child on the right spine
+    for _ in range(40):
+        node = root
+        while hasattr(node, "children"):
+            first, last = node.children[0], node.children[-1]
+            i = rng.randrange(1, len(node.children))
+            yield "erase", node.children[i].min_key[0]  # a child's first key
+            yield "insert", first.min_key[0] + 1  # at the first child
+            yield "insert", last.min_key[0] + 1  # at the last child
+            node = node.children[rng.randrange(len(node.children))]
+    for _ in range(150):
+        yield rng.choice(["insert", "erase"]), rng.randrange(lo - 20, hi + 20)
+
+
+def single_edit_digest():
+    """Hash every version of a stream of one-edit commits, page by page
+    with each branch's mins and count, and pages_allocated after each.
+
+    Per leaf capacity, a bulk load three branch levels deep takes the
+    stream of ``_single_edit_stream``; each edit that changes the
+    relation is its own commit.
+    """
+    h = hashlib.sha256()
+    for cap, n in ((2, 2400), (64, 40_000)):
+        rng = random.Random(f"single-{cap}")
+        rel = Relation("R", 1, leaf_capacity=cap)
+        txn = rel.begin()
+        txn.write_sorted([((10 * k,), None) for k in range(n)])
+        v = txn.commit()
+        assert _branch_levels(v) >= 3
+        page_hash = _PageHashes()
+        stream = _single_edit_stream(rng, [k for k, _ in v.records()], v.root)
+        for step, (op, key) in enumerate(stream):
+            if (v.lookup((key,)) is None) is (op == "erase"):
+                continue  # the edit would change nothing
+            txn = rel.begin()
+            getattr(txn, op)((key,))
+            v = txn.commit()
+            h.update(repr((cap, step, page_hash(v.root), v.count)).encode())
+            h.update(repr(rel.stats).encode())
+        _audit_pages(v.root, cap)
+    return h.hexdigest()
+
+
+class TestSingleEditPageShapes:
+    def test_single_edit_commits_match_pinned_digest(self):
+        assert single_edit_digest() == SINGLE_EDIT_DIGEST
+
+
 def _branch_fanouts(node, out, root=True):
     """Append the child count of every non-root branch under ``node``."""
     if hasattr(node, "children"):
@@ -970,6 +1086,89 @@ class TestTrieCursor:
         assert c.key() == 2 and c.value() == 42
 
 
+class TestTrieCursorFirstOpen:
+    """A first-level open stands at the version's cached first record and
+    builds no page path; each move from there must build what it needs.
+    The relations span many leaves (capacity 2), so a wrong path shows."""
+
+    @staticmethod
+    def version(rows, arity, cap=2):
+        return fill(Relation("R", arity, leaf_capacity=cap), rows)
+
+    def test_next_at_the_last_level_right_after_open(self):
+        v = self.version([(k,) for k in range(0, 60, 3)], 1)
+        c = v.cursor()
+        assert c.open() == 0
+        assert c.next() == 3
+        assert c.next() == 6
+        v = self.version([(1, 5), (1, 7), (2, 0)] + [(k, 1) for k in range(3, 30)], 2)
+        c = v.cursor()
+        assert c.open() == 1
+        assert c.open() == 5
+        assert c.next() == 7
+        assert c.next() is None and c.at_end()
+        c.up()
+        assert c.next() == 2
+        v = self.version([(1, 5)] + [(k, 1) for k in range(2, 30)], 2)
+        c = v.cursor()
+        c.open()
+        assert c.open() == 5
+        assert c.next() is None  # the first move ends a one-record prefix
+        c.up()
+        assert c.next() == 2
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_seek_at_or_below_the_first_key_stays(self, arity):
+        rows = [(k,) * arity for k in range(10, 80, 2)]
+        c = self.version(rows, arity).cursor()
+        assert c.open() == 10
+        assert c.seek_lub(KEY_MIN) == 10
+        assert c.seek_lub(10) == 10
+        assert c.next() == 12
+        assert c.seek_lub(61) == 62
+
+    def test_open_and_up_of_deeper_levels_before_any_move(self):
+        rows = [(1, 2, 3), (1, 2, 4), (1, 3, 0)] + [(k, 0, 0) for k in range(2, 30)]
+        v = self.version(rows, 3)
+        c = v.cursor()
+        assert c.open() == 1
+        assert c.open() == 2
+        assert c.open() == 3
+        c.up()
+        c.up()
+        assert c.key() == 1 and c.next() == 2
+        c.up()
+        assert c.open() == 1
+        assert c.open() == 2
+        c.up()
+        assert c.seek_lub(20) == 20
+        assert c.open() == 0
+
+    def test_the_cache_belongs_to_one_version(self):
+        rel = Relation("R", 1, leaf_capacity=2)
+        v1 = fill(rel, [(k,) for k in range(10, 40)])
+        assert v1.cursor().open() == 10  # reads v1's first record
+        txn = rel.begin()
+        txn.insert((5,))
+        v2 = txn.commit()
+        txn = rel.begin()
+        txn.erase((5,))
+        txn.erase((10,))
+        v3 = txn.commit()
+        assert v1.cursor().open() == 10
+        assert v2.cursor().open() == 5
+        assert v3.cursor().open() == 11
+        c = v2.cursor()
+        c.open()
+        assert c.next() == 10
+        assert rel.current is v3
+        txn = rel.begin()
+        txn.clear()
+        empty = txn.commit()
+        c = empty.cursor()
+        assert c.open() is None and c.at_end()
+
+
 class _LevelModel:
     """A sorted-list model of one trie level under a fixed prefix."""
 
@@ -1004,7 +1203,7 @@ def _walk_against_model(v, rng, steps, seek_target):
             moves += ["next", "next", "seek", "seek"]
         move = rng.choice(moves)
         if move == "open":
-            c.open()
+            got = c.open()
             prefix = () if top is None else top.prefix + (top.key(),)
             stack.append(_LevelModel(records, prefix))
         elif move == "up":
@@ -1013,13 +1212,14 @@ def _walk_against_model(v, rng, steps, seek_target):
         elif move == "next":
             got = c.next()
             top.i += 1
-            assert got == top.ended()
         else:
             k = seek_target(rng, top)
             got = c.seek_lub(k)
             if k > top.key():
                 top.i = bisect.bisect_left(top.keys, k, top.i)
-            assert got == top.ended()
+        if move != "up":  # a move returns the key it lands on
+            top = stack[-1]
+            assert got == (None if top.ended() else top.key())
         assert c.depth == len(stack)
         if stack:
             top = stack[-1]
@@ -1145,6 +1345,6 @@ class TestEditProportionalWork:
         calls = _count_bisects(monkeypatch)
         for k in range(20_001, 200_000, 20_000):
             calls[0] = 0
-            assert not c.seek_lub(k)
+            assert c.seek_lub(k) == k + 1
             assert c.key() == k + 1
             assert calls[0] <= levels + 2, k
