@@ -29,12 +29,12 @@ Each head stages a round in its own open transaction.  The heads commit
 together once every one of them has staged, and a round publishes all of
 its heads or none: a raise, in a commit too, aborts the transactions
 still open, puts every head relation's version back, leaves the bound
-versions as they were, puts back every sensitivity index's partition
-map and record count, and puts back the root of every min/max scan tree
-(their edits path-copy, so an old root is still a whole tree, and a copy
-of an index's map holds every partition's old root): the consumed hits,
-the new side's merge, the partitions it created or emptied and the
-min/max edits of a round that raised are undone.
+versions as they were, and puts back each sensitivity index's partition
+map and each min/max scan tree's root.  That is all a round saves: edits
+path-copy, a copy of an index's map holds every partition's old root,
+and every record count is read from a root.  So the consumed hits, the
+new side's merge, the partitions it created or emptied and the min/max
+edits of a round that raised are undone.
 
 Atoms whose key arguments prefix the join order carry no indices; their
 surgeries contribute their own key as a point interval, which names the
@@ -60,7 +60,7 @@ from .heads import (
 )
 from .intervals import IntervalIndex
 from .keys import KEY_MAX, render_key
-from .lftj import Counter, SensitivityRecorder, evaluate
+from .lftj import Counter, SensitivityRecorder, check_versions, evaluate
 from .rules import tuple_getter
 from .scantree import MAX_OP, MIN_OP
 from .store import ERASE, INSERT, surgery_iter
@@ -396,10 +396,10 @@ def maintain(inst, new_versions, use_oracle=True, with_trace=False):
     if inst.bound_versions is None:
         raise UserError("rule has not been evaluated yet: run eval first")
     plan = inst.plan
+    check_versions(plan, new_versions)
     old_versions = inst.bound_versions
-    saved_indices = [(ix, dict(ix.parts), ix.size) for ix in inst.indices.values()]
-    trees = [h.agg.tree for h in inst.heads if h.agg is not None]
-    saved = [(tree, tree.root, tree.size) for tree in trees]
+    parts = [(ix, dict(ix.parts)) for ix in inst.indices.values()]
+    roots = [(h.agg.tree, h.agg.tree.root) for h in inst.heads if h.agg is not None]
     try:
         oracle = None
         consumed = 0
@@ -420,14 +420,13 @@ def maintain(inst, new_versions, use_oracle=True, with_trace=False):
         counts = [0, 0]
         _route(inst.heads, _diff(old_stream, new_stream, counts))
     except BaseException:
-        for ix, parts, size in saved_indices:
-            ix.parts, ix.size = parts, size
-        for tree, root, size in saved:
-            tree.root, tree.size = root, size
+        for ix, saved in parts:
+            ix.parts = saved
+        for tree, root in roots:
+            tree.root = root
         raise
     inst.bound_versions = dict(new_versions)
-    if trace is not None:
-        inst.last_trace = trace
+    inst.last_trace = trace  # None when the round was untraced
     inst.last_oracle = oracle
     return MaintenanceReport(
         ops_old=c_old.ops,

@@ -15,8 +15,8 @@ key itself, so a stab looks its prefix's root up and then prunes every
 subtree whose max end is below the probe or whose min start is above it;
 no level of a tree only separates one prefix from another.  The roots
 share one ``ScanTree`` (``tree``) for the op, the leaf target and the
-stats; its own root stays empty, and the index counts its records in
-``size``.  No partition is kept empty.
+stats; its own root stays empty, and ``len`` sums the counts of the
+partitions' roots.  No partition is kept empty.
 
 Every change is one sorted batch, merged run by run (one run per
 prefix) by ``ScanTree.merge``: an evaluation buffers the records it emits
@@ -25,8 +25,8 @@ sorts and dedupes the batch in place and splits it at prefix boundaries
 by bisection); ``stab_and_remove`` erases a stab's hits in one run of
 ``(sort key, ABSENT)`` pairs; ``add`` is the batch of one.  The
 partitions' roots path-copy like any scan tree's, so a copy of ``parts``
-and ``size`` is a whole snapshot of the index (``driver.maintain``
-restores one when a round raises).
+is a whole snapshot of the index (``driver.maintain`` restores one when
+a round raises).
 """
 
 from bisect import bisect_right
@@ -66,13 +66,12 @@ class IntervalIndex:
         self.context_len = context_len
         self.tree = ScanTree(MAX_OP, leaf_target=LEAF_TARGET)
         self.parts = {}  # prefix -> root of its records; never None
-        self.size = 0
         self.stats = {"visits": 0}
         # a sort key's tail past its prefix is at most this
         self._tail = (KEY_MAX,) * (2 + context_len)
 
     def __len__(self):
-        return self.size
+        return sum(root.count for root in self.parts.values())
 
     def _record_of(self, sort_key):
         p = self.prefix_len
@@ -84,12 +83,11 @@ class IntervalIndex:
         """Merge edits[lo:hi], all of ``prefix``, into its partition;
         returns how many records were new."""
         parts = self.parts
-        root, added, grown = self.tree.merge(parts.get(prefix), edits, lo, hi)
+        root, added = self.tree.merge(parts.get(prefix), edits, lo, hi)
         if root is None:
             parts.pop(prefix, None)
         else:
             parts[prefix] = root
-        self.size += grown
         return added
 
     def add(self, rec: SensitivityRecord) -> bool:
@@ -168,10 +166,9 @@ class IntervalIndex:
 
     def audit(self):
         """Every partition is a sound scan tree of records that carry its
-        prefix, none is empty, and ``size`` is their sum."""
-        p, total = self.prefix_len, 0
+        prefix, and none is empty."""
+        p = self.prefix_len
         for prefix, root in self.parts.items():
             assert len(prefix) == p and root is not None
-            total += self.tree.audit_root(root)
+            self.tree.audit_root(root)
             assert root.min_key[:p] == prefix == root.max_key[:p]
-        assert total == self.size

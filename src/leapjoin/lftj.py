@@ -99,6 +99,14 @@ class _OracleCursor:
         return max(iv[i][0], k)
 
 
+def check_versions(plan, versions):
+    """Refuse a version map that lacks a body predicate of ``plan``."""
+    for bp in plan.branches:
+        for ap in bp.atoms:
+            if ap.atom.pred not in versions:
+                raise UserError(f"no version bound for {ap.atom.pred}")
+
+
 def evaluate(
     plan,
     versions,
@@ -117,10 +125,7 @@ def evaluate(
     sensitivity intervals are buffered in it and merged into its indices
     once the stream is exhausted; until then the indices are untouched.
     """
-    for bp in plan.branches:
-        for ap in bp.atoms:
-            if ap.atom.pred not in versions:
-                raise UserError(f"no version bound for {ap.atom.pred}")
+    check_versions(plan, versions)
     if counter is None:
         counter = Counter()
 

@@ -6,16 +6,15 @@ Surface syntax, one rule per string::
     S[x,y]=n <- A(x,y), B(y,z).
     T[x]=s <- agg<< s=sum(v) >> E[x,y]=v.
     C(x) <- (A(x) ; B(x)). @force_sens
-    D(x) <- A(x), !B(x).          # parses; evaluation rejects negation
 
 Predicates resolve against a catalog of declared relations/functions;
 add/sub/mul and the comparison relations are primitives.  An atom's
 bracket decides its form (``_FORMS``), and one path parses and checks
 both.  Aggregation kinds: count(), sum(v), min(v), max(v), total(v) --
 total is the exact floating-point sum.  A parenthesized group without
-``;`` stays a nested ``Conj``.  The parser only builds the ``RuleIR`` as
-written: variable classification, head storage and iterator names are
-decided by ``rules.validate_key_order``.
+``;`` stays a nested ``Conj``, and a ``!`` (negation) is refused.  The
+parser only builds the ``RuleIR`` as written: variable classification,
+head storage and iterator names are decided by ``rules.validate_key_order``.
 """
 
 import re
@@ -28,7 +27,6 @@ from .rules import (
     Disj,
     MATERIALIZED_FUNCTION,
     MATERIALIZED_RELATION,
-    Negation,
     PRIMITIVE,
     PRIMITIVE_FUNCS,
     PRIMITIVE_RELS,
@@ -143,13 +141,7 @@ class _Parser:
     def dform(self):
         tok = self.peek()
         if tok == "!":
-            self.take()
-            if self.peek() == "(":
-                self.take()
-                inner = self.conj()
-                self.take(")")
-                return Negation(inner)
-            return Negation(Conj((self.atom(),)))
+            raise UserError("unsupported: negation")
         if tok == "(":
             self.take()
             branches = self.listed(self.conj, sep=";")

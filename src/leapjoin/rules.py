@@ -1,13 +1,13 @@
 """Internal representation of rules and join planning.
 
 A rule is a head (one or more atoms) over a body conjunction whose forms
-are atoms, disjunctions, parenthesized conjunctions, or negations
-(negation parses but is rejected before evaluation).  Every head
-variable but an aggregation's output must occur in the body; body-only
-variables are projected away by support counts, so no stage needs to
-know where they are scoped.  Variables with a key-position occurrence in
-some materialized body atom are keys; the rest are values, computed from
-function payloads and primitives once their inputs bind.
+are atoms, disjunctions or parenthesized conjunctions (the parser
+refuses negation).  Every head variable but an aggregation's output must
+occur in the body; body-only variables are projected away by support
+counts, so no stage needs to know where they are scoped.  Variables with
+a key-position occurrence in some materialized body atom are keys; the
+rest are values, computed from function payloads and primitives once
+their inputs bind.
 
 ``validate_key_order`` is the one place a rule's facts are decided.  It
 expands the body to disjunctive normal form, assigns every key variable
@@ -67,11 +67,6 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Negation:
-    body: "Conj"
-
-
-@dataclass(frozen=True)
 class Disj:
     branches: tuple
 
@@ -106,8 +101,6 @@ def _walk_atoms(form):
     elif isinstance(form, Disj):
         for b in form.branches:
             yield from _walk_atoms(b)
-    elif isinstance(form, Negation):
-        yield from _walk_atoms(form.body)
 
 
 def classify_variables(rule: RuleIR) -> dict:
@@ -167,8 +160,6 @@ def dnf_branches(body: Conj):
         if isinstance(form, Atom):
             for b in branches:
                 b.append(form)
-        elif isinstance(form, Negation):
-            raise UserError("unsupported: negation")
         elif isinstance(form, (Conj, Disj)):
             # a parenthesized conjunction is a one-alternative disjunction
             alts = form.branches if isinstance(form, Disj) else (form,)

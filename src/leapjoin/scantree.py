@@ -3,8 +3,8 @@
 A ScanTree keeps records (key tuple -> value) sorted in small leaf
 buckets under a binary tree whose internal nodes cache the combine of
 their children, so the aggregate of any key interval folds at most
-O(log n) cached values.  Counts are cached alongside, which also powers
-count-pruned complement iteration.
+O(log n) cached values.  Counts are cached alongside: the root's is the
+tree's ``size``, and they power count-pruned complement iteration.
 
 Every edit goes through one path: ``merge`` takes a run of a batch of
 ``(key, value)`` pairs sorted by key, where the value ``ABSENT`` erases
@@ -108,10 +108,12 @@ class ScanTree:
         self.op = op
         self.leaf_target = leaf_target
         self.root = None
-        self.size = 0
         self.stats = {"combines": 0, "rebuilds": 0}
         self._added = 0
-        self._grown = 0
+
+    @property
+    def size(self) -> int:  # the root's record count, 0 when empty
+        return self.root.count if self.root is not None else 0
 
     # -- point access ----------------------------------------------------
 
@@ -151,34 +153,32 @@ class ScanTree:
         if not all(map(lt, map(_rec_key, edits), following)):  # one C-level pass
             bad = next(b for (a, _), (b, _) in zip(edits, edits[1:]) if not a < b)
             raise UserError(f"scan-tree batch keys not increasing at {bad}")
-        self.root, added, grown = self.merge(self.root, edits, 0, len(edits))
-        self.size += grown
+        self.root, added = self.merge(self.root, edits, 0, len(edits))
         return added
 
     def merge(self, root, edits, lo, hi):
         """The tree under ``root`` with the edits[lo:hi] applied.
 
         The edits are as ``apply_sorted`` takes them, and are not checked.
-        Returns (new root, keys added, change in record count); the new
-        root is None when no record is left, and ``self.root`` is neither
-        read nor set.  The run is split at each node's left max key and
-        merged at the leaves (an overflowing leaf splits in halves,
-        recursively); a subtree the run leaves as it was is returned
-        untouched, and each changed node is rebuilt and rebalance-checked
-        once on the way up.  Into an empty tree the run's set pairs are
-        bulk-built, each pair a record as it is (a whole batch without
-        erases is not even copied); its erase pairs name absent keys and
-        are dropped.
+        Returns (new root, keys added); the new root is None when no
+        record is left, and ``self.root`` is neither read nor set.  The
+        run is split at each node's left max key and merged at the leaves
+        (an overflowing leaf splits in halves, recursively); a subtree the
+        run leaves as it was is returned untouched, and each changed node
+        is rebuilt and rebalance-checked once on the way up.  Into an
+        empty tree the run's set pairs are bulk-built, each pair a record
+        as it is (a whole batch without erases is not even copied); its
+        erase pairs name absent keys and are dropped.
         """
         if root is None:
             run = edits if hi - lo == len(edits) else edits[lo:hi]
             if any(map(is_, map(_rec_value, run), repeat(ABSENT))):  # C-level
                 run = [edit for edit in run if edit[1] is not ABSENT]
             n = len(run)
-            return (self._build(run) if n else None), n, n
-        self._added = self._grown = 0
+            return (self._build(run) if n else None), n
+        self._added = 0
         root = self._apply(root, edits, lo, hi)
-        return root, self._added, self._grown
+        return root, self._added
 
     def _apply(self, node, edits, lo, hi):
         """The subtree with edits[lo:hi] applied: ``node`` itself when they
@@ -218,7 +218,6 @@ class ScanTree:
         if not out and not at:
             return leaf  # no edit changed a record
         out.extend(old[at:])
-        self._grown += len(out) - n
         self._added += added
         if not out:
             return None
@@ -298,7 +297,7 @@ class ScanTree:
 
     def build_from(self, records):
         """Bulk-load (key, value) records into a fresh balanced tree."""
-        self.root, self.size = None, 0
+        self.root = None
         self.apply_sorted(sorted(records, key=_rec_key))
 
     # -- range queries ---------------------------------------------------
@@ -385,7 +384,7 @@ class ScanTree:
     # -- invariant checks (used by tests) ----------------------------------
 
     def audit(self):
-        assert self.audit_root(self.root) == self.size
+        self.audit_root(self.root)
 
     def audit_root(self, root):
         """Checks the tree under ``root`` (None: empty); returns its record count."""

@@ -132,18 +132,20 @@ class RelationVersion:
     """
 
     __slots__ = (
-        "lineage", "arity", "version_id", "root", "count", "log", "_first",
-        "__weakref__",
+        "lineage", "arity", "version_id", "root", "log", "_first", "__weakref__"
     )
 
-    def __init__(self, lineage, arity, version_id, root, count, log=None):
+    def __init__(self, lineage, arity, version_id, root, log=None):
         self.lineage = lineage  # a token shared by every version of one relation
         self.arity = arity
         self.version_id = version_id
         self.root = root
-        self.count = count
         self.log = log  # (ref(base), writes, superseded), or None
         self._first = None
+
+    @property
+    def count(self) -> int:  # the root page's record count, 0 when empty
+        return self.root.count if self.root is not None else 0
 
     def first(self) -> Optional[tuple]:
         """The first (keys, value) record, or None when the version is empty."""
@@ -207,7 +209,7 @@ class Relation:
         self.leaf_capacity = leaf_capacity
         self.stats = {"pages_allocated": 0}
         self._txn_open = False
-        self.current = RelationVersion(object(), arity, 0, None, 0)
+        self.current = RelationVersion(object(), arity, 0, None)
 
     @property
     def versions(self) -> tuple:
@@ -367,7 +369,7 @@ class Transaction:
         """Erase every record: the commit starts from an empty relation."""
         self._check_open()
         base = self.base
-        self.base = RelationVersion(base.lineage, base.arity, base.version_id, None, 0)
+        self.base = RelationVersion(base.lineage, base.arity, base.version_id, None)
         self._edits = {}
         self._batch = None
 
@@ -383,28 +385,25 @@ class Transaction:
         if edits is None:
             edits = sorted(self._edits.items())
         superseded = []
-        if not edits:
-            root, count = base.root, base.count
-        else:
+        root = base.root
+        if edits:
             alloc = [0]
-            reps = _apply(base.root, edits, rel, alloc, superseded)
+            reps = _apply(root, edits, rel, alloc, superseded)
             while len(reps) > 1:
                 reps = _pack(reps, _BR_MAX, _BR_TARGET, _Branch, alloc)
             root = reps[0] if reps else None
             while isinstance(root, _Branch) and len(root.children) == 1:
                 root = root.children[0]
-            count = root.count if root is not None else 0
             rel.stats["pages_allocated"] += alloc[0]
         self._done = True
         rel._txn_open = False
         # a load or a commit over a cleared workspace keeps no log: the walk
         # from its empty base reads only the new records anyway
         log = (ref(base), edits, superseded) if base.root is not None else None
-        version = RelationVersion(
-            base.lineage, base.arity, base.version_id + 1, root, count, log
+        rel.current = RelationVersion(
+            base.lineage, base.arity, base.version_id + 1, root, log
         )
-        rel.current = version
-        return version
+        return rel.current
 
 
 def _pack(items, fit, part, make, alloc):
@@ -692,13 +691,13 @@ class TrieCursor:
     land on, or None at the end of the level, so a caller reads its
     position in the call that moved it.
 
-    Positions are backed by a root-to-leaf path into the page tree;
-    open() snapshots the path so up() can restore the outer level even
-    after the inner level ran to its end.  A first-level open() stands at
-    the version's cached first record (``RelationVersion.first``) and
-    builds no path: an empty path marks the cursor as standing there, and
-    the first move that needs pages builds it, so an open followed by a
-    far seek makes one descent.
+    Positions are backed by a root-to-leaf path into the page tree and the
+    record it stands at, None at the end of the level; open() snapshots
+    both so up() can restore the outer level even after the inner level
+    ran to its end.  A first-level open() stands at the version's cached
+    first record (``RelationVersion.first``) and builds no path: an empty
+    path marks the cursor as standing there, and the first move that needs
+    pages builds it, so an open followed by a far seek makes one descent.
 
     At the last level (depth == arity) full keys are distinct, so next()
     steps to the following record of the current leaf and leaves the leaf
@@ -711,27 +710,26 @@ class TrieCursor:
     the target is.
     """
 
-    __slots__ = ("version", "arity", "depth", "_path", "_rec", "_ended", "_snaps")
+    __slots__ = ("version", "arity", "depth", "_path", "_rec", "_snaps")
 
     def __init__(self, version):
         self.version = version
         self.arity = version.arity
         self.depth = 0
         self._path = []
-        self._rec = None
-        self._ended = True
+        self._rec = None  # the record the cursor stands at; None at the end
         self._snaps = []
 
     def at_end(self) -> bool:
-        return self._ended
+        return self._rec is None
 
     def key(self):
-        if self._ended:
+        if self._rec is None:
             raise IntegrityError("key() at end")
         return self._rec[0][self.depth - 1]
 
     def value(self):
-        if self._ended:
+        if self._rec is None:
             raise IntegrityError("value() at end")
         return self._rec[1]
 
@@ -740,34 +738,32 @@ class TrieCursor:
         d = self.depth
         if d >= self.arity:
             raise IntegrityError("open() below leaf level")
-        if d > 0 and self._ended:
+        rec = self._rec
+        if d > 0 and rec is None:
             raise IntegrityError("open() at end")
-        self._snaps.append((list(self._path), self._rec, self._ended))
+        self._snaps.append((list(self._path), rec))
         self.depth = d + 1
         if d == 0:
             # the path is empty at depth 0 (up() restores it so): stand at
             # the first record and leave the path to the first move
-            rec = self.version.first()
+            rec = self._rec = self.version.first()
             if rec is None:
-                self._rec, self._ended = None, True
                 return None
-            self._rec, self._ended = rec, False
         # deeper open: the current record is the least one under the new
         # prefix already, so the position stands.
-        return self._rec[0][d]
+        return rec[0][d]
 
     def up(self):
         if self.depth == 0:
             raise IntegrityError("up() above root")
-        path, rec, ended = self._snaps.pop()
+        path, self._rec = self._snaps.pop()
         self._path[:] = path
-        self._rec, self._ended = rec, ended
         self.depth -= 1
 
     def next(self):
         """Move to the following key at the current depth; returns it, or
         None when the level has no more keys."""
-        if self._ended:
+        if self._rec is None:
             raise IntegrityError("next() at end")
         d = self.depth
         keys = self._rec[0]
@@ -783,14 +779,14 @@ class TrieCursor:
                     path[-1] = (leaf, i)
                     self._rec = rec
                     return rec[0][-1]
-                self._ended = True
+                self._rec = None
                 return None
         return self.seek_lub(keys[d - 1] + 1)
 
     def seek_lub(self, k):
         """Move to the least key >= k at the current depth (forward only);
         returns it, or None when the level has no such key."""
-        if self._ended:
+        if self._rec is None:
             raise IntegrityError("seek_lub() at end")
         d = self.depth
         keys = self._rec[0]
@@ -815,7 +811,7 @@ class TrieCursor:
         else:
             rec = self._climb(target, None)
         if rec is None or (d > 1 and rec[0][: d - 1] != prefix):
-            self._ended = True
+            self._rec = None
             return None
         self._rec = rec
         return rec[0][d - 1]

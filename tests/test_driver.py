@@ -247,6 +247,32 @@ class TestMaintain:
         assert eng.inst.last_oracle.entry(1, ()).merged == [(2, 3), (5, 5), (8, 8)]
         assert report.oracle_intervals == 3
 
+    @pytest.mark.parametrize("use_oracle", [True, False])
+    def test_version_map_without_a_body_predicate_refused(self, use_oracle):
+        """Refused before the round consumes A's stab hits; with the oracle
+        on, build_oracle used to raise a bare KeyError for B."""
+        eng = unary_example()
+        bootstrap(eng.inst, eng.versions())
+        edit(eng, "A", (3,))
+        before = instance_state(eng.inst)
+        only_a = {"A": eng.relations["A"].current}
+        with pytest.raises(UserError, match="^no version bound for B$"):
+            maintain(eng.inst, only_a, use_oracle=use_oracle)
+        assert instance_state(eng.inst) == before
+        maintain(eng.inst, eng.versions(), use_oracle=use_oracle)
+        assert head_records(eng.inst) == head_records(eng.fresh_reference())
+
+    def test_untraced_round_keeps_no_earlier_trace(self):
+        eng = unary_example()
+        bootstrap(eng.inst, eng.versions())  # traces by default
+        assert eng.inst.last_trace
+        apply_unary_deltas(eng)
+        maintain(eng.inst, eng.versions())
+        assert eng.inst.last_trace is None
+        edit(eng, "A", (3,))
+        maintain(eng.inst, eng.versions(), with_trace=True)
+        assert eng.inst.last_trace
+
 
 SHAPES = [
     ("C(x) <- A(x), B(x).", {"A": (1, False), "B": (1, False)}, None),
@@ -516,12 +542,16 @@ FAULT_RULES = [
 
 
 def instance_state(inst):
-    """What a round that raised must leave as it found it."""
+    """What a round that raised must leave as it found it, counts too."""
+    trees = [h.agg.tree for h in inst.heads if h.agg is not None]
     return (
         head_records(inst),
         {key: list(ix.enumerate()) for key, ix in inst.indices.items()},
-        [list(h.agg.tree.items()) for h in inst.heads if h.agg is not None],
+        [list(tree.items()) for tree in trees],
         dict(inst.bound_versions),
+        {key: len(ix) for key, ix in inst.indices.items()},
+        [tree.size for tree in trees],
+        [h.relation.current.count for h in inst.heads],
     )
 
 

@@ -28,6 +28,7 @@ PARSER_REFUSALS = [
     ("C(x) <- A(x) B(x).", "expected '.', found 'B'"),
     ("C(x) <- A(1).", "expected a name, found '1'"),
     ("C(x) <- A.", "expected ( or [ after A"),
+    ("C(x) <- A(x), !A2(x,y).", "unsupported: negation"),
     ("C(x) <- A", "expected ( or [ after A"),
     # P(..) atoms
     ("lt(x,y) <- A2(x,y).", "primitive lt cannot appear in a head"),
@@ -74,7 +75,6 @@ PLANNER_REFUSALS = [
     ("C(x) <- A2(x,y). @order(x,x)", "key order repeats a variable"),
     ("C(x) <- F1[x]=a. @order(x,a)", "key order names non-key variable a"),
     ("C(x) <- A2(x,y). @order(x)", "key order missing key variables: y"),
-    ("C(x) <- A(x), !A2(x,y).", "unsupported: negation"),
     ("C(x) <- A(x), (A(x) ; A2(x,y)).", "disjunction branches must bind the same variables"),
     (
         "T[x]=y <- agg<< s=sum(v) >> E2[x,y]=v.",

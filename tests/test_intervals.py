@@ -31,13 +31,14 @@ def index(prefix_len, context_len, leaf_target):
 def erase_one(ix, r):
     """Erase one present record from its partition, the sequential reference."""
     root = ix.parts[r.prefix]
-    root, added, grown = ix.tree.merge(root, [(r.sort_key(), ABSENT)], 0, 1)
-    assert (added, grown) == (0, -1)
+    size = len(ix)
+    root, added = ix.tree.merge(root, [(r.sort_key(), ABSENT)], 0, 1)
+    assert added == 0
     if root is None:
         del ix.parts[r.prefix]
     else:
         ix.parts[r.prefix] = root
-    ix.size -= 1
+    assert len(ix) == size - 1
 
 
 class TestAdd:

@@ -240,10 +240,12 @@ class TestParser:
         with pytest.raises(UserError, match="unknown predicate"):
             parse_rule("C(x) <- Zap(x).", CATALOG)
 
-    def test_negation_parses_but_planning_rejects(self):
-        r = parse_rule("C(x) <- A(x), !B(x).", CATALOG)
-        with pytest.raises(UserError, match="negation"):
-            validate_key_order(r)
+    @pytest.mark.parametrize(
+        "text", ["C(x) <- A(x), !B(x).", "C(x) <- A(x), !(B(x), A(x))."]
+    )
+    def test_negation_is_refused_by_the_parser(self, text):
+        with pytest.raises(UserError, match="^unsupported: negation$"):
+            parse_rule(text, CATALOG)
 
     def test_disjunction_parses_to_branches(self):
         r = parse_rule("C(x) <- (A(x) ; B(x)).", CATALOG)

@@ -872,7 +872,7 @@ def _height(version):
 def _walked(version):
     """The same pages without the commit's log: surgery_iter walks them."""
     return store.RelationVersion(
-        version.lineage, version.arity, version.version_id, version.root, version.count
+        version.lineage, version.arity, version.version_id, version.root
     )
 
 
