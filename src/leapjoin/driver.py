@@ -25,9 +25,11 @@ it emits and merges them into the indices once, in one descent per
 index, when its stream is exhausted.  Nothing reads an index while an
 evaluation runs, because the oracle is built before either side starts.
 
-Each head stages a round in its own open transaction.  The heads commit
-together once every one of them has staged, and a round publishes all of
-its heads or none: a raise, in a commit too, aborts the transactions
+Each head stages a round in its own open transaction.  A round whose
+diff is empty stages no head, so a head's version advances only in a
+round that changes the rule's assignments.  The heads commit together
+once every one of them has staged, and a round publishes all of its
+heads or none: a raise, in a commit too, aborts the transactions
 still open, puts every head relation's version back, leaves the bound
 versions as they were, and puts back each sensitivity index's partition
 map and each min/max scan tree's root.  That is all a round saves: edits
@@ -209,17 +211,18 @@ class HeadState:
     def apply(self, deltas):
         """Stage (target_keys, payload, delta) updates; returns the open txn.
 
-        Deltas are sorted by target keys, erases first per key, unless the
-        batch holds no erase and its keys never decrease (as inserts
-        routed in evaluation order into a head whose keys prefix the join
-        order do).  The caller commits the transaction, or aborts it; a
-        raise aborts it here.
+        Deltas are sorted by target keys, erases first per key.  A batch
+        with no erase is sorted by its target keys alone, which a stable
+        sort orders the same, and not at all if its keys never decrease
+        (as inserts routed in evaluation order into a head whose keys
+        prefix the join order do).  The caller commits the transaction, or
+        aborts it; a raise aborts it here.
         """
         targets = partial(map, _delta_target)
-        if ERASE in map(_delta_kind, deltas) or any(
-            map(gt, targets(deltas), targets(islice(deltas, 1, None)))
-        ):
+        if ERASE in map(_delta_kind, deltas):
             deltas = sorted(deltas, key=_erases_first)
+        elif any(map(gt, targets(deltas), targets(islice(deltas, 1, None)))):
+            deltas = sorted(deltas, key=_delta_target)
         txn = self.relation.begin()
         try:
             if self.replaces:
@@ -328,10 +331,12 @@ def _route(heads, changes):
     One pass over the changes builds every head's (target keys, payload,
     delta) batch by its C-level getters, with no Python call per change.
     Each head stages its batch in its own open transaction, and the heads
-    commit once every one has staged.  A raise, in a stage or a commit,
-    aborts the transactions still open and puts every head relation's
-    version back, so a round publishes every head or none.  Returns the
-    number of changes routed.
+    commit once every one has staged.  A head with an empty batch (every
+    head's is empty when no assignment changed) stages nothing unless it
+    replaces its relation (at bootstrap), and keeps its version.  A raise,
+    in a stage or a commit, aborts the transactions still open and puts
+    every head relation's version back, so a round publishes every head or
+    none.  Returns the number of changes routed.
     """
     per_head = [[] for _ in heads]
     routes = [(h.target, h.payload, b.append) for h, b in zip(heads, per_head)]
@@ -343,7 +348,8 @@ def _route(heads, changes):
     staged, committed = [], 0
     try:
         for head, deltas in zip(heads, per_head):
-            staged.append(head.apply(deltas))
+            if deltas or head.replaces:
+                staged.append(head.apply(deltas))
         for txn in staged:
             txn.commit()
             committed += 1

@@ -25,26 +25,33 @@ absent, the one format of every ordered tree's sorted batch:
   sum, or an exact float total in a segmented representation of
   X + sum(s_i), X a fixed constant with a 1-bit every fourth position,
   so borrows stay local and the total is exact in any insert/erase
-  order (a run of one key's deltas folds into one accumulator, frozen
-  once when the record is written).  Each group also renders its stored
-  value for ``dump``;
+  order.  A run of one key's deltas folds once and normalizes once: a
+  sum adds exact integers and wraps to 64 bits when the record is
+  written, and a float total adds its summands into one pending exact
+  integer at the run's least exponent, which settles into the segments
+  in one carry pass when the record is written.  Each delta is still
+  checked as it folds, so a bad summand raises at its own delta.  Each
+  group also renders its stored value for ``dump``;
 * scan-backed min/max -- an intermediate full-key relation with a
-  min/max scan-tree, written 1:1 as a direct head is: a batch is
-  folded and checked whole, then its writes change the tree in one
-  descent (a bulk build into an empty tree), and only the group
-  prefixes of keys whose value changed recompute by range scan into the
-  head's batch.
+  min/max scan-tree of 64-record leaves, written 1:1 as a direct head
+  is: a batch is folded and checked whole, then its writes change the
+  tree in one descent (a bulk build into an empty tree).  When the tree
+  then holds the batch's writes alone (after a batch into an empty
+  intermediate, as at every bootstrap), each group's extreme is the op's
+  fold over the group's own writes; otherwise only the group prefixes of
+  keys whose value changed recompute by range scan.  Either way a group gets
+  its first extreme in key order, and the head gets one batch.
 """
 
-import math
 from fractions import Fraction
-from itertools import groupby, islice
-from operator import countOf, itemgetter, lt, methodcaller
+from itertools import groupby, islice, repeat
+from math import frexp, inf, isfinite
+from operator import countOf, is_, itemgetter, lt, methodcaller
 from typing import Callable, NamedTuple, Optional
 
 from .errors import IntegrityError, UserError
 from .keys import KEY_MAX, KEY_MIN
-from .scantree import ABSENT, EMPTY, ScanTree, wrap64
+from .scantree import ABSENT, EMPTY, LEAF_TARGET, ScanTree, wrap64
 from .store import INSERT
 
 _SEG_BITS = 52
@@ -80,37 +87,62 @@ class SegmentedFloat:
     """Exact accumulator for signed double-precision summands.
 
     Stores only the 52-bit segments of X + sum(s_i) that differ from X's
-    own segments.  Adding one summand touches the two segments it spans
-    plus however far its carry ripples; X's regular 1-bits stop a ripple
-    at the first clean segment.
+    own segments.  ``fold`` adds a summand to one pending exact integer
+    at the least exponent folded so far and touches no segment; the
+    pending sum settles into the segments in one ``_add_at`` when they
+    are read (``frozen``, ``to_exact``, ``is_zero``, ``to_float``).  A
+    settle touches the segments the sum spans plus however far its carry
+    ripples; X's regular 1-bits stop a ripple at the first clean segment.
+    ``add`` is a fold settled at once.
     """
 
-    __slots__ = ("segments",)
+    __slots__ = ("segments", "_m", "_e")
 
     def __init__(self, segments=None):
         self.segments = dict(segments) if segments else {}
+        self._m = 0  # the pending sum, _m * 2**(_e - 53)
+        self._e = 0
 
     def frozen(self):
+        self._settle()
         return tuple(sorted(self.segments.items()))
 
     def is_zero(self):
+        self._settle()
         return not self.segments
 
-    def add(self, s: float, sign: int = 1) -> int:
-        """Add (sign=+1) or subtract (sign=-1) a finite double exactly.
-
-        Returns the number of segments written.
-        """
-        if not math.isfinite(s):
+    def fold(self, s: float, sign: int = 1) -> None:
+        """Add (sign=+1) or subtract (sign=-1) a finite double exactly into
+        the pending sum."""
+        if not isfinite(s):
             raise UserError(f"non-finite summand {s!r}")
         if s == 0.0:
-            return 0
-        frac, exp = math.frexp(s)
+            return
+        frac, e = frexp(s)
         m = int(frac * (1 << 53))  # exact: frac has <= 53 significant bits
-        e = exp - 53
         if sign < 0:
             m = -m
-        j, shift = divmod(e, _SEG_BITS)
+        pending, at = self._m, self._e
+        if not pending:
+            self._m, self._e = m, e
+        elif e >= at:
+            self._m = pending + (m << (e - at))
+        else:
+            self._m = (pending << (at - e)) + m
+            self._e = e
+
+    def add(self, s: float, sign: int = 1) -> int:
+        """``fold`` one summand and settle; returns the number of segments
+        written."""
+        self.fold(s, sign)
+        return self._settle()
+
+    def _settle(self) -> int:
+        m = self._m
+        if not m:
+            return 0
+        self._m = 0
+        j, shift = divmod(self._e - 53, _SEG_BITS)
         return self._add_at(j, m << shift)
 
     def _add_at(self, j: int, delta: int) -> int:
@@ -131,7 +163,7 @@ class SegmentedFloat:
 
     def to_exact(self) -> Fraction:
         """The represented total as an exact rational."""
-        if not self.segments:
+        if self.is_zero():
             return Fraction(0)
         jmin = min(self.segments)
         num = 0
@@ -148,13 +180,13 @@ class SegmentedFloat:
         Returns (value, overflowed); an exact total beyond the double
         range comes back as a signed infinity with the flag set.
         """
-        if not self.segments:
+        if self.is_zero():
             return 0.0, False
         exact = self.to_exact()
         try:
             return float(exact), False
         except OverflowError:
-            return (math.inf if exact > 0 else -math.inf), True
+            return (inf if exact > 0 else -inf), True
 
 
 # -- update actions ----------------------------------------------------------
@@ -165,6 +197,7 @@ class SegmentedFloat:
 # None when the head reads as empty.
 
 _keys = itemgetter(0)  # of a delta or a write
+_value = itemgetter(1)  # of a write
 _write = itemgetter(0, 1)  # a delta's (keys, payload)
 _delta = itemgetter(2)
 
@@ -237,9 +270,10 @@ class Group(NamedTuple):
     value (sign +1) or out of it (sign -1), None standing for an empty
     group.  Records store (value, eta), or eta alone for a group without
     a step.  render(stored, eta) gives dump's columns for a record value.
-    A group that folds into a mutable accumulator names thaw(stored),
-    which opens the accumulator for a run of one key's deltas, and
-    freeze(acc), which gives the value to store once the run is folded.
+    A group whose step folds a run of one key's deltas into a value not
+    yet fit to store names freeze(value), which normalizes it once the
+    run is folded, and, if the value is a mutable accumulator,
+    thaw(stored), which opens one for the run.
     """
 
     step: Optional[Callable]
@@ -259,10 +293,10 @@ def _function_value(name, keys, value, payload, sign):
     return payload
 
 
-def _wrapping_sum(name, keys, total, summand, sign):
+def _exact_sum(name, keys, total, summand, sign):
     if not isinstance(summand, int):
         raise UserError(f"{name}: sum() needs integer summands, got {summand!r}")
-    return wrap64((total or 0) + sign * summand)
+    return (total or 0) + sign * summand
 
 
 def _float_total(name, keys, acc, summand, sign):
@@ -272,7 +306,7 @@ def _float_total(name, keys, acc, summand, sign):
         summand = float(summand)
     except OverflowError:
         raise UserError(f"{name}: summand beyond the double range at {keys}") from None
-    acc.add(summand, sign)
+    acc.fold(summand, sign)
     return acc
 
 
@@ -287,7 +321,7 @@ def _render_pair(shown):
 GROUPS = {
     "COUNTED": Group(None, lambda n, eta=False: [f"#{n}"] if eta else []),
     "COUNT": Group(None, lambda n, eta=False: [str(n)]),
-    "GROUP_SUM": Group(_wrapping_sum, _render_pair(lambda total: total)),
+    "GROUP_SUM": Group(_exact_sum, _render_pair(lambda total: total), freeze=wrap64),
     "FLOAT_TOTAL": Group(
         _float_total,
         _render_pair(lambda segs: SegmentedFloat(segs).to_float()[0]),
@@ -335,8 +369,9 @@ def apply_group(txn, deltas, group):
     arrive as one batch; each run of deltas with equal keys reads the
     transaction once, folds every delta into a local (value, eta) by the
     group's step (through one thawed accumulator for a group with thaw),
-    and writes at most once.  Deltas must be ordered by key, erases before
-    inserts per key, so a changed function value never conflicts with itself.
+    normalizes the value once by the group's freeze, and writes at most
+    once.  Deltas must be ordered by key, erases before inserts per key,
+    so a changed function value never conflicts with itself.
     """
     txn.write_sorted(_group_writes(txn.relation.name, txn.reader(), deltas, group))
 
@@ -349,7 +384,7 @@ class ScanBackedAggregate:
     """
 
     def __init__(self, op, arity):
-        self.tree = ScanTree(op)
+        self.tree = ScanTree(op, leaf_target=LEAF_TARGET)
         self.arity = arity
 
     def apply_deltas(self, deltas):
@@ -368,23 +403,42 @@ class ScanBackedAggregate:
         return writes
 
     def refresh_head(self, txn, writes, prefix_len):
-        """Write each changed group's range-scanned value to the head."""
+        """Write each changed group's extreme to the head.
+
+        When the tree holds the writes alone (after any batch into an empty
+        intermediate, as at every bootstrap), each group's extreme is the
+        op's fold over its own writes: the first extreme in key order, as
+        a range scan finds it.  Otherwise each changed group is
+        range-scanned.
+        """
         txn.write_sorted(self._refreshed(txn.reader(), writes, prefix_len))
 
     def _refreshed(self, get, writes, prefix_len):
         """Head writes for the groups of key-ordered writes, each once."""
-        pad = self.arity - prefix_len
-        touched = map(_keys, writes)
-        for full_keys, _ in groupby(touched, itemgetter(slice(prefix_len))):
-            lo = full_keys + (KEY_MIN,) * pad
-            hi = full_keys + (KEY_MAX,) * pad
-            agg = self.tree.range_scan(lo, hi)
-            cur = None if get is None else get(full_keys)
+        group_of = itemgetter(slice(prefix_len))
+        if len(writes) == self.tree.size and not any(
+            map(is_, map(_value, writes), repeat(ABSENT))  # C-level
+        ):
+            fold = self.tree.op.fold
+            runs = groupby(
+                zip(map(group_of, map(_keys, writes)), map(_value, writes)), _keys
+            )
+            extremes = ((group, fold(map(_value, run))) for group, run in runs)
+        else:
+            lo = (KEY_MIN,) * (self.arity - prefix_len)
+            hi = (KEY_MAX,) * (self.arity - prefix_len)
+            scan = self.tree.range_scan
+            extremes = (
+                (group, scan(group + lo, group + hi))
+                for group, _ in groupby(map(_keys, writes), group_of)
+            )
+        for group, agg in extremes:
+            cur = None if get is None else get(group)
             if agg is EMPTY:
                 if cur is not None:
-                    yield full_keys, ABSENT
+                    yield group, ABSENT
             elif cur is None or cur[0] != agg:
-                yield full_keys, agg
+                yield group, agg
 
 
 def apply_semigroup(agg: ScanBackedAggregate, txn, deltas, prefix_len: int):

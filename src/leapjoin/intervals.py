@@ -36,9 +36,7 @@ from typing import NamedTuple
 
 from .errors import UserError
 from .keys import KEY_MAX, render_key
-from .scantree import ABSENT, MAX_OP, ScanTree, _rec_key, _SLeaf
-
-LEAF_TARGET = 64  # records per leaf; 32, 64 and 128 measured alike on graph
+from .scantree import ABSENT, LEAF_TARGET, MAX_OP, ScanTree, _rec_key, _SLeaf
 
 _rec_hi = itemgetter(1)
 

@@ -49,6 +49,11 @@ EMPTY = _Sentinel("EMPTY")  # the combine of no records
 ABSENT = _Sentinel("ABSENT")  # a sorted-batch value: its key ends absent
 
 
+# records per leaf of the trees the engine keeps (sensitivity indices and
+# min/max intermediates); 32, 64 and 128 measured alike on graph
+LEAF_TARGET = 64
+
+
 def wrap64(x: int) -> int:
     return (x + (1 << 63)) % (1 << 64) - (1 << 63)
 
@@ -412,13 +417,6 @@ class ScanTree:
             return lrecs + rrecs
 
         return len(walk(root))
-
-    def height(self):
-        h, node = 0, self.root
-        while isinstance(node, _SNode):
-            h += 1
-            node = node.left if node.left.count >= node.right.count else node.right
-        return h
 
 
 def complement_iter(big: ScanTree, small: ScanTree, stats=None):

@@ -427,6 +427,23 @@ class TestMaintainCommand:
         out = ws.run_command(["maintain", "r1"])
         assert "ops_old=0" in out and "head_erases=0" in out
 
+    def test_maintain_that_changes_no_head_keeps_its_version(self, ws, tmp_path):
+        """A round that changes no assignment commits no head version: a
+        head's ``versions=`` in ``stats`` advances only with a change."""
+        load_unary(ws, tmp_path)
+        ws.run_command(["rule", "C(x) <- A(x), B(x)."])
+        ws.run_command(["eval", "r1"])
+        idb = [line for line in ws.run_command(["stats"]) if line.startswith("idb")]
+        assert idb == ["idb C/1 relation versions=2 records=2 pages=1"]
+        maintain_with(ws, tmp_path, "A", "+9\n")  # 9 is not in B: C keeps its records
+        stats = ws.run_command(["stats"])
+        assert [line for line in stats if line.startswith("idb")] == idb
+        assert "rule r1 bound=A@2,B@1 sens_intervals=0" in stats
+        maintain_with(ws, tmp_path, "B", "+9\n")
+        assert ws.run_command(["stats"])[2] == (
+            "idb C/1 relation versions=3 records=3 pages=2"
+        )
+
 
 class TestMain:
     def test_exit_codes(self, tmp_path, capsys):

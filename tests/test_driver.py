@@ -646,6 +646,29 @@ class TestFaultSweep:
         assert list(ix.parts) == [(5,)]
         assert head_records(eng.inst) == head_records(eng.fresh_reference())
 
+    def test_bootstrap_folds_min_max_groups_inside_refresh_head(self, monkeypatch):
+        """A bootstrap's min/max head folds each group from its writes, with
+        no range scan, inside ``refresh_head``: the sweep's fault point
+        there fires during a bootstrap too."""
+        rng = random.Random(23)
+        eng = Engine("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)})
+        eng.random_fill(rng, per_relation=40, dom=8)
+        bootstrap(eng.inst, eng.versions())
+        eng.random_edits(rng, 6, dom=8)
+        before = instance_state(eng.inst)
+
+        def no_scan(*args):
+            raise AssertionError("a bootstrap scanned a group")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scantree.ScanTree, "range_scan", no_scan)
+            raise_at_call(patch, ScanBackedAggregate, "refresh_head", 1)
+            with pytest.raises(Injected, match="refresh_head call 1"):
+                bootstrap(eng.inst, eng.versions())
+            assert instance_state(eng.inst) == before
+            bootstrap(eng.inst, eng.versions())
+        assert head_records(eng.inst) == head_records(eng.fresh_reference())
+
     def test_second_commit_raising_publishes_neither_head(self, monkeypatch):
         """P committed (3,0) and Q did not; every later round then
         refused P's direct insert of a live record."""

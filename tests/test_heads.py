@@ -20,6 +20,7 @@ from leapjoin.heads import (
     apply_semigroup,
     x_segment,
 )
+from leapjoin.keys import KEY_MAX, KEY_MIN
 from leapjoin.scantree import ABSENT, MAX_OP, MIN_OP, ScanTree, wrap64
 from leapjoin.store import ERASE, INSERT, Relation, Transaction
 
@@ -874,3 +875,198 @@ class TestHeadStateApply:
             assignments = [(k, (v,) if func else ()) for k, v in live.items()]
             want = expected_head(eng.plan, 0, assignments)
             assert head_snapshot(head) == want, f"round {round_} ({mode})"
+
+
+def per_delta_records(held, deltas, step):
+    """A group head's records after ``deltas`` apply one at a time.
+
+    ``held`` maps keys to (value, eta); ``step(value, payload, sign)``
+    folds one payload into a normalized value, None for an empty group.
+    """
+    out = dict(held)
+    for keys, payload, delta in deltas:
+        value, eta = out.pop(keys, (None, 0))
+        sign = 1 if delta == INSERT else -1
+        value, eta = step(value, payload, sign), eta + sign
+        if eta:
+            out[keys] = (value, eta)
+    return sorted(out.items())
+
+
+def add_one(segs, summand, sign):
+    acc = SegmentedFloat(segs)
+    acc.add(float(summand), sign)
+    return acc.frozen()
+
+
+def wrap_one(total, summand, sign):
+    return wrap64((total or 0) + sign * summand)
+
+
+def float_summand(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1030)])
+    if kind == 1:  # subnormal
+        return math.ldexp(rng.uniform(-1, 1), -1074 + rng.randrange(60))
+    if kind == 2:
+        return rng.randrange(-(2**60), 2**60)  # an int, rounded to a double
+    return math.ldexp(rng.uniform(-1, 1), rng.randint(-600, 600))
+
+
+# group -> (reference step, payload draw, bad payloads with their texts)
+RUN_FOLDS = {
+    "FLOAT_TOTAL": (
+        add_one,
+        float_summand,
+        [
+            (math.inf, "non-finite summand inf"),
+            (-math.inf, "non-finite summand -inf"),
+            (math.nan, "non-finite summand nan"),
+            (10**400, "G: summand beyond the double range at (7,)"),
+            (-(10**400), "G: summand beyond the double range at (7,)"),
+        ],
+    ),
+    "GROUP_SUM": (
+        wrap_one,
+        lambda rng: rng.choice(
+            [rng.randrange(-(2**63), 2**63), rng.randrange(-3, 4), 2**63 - 1]
+        ),
+        [
+            (1.5, "G: sum() needs integer summands, got 1.5"),
+            (2.0, "G: sum() needs integer summands, got 2.0"),
+        ],
+    ),
+}
+
+
+class TestRunFold:
+    """A float total's or a sum's run of one key folds and normalizes once;
+    its stored records equal a fold that normalizes after every delta."""
+
+    @pytest.mark.parametrize("name", sorted(RUN_FOLDS))
+    def test_run_fold_stores_the_per_delta_records(self, name):
+        step, draw, _ = RUN_FOLDS[name]
+        rng = random.Random(f"run-fold-{name}")
+        rel = store("G", 1, func=True)
+        live = {}  # key -> live payloads
+        emptied = 0
+        for round_ in range(80):
+            deltas = []
+            for k, ps in sorted(live.items()):
+                if rng.random() < 0.25:  # the key's run empties it part-way
+                    gone, ps[:] = ps[:], []
+                    emptied += 1
+                else:
+                    gone = [p for p in ps if rng.random() < 0.3]
+                    for p in gone:
+                        ps.remove(p)
+                deltas += [((k,), p, ERASE) for p in gone]
+            for _ in range(rng.randrange(0, 40)):
+                k = rng.randrange(6)
+                live.setdefault(k, []).append(draw(rng))
+                deltas.append(((k,), live[k][-1], INSERT))
+            deltas = head_order(deltas)
+            want = per_delta_records(dict(records(rel)), deltas, step)
+            txn = rel.begin()
+            apply_group(txn, deltas, GROUPS[name])
+            txn.commit()
+            assert records(rel) == want, f"round {round_}"
+        assert emptied > 20
+
+    @pytest.mark.parametrize("name", sorted(RUN_FOLDS))
+    def test_bad_summand_raises_its_text_at_its_delta(self, name):
+        step, draw, bads = RUN_FOLDS[name]
+        rel = store("G", 1, func=True)
+        txn = rel.begin()
+        apply_group(txn, [((6,), 1, INSERT), ((7,), 2, INSERT)], GROUPS[name])
+        txn.commit()
+        before = records(rel)
+        for bad, text in bads:
+            # the bad summand comes before the support underflow in its run,
+            # and after it; and in a later key than the underflow
+            cases = [
+                ([((7,), 3, INSERT), ((7,), bad, INSERT)] + [((7,), 2, ERASE)] * 4,
+                 text),
+                ([((7,), 2, ERASE)] * 2 + [((7,), bad, INSERT)],
+                 "G: support underflow at (7,)"),
+                ([((6,), 1, ERASE), ((6,), 1, ERASE), ((7,), bad, INSERT)],
+                 "G: support underflow at (6,)"),
+            ]
+            for deltas, message in cases:
+                txn = rel.begin()
+                with pytest.raises((IntegrityError, UserError)) as raised:
+                    apply_group(txn, deltas, GROUPS[name])
+                txn.abort()
+                assert str(raised.value) == message, (bad, deltas)
+                assert records(rel) == before
+
+
+class TestFreshFold:
+    """When the intermediate holds a batch's writes alone (after a batch
+    into an empty one, or one that replaced every record), a min/max head
+    folds each group from its writes: the first extreme in key order, as a
+    range scan finds it."""
+
+    @pytest.mark.parametrize("prefix_len", [1, 2])
+    @pytest.mark.parametrize("op", [MAX_OP, MIN_OP])
+    def test_fold_from_writes_equals_a_range_scan_per_group(self, op, prefix_len):
+        rng = random.Random(f"fresh-{op.name}-{prefix_len}")
+        agg = ScanBackedAggregate(op, 3)
+        rel = store("M", prefix_len, func=True)
+        scans = []
+        scan = agg.tree.range_scan
+        agg.tree.range_scan = lambda lo, hi: scans.append(lo) or scan(lo, hi)
+        pad = 3 - prefix_len
+        cells = [(x, y, z) for x in range(4) for y in range(3) for z in range(4)]
+        ties = [1, 1.0, 0.0, -0.0, -1, -1.0, True]
+        live, folded = {}, 0
+        for round_ in range(24):
+            alone = agg.tree.root is None
+            if round_ % 6 == 5:  # empty the intermediate; the next round refills it
+                deltas = [(k, v, ERASE) for k, v in live.items()]
+                live = {}
+            elif round_ % 6 == 2:  # replace every record by a value unseen so far
+                deltas = [(k, v, ERASE) for k, v in live.items()]
+                live = {k: rng.choice(ties) + 10 * round_ for k in live}
+                deltas += [(k, v, INSERT) for k, v in live.items()]
+                alone = True
+            else:
+                deltas = []
+                for k in rng.sample(cells, 20):
+                    if k in live:
+                        deltas.append((k, live.pop(k), ERASE))
+                    else:
+                        live[k] = rng.choice(ties)
+                        deltas.append((k, live[k], INSERT))
+            del scans[:]
+            txn = rel.begin()
+            apply_semigroup(agg, txn, head_order(deltas), prefix_len=prefix_len)
+            txn.commit()
+            assert (scans == []) == alone, f"round {round_}"
+            groups = sorted({k[:prefix_len] for k in live})
+            want = [
+                (g, scan(g + (KEY_MIN,) * pad, g + (KEY_MAX,) * pad)) for g in groups
+            ]
+            got = records(rel)
+            assert got == want, f"round {round_}"
+            if alone:
+                # every group's extreme is new: the same extreme, not only an
+                # equal one (1 is not 1.0 or True, and 0.0 is not -0.0)
+                assert list(map(repr, got)) == list(map(repr, want))
+                folded += 1
+        assert folded == 8
+
+    def test_batch_that_erases_is_scanned_though_the_tree_counts_its_writes(self):
+        agg = ScanBackedAggregate(MAX_OP, 2)
+        rel = store("M", 1, func=True)
+        for deltas in (
+            [((0, 1), 5, INSERT), ((0, 2), 1, INSERT)],
+            # two writes, (0, 1) ABSENT and (0, 3), and two records left
+            [((0, 1), 5, ERASE), ((0, 3), 2, INSERT)],
+        ):
+            txn = rel.begin()
+            apply_semigroup(agg, txn, deltas, prefix_len=1)
+            txn.commit()
+        assert agg.tree.size == 2
+        assert records(rel) == [((0,), 2)]
