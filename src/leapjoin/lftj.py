@@ -26,6 +26,14 @@ participants carry their sensitivity buffer and sort-key getter, looked
 up once per evaluation.  The trie cursors step within their leaf at the
 last level (see ``store.TrieCursor``).
 
+A level pays only for what it holds.  Where its only participant is one
+atom cursor (no oracle), that cursor is always aligned with itself, so
+the leapfrog loop skips its alignment pass and only steps the cursor.
+Once a level's keys align, it reads its value binds (the plan's
+``BranchPlan.binds``, (atom, value slot) pairs) in a plain loop, and only
+then runs its steps (value checks, filters and primitives), which can
+reject the key.
+
 A disjunction's branches are evaluated as separate streams, each
 increasing and duplicate-free, and meet in a fold of two-way sorted
 unions, which yields an item the branches share once; a one-branch rule
@@ -197,9 +205,7 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter):
     def run_steps(steps):
         for step in steps:
             tag = step[0]
-            if tag == "bindval":
-                vslots[step[2]] = cursors[step[1]].value()
-            elif tag == "checkval":
+            if tag == "checkval":
                 if cursors[step[1]].value() != vslots[step[2]]:
                     return False
             elif tag == "filter":
@@ -224,6 +230,7 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter):
                 return
             oc = _OracleCursor(entry)
             parts = atom_parts + [(oc, oracle_name, None)]
+        binds = bp.binds[d]
         steps = bp.steps[d]
         keys = []  # keys[j]: the key parts[j]'s cursor stands at, or None
         for cur, name, slot in parts:
@@ -240,29 +247,33 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter):
             if None in keys:
                 return
             first, first_name, first_slot = parts[0]
+            lone = len(parts) == 1  # one cursor stands aligned with itself
             cur_max = max(keys)
             while True:
-                aligned = True
-                for j, k in enumerate(keys):
-                    if k < cur_max:
-                        cur, name, slot = parts[j]
-                        to = cur.seek_lub(cur_max)
-                        counter.ops += 1
-                        if trace is not None:
-                            trace.append((name, SEEK, d, k, cur_max, to))
-                        if slot is not None:
-                            append, sort_key = slot
-                            hi = KEY_MAX if to is None else to
-                            append((sort_key((*keystack, cur_max, hi)), hi))
-                        if to is None:
-                            return
-                        keys[j] = to
-                        if to > cur_max:
-                            cur_max = to
-                            aligned = False
-                if not aligned:
-                    continue
+                if not lone:
+                    aligned = True
+                    for j, k in enumerate(keys):
+                        if k < cur_max:
+                            cur, name, slot = parts[j]
+                            to = cur.seek_lub(cur_max)
+                            counter.ops += 1
+                            if trace is not None:
+                                trace.append((name, SEEK, d, k, cur_max, to))
+                            if slot is not None:
+                                append, sort_key = slot
+                                hi = KEY_MAX if to is None else to
+                                append((sort_key((*keystack, cur_max, hi)), hi))
+                            if to is None:
+                                return
+                            keys[j] = to
+                            if to > cur_max:
+                                cur_max = to
+                                aligned = False
+                    if not aligned:
+                        continue
                 keystack[d - 1] = cur_max
+                for pos, i in binds:
+                    vslots[i] = cursors[pos].value()
                 if not steps or run_steps(steps):
                     if d == K:
                         yield (tuple(keystack), tuple(vslots))

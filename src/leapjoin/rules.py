@@ -203,7 +203,8 @@ class IndexPlan:
 class BranchPlan:
     atoms: list
     participants: list  # per depth (1-based): list of (atom_pos, level)
-    steps: list  # per depth: list of evaluation steps
+    binds: list  # per depth: list of (atom_pos, value slot) the level reads
+    steps: list  # per depth: checkval, filter, primbind and primcheck steps
 
 
 @dataclass
@@ -260,6 +261,7 @@ def _schedule_branch(atoms, order, value_order, qualifier):
     K = len(order)
     plans = []
     participants = [[] for _ in range(K + 1)]  # index 1..K
+    binds = [[] for _ in range(K + 1)]
     steps = [[] for _ in range(K + 1)]
     counts = Counter(a.pred for a in atoms if a.kind != PRIMITIVE)
     seen: dict[str, int] = {}
@@ -306,17 +308,17 @@ def _schedule_branch(atoms, order, value_order, qualifier):
                 "in some disjunction branch"
             )
 
-    # bind each value variable at its shallowest producer; later producers
-    # become equality checks at their own completion depth.  A function's
-    # value may not be a key of the branch too (a primitive's output may:
-    # see primcheck)
+    # bind each value variable at its shallowest producer, read before the
+    # level's steps run; later producers become equality checks at their
+    # own completion depth.  A function's value may not be a key of the
+    # branch too (a primitive's output may: see primcheck)
     for var, plist in producers.items():
         if var in depth_of:
             raise UserError(f"variable {var} is both a key and a value")
         plist.sort()
         done_at, pos = plist[0]
         value_bind_depth[var] = done_at
-        steps[done_at].append(("bindval", pos, vslot[var]))
+        binds[done_at].append((pos, vslot[var]))
         for other_at, other_pos in plist[1:]:
             steps[other_at].append(("checkval", other_pos, vslot[var]))
 
@@ -361,7 +363,7 @@ def _schedule_branch(atoms, order, value_order, qualifier):
     unbound = [v for v in value_order if v not in value_bind_depth]
     if unbound:
         raise UserError(f"value variables never bound: {', '.join(unbound)}")
-    return BranchPlan(plans, participants, steps)
+    return BranchPlan(plans, participants, binds, steps)
 
 
 def validate_key_order(rule: RuleIR, order=None) -> Plan:

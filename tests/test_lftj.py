@@ -402,11 +402,16 @@ def _all_tuples(arity, dom):
 
 
 DIGEST_CASES = [
-    ("T(x,y,z) <- E(x,y), E(y,z), E(x,z).", {"E": (2, False)}, 12),
-    ("P(x,z) <- E(x,y), E(y,z).", {"E": (2, False)}, 12),
-    ("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)}, 12),
-    ("U(x) <- (A(x) ; B(x)).", {"A": (1, False), "B": (1, False)}, 40),
-    ("U(x) <- (A(x) ; B(x)). @force_sens", {"A": (1, False), "B": (1, False)}, 40),
+    ("T(x,y,z) <- E(x,y), E(y,z), E(x,z).", {"E": (2, False)}, 12, None),
+    ("P(x,z) <- E(x,y), E(y,z).", {"E": (2, False)}, 12, None),
+    ("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)}, 12, None),
+    ("U(x) <- (A(x) ; B(x)).", {"A": (1, False), "B": (1, False)}, 40, None),
+    (
+        "U(x) <- (A(x) ; B(x)). @force_sens",
+        {"A": (1, False), "B": (1, False)},
+        40,
+        None,
+    ),
 ]
 
 # sha256 of everything evaluator_digest() feeds it; a change to the
@@ -414,12 +419,13 @@ DIGEST_CASES = [
 EVALUATOR_DIGEST = "ca63aa5e5cc6b0462d46319b4b630d42b6f822cc9d64db85f1f0ae84dda0bf16"
 
 
-def evaluator_digest():
+def evaluator_digest(cases=DIGEST_CASES, seed=900):
     """Hash the evaluator's outputs over bootstrap and five maintain rounds.
 
     Per case and round: the report, the new-side trace, every
     sensitivity index's sorted records, the oracle, the head records,
-    and a plain evaluate's assignments, trace and op count.
+    and a plain evaluate's assignments, trace and op count.  A case is
+    (rule, relation spec, key domain, function value drawer or None).
     """
     h = hashlib.sha256()
 
@@ -427,15 +433,15 @@ def evaluator_digest():
         h.update(repr(items).encode())
         h.update(b"\n")
 
-    for i, (rule, spec, dom) in enumerate(DIGEST_CASES):
-        rng = random.Random(900 + i)
+    for i, (rule, spec, dom, value_of) in enumerate(cases):
+        rng = random.Random(seed + i)
         eng = Engine(rule, spec, leaf_capacity=4)
-        eng.random_fill(rng, per_relation=60, dom=dom)
+        eng.random_fill(rng, per_relation=60, dom=dom, value_of=value_of)
         for rnd in range(6):
             if rnd == 0:
                 report = bootstrap(eng.inst, eng.versions())
             else:
-                eng.random_edits(rng, rng.randrange(2, 9), dom)
+                eng.random_edits(rng, rng.randrange(2, 9), dom, value_of)
                 report = maintain(eng.inst, eng.versions(), with_trace=True)
             put(rule, rnd, report.to_text(), eng.inst.last_trace)
             for key in sorted(eng.inst.indices):
@@ -453,3 +459,48 @@ def evaluator_digest():
 class TestEvaluatorDigest:
     def test_outputs_match_pinned_digest(self):
         assert evaluator_digest() == EVALUATOR_DIGEST
+
+
+def _small_value(rng):
+    """Function values from a small domain, so value equalities often hold."""
+    return rng.randrange(4)
+
+
+# rules whose levels run every kind of step: a value bind with a check
+# of the same value, a filter and a primitive bind at one level (V); a
+# bind and its check on a two-participant level (R); a primitive check
+# (Q); a bind in each disjunction branch (D); and levels whose only
+# participant is one atom, with sensitivity slots (S, L)
+STEP_DIGEST_CASES = [
+    (
+        "V(x,y,r) <- A(x,y), F[y]=a, G[y]=a, add[a,a]=r, lt(x,y).",
+        {"A": (2, False), "F": (1, True), "G": (1, True)},
+        12,
+        _small_value,
+    ),
+    ("R(x) <- F[x]=a, G[x]=a.", {"F": (1, True), "G": (1, True)}, 30, _small_value),
+    (
+        "Q(x,y) <- E2[x,y]=a, F[x]=b, add[b,b]=a. @force_sens",
+        {"E2": (2, True), "F": (1, True)},
+        12,
+        _small_value,
+    ),
+    ("D(x,a) <- (F[x]=a ; G[x]=a).", {"F": (1, True), "G": (1, True)}, 30, _small_value),
+    (
+        "S[x]=s <- agg<< s=sum(v) >> E2[x,y]=v. @force_sens",
+        {"E2": (2, True)},
+        12,
+        None,
+    ),
+    ("L(x,y) <- A(x,y), lt(x,y). @force_sens", {"A": (2, False)}, 12, None),
+]
+
+# evaluator_digest over STEP_DIGEST_CASES: pins what each level's value
+# binds, checks, filters and primitives let through, and what a level
+# with one participant moves, traces and emits
+STEP_DIGEST = "93daa5e21f022fa3ba87b81070c6f542926acd23df965a330116081f9d8c03f3"
+
+
+class TestStepDigest:
+    def test_outputs_match_pinned_digest(self):
+        assert evaluator_digest(STEP_DIGEST_CASES, seed=950) == STEP_DIGEST
