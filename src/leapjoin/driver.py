@@ -12,7 +12,14 @@ and payload from an assignment's keys + values through C-level getters,
 so no Python function runs per assignment.
 Heads stage on cleared workspaces, min/max heads into fresh scan trees,
 and nothing of the instance changes until every head has staged: a
-bootstrap that raises leaves it as it was.
+bootstrap that raises leaves it as it was.  The whole build runs with
+CPython's cyclic collector suspended: it allocates the heads' pages, the
+indices' trees and the evaluation's tuples by the hundred thousand, and
+none of them sits in a reference cycle, so each collector pass that
+their allocation would start walks them and finds nothing to free.  The
+collector is switched back on at the end only if it was on at the start.
+``maintain`` leaves the collector alone: a round allocates far less, and
+a pass suspended there would only run in the caller's next round.
 
 maintain: turn version deltas into trie surgeries, match them against
 the sensitivity indices to build the change oracle (the hits of each
@@ -44,6 +51,7 @@ changed region directly in join-order coordinates.  Every other stab hit
 maps back to its bound key prefix by the plan's ``IndexPlan``.
 """
 
+import gc
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import partial
@@ -371,30 +379,44 @@ def bootstrap(inst, versions, with_trace=True):
     in and the bound versions advanced: a bootstrap that raises, in a
     head's commit too, leaves the instance and its head relations as they
     were.
+
+    The build runs with the cyclic collector suspended, since it makes no
+    reference cycle (see the module docstring), and leaves the collector
+    on or off as it found it, whether it returns or raises.
     """
-    plan = inst.plan
-    indices = inst.fresh_indices()
-    heads = [HeadState(h.plan, h.relation, len(plan.key_order)) for h in inst.heads]
-    for head in heads:
-        head.replaces = True
-    recorder = SensitivityRecorder(indices)
-    counter = Counter()
-    trace = [] if with_trace else None
-    # the old side is empty: every assignment routes as an insert
-    stream = evaluate(plan, versions, recorder=recorder, trace=trace, counter=counter)
-    n = _route(heads, zip(stream, repeat(INSERT)))
-    for head in heads:
-        head.replaces = False
-    inst.heads = heads
-    inst.indices = indices
-    inst.bound_versions = dict(versions)
-    inst.last_trace = trace
-    inst.last_oracle = None
-    return MaintenanceReport(
-        ops_new=counter.ops,
-        sens_added=recorder.added,
-        head_inserts=n,
-    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        plan = inst.plan
+        indices = inst.fresh_indices()
+        heads = [
+            HeadState(h.plan, h.relation, len(plan.key_order)) for h in inst.heads
+        ]
+        for head in heads:
+            head.replaces = True
+        recorder = SensitivityRecorder(indices)
+        counter = Counter()
+        trace = [] if with_trace else None
+        # the old side is empty: every assignment routes as an insert
+        stream = evaluate(
+            plan, versions, recorder=recorder, trace=trace, counter=counter
+        )
+        n = _route(heads, zip(stream, repeat(INSERT)))
+        for head in heads:
+            head.replaces = False
+        inst.heads = heads
+        inst.indices = indices
+        inst.bound_versions = dict(versions)
+        inst.last_trace = trace
+        inst.last_oracle = None
+        return MaintenanceReport(
+            ops_new=counter.ops,
+            sens_added=recorder.added,
+            head_inserts=n,
+        )
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def maintain(inst, new_versions, use_oracle=True, with_trace=False):

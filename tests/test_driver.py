@@ -642,6 +642,8 @@ class TestFaultSweep:
                             step(eng.inst, eng.versions())
                         except Injected:
                             raised.add(attr)
+                            # the raise path switched the collector back on
+                            assert gc.isenabled(), (seed, attr, k)
                         else:
                             break
                     where = (seed, attr, k)
@@ -732,18 +734,31 @@ class TestFaultSweep:
         assert head_records(eng.inst) == head_records(eng.fresh_reference())
 
 
+TRIANGLE = ("T(x,y,z) <- E(x,y), E(y,z), E(x,z).", {"E": (2, False)})
+UNARY = ("C(x) <- A(x), B(x).", {"A": (1, False), "B": (1, False)})
+MAX = ("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)})
+
+
 class TestGarbage:
-    def test_bootstrap_and_rounds_leave_no_cyclic_garbage(self):
+    @pytest.mark.parametrize(
+        "rule,spec,value_of",
+        [(*TRIANGLE, None), *SHAPES],
+        ids=[TRIANGLE[0]] + [s[0] for s in SHAPES],
+    )
+    def test_bootstrap_and_rounds_leave_no_cyclic_garbage(self, rule, spec, value_of):
+        """Every head kind, the two-head rule, the filter and the value
+        joins: a bootstrap suspends the cyclic collector, which is free
+        only while it makes no cycle for the collector to find."""
         rng = random.Random(19)
-        eng = Engine("T(x,y,z) <- E(x,y), E(y,z), E(x,z).", {"E": (2, False)})
-        eng.random_fill(rng, per_relation=200, dom=30)
+        eng = Engine(rule, spec)
+        eng.random_fill(rng, per_relation=200, dom=30, value_of=value_of)
         gc.collect()
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             bootstrap(eng.inst, eng.versions())
             for _ in range(10):
-                eng.random_edits(rng, rng.randrange(1, 4), dom=30)
+                eng.random_edits(rng, rng.randrange(1, 4), dom=30, value_of=value_of)
                 maintain(eng.inst, eng.versions())
             gc.collect()
             # reference counting freed it all: index builds and stabs
@@ -753,6 +768,34 @@ class TestGarbage:
             gc.set_debug(0)
             gc.garbage.clear()
             gc.enable()
+
+    def test_bootstrap_runs_no_collector_pass(self):
+        """A bootstrap runs with the collector suspended, and leaves it on
+        or off as it found it."""
+        eng = Engine(*UNARY)
+        eng.load("A", [(k,) for k in range(5000)])
+        eng.load("B", [(k,) for k in range(0, 10000, 2)])
+        passes = []
+
+        def note(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(note)
+        try:
+            bootstrap(eng.inst, eng.versions())
+            assert passes == [] and gc.isenabled()
+            gc.disable()
+            try:
+                bootstrap(eng.inst, eng.versions())
+                assert not gc.isenabled()
+            finally:
+                gc.enable()
+        finally:
+            gc.callbacks.remove(note)
+        assert eng.head_records("C") == [(k,) for k in range(0, 5000, 2)]
 
     def test_dropped_engine_is_freed_by_reference_counting(self):
         eng = Engine("P(x,z) <- E(x,y), E(y,z).", {"E": (2, False)})
@@ -770,11 +813,6 @@ class TestGarbage:
             assert [r() for r in refs] == [None] * len(refs)
         finally:
             gc.enable()
-
-
-TRIANGLE = ("T(x,y,z) <- E(x,y), E(y,z), E(x,z).", {"E": (2, False)})
-UNARY = ("C(x) <- A(x), B(x).", {"A": (1, False), "B": (1, False)})
-MAX = ("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)})
 
 
 def live_versions(rels):
