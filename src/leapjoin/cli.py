@@ -217,14 +217,14 @@ class Workspace:
         try:
             rows = _read_rows(path, rel.is_function, signed=True)
             for where, sign, keys, value in rows:
-                if sign == "+":
-                    txn.insert(keys, value)
+                if sign == "+" and txn.insert(keys, value):
                     inserts += 1
-                elif txn.erase(keys, value):
+                elif sign == "-" and txn.erase(keys, value):
                     erases += 1
                 else:
                     noops += 1
-                    out.append(f"warning: {where}: erase of absent tuple is a no-op")
+                    what = "insert of present" if sign == "+" else "erase of absent"
+                    out.append(f"warning: {where}: {what} tuple is a no-op")
         except BaseException:
             txn.abort()
             raise

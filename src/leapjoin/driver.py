@@ -1,54 +1,33 @@
-"""The maintenance cycle.
+"""The maintenance cycle: one round body serves bootstrap and maintain.
 
-bootstrap: full-evaluate the rule, populate heads from the assignment
-stream and sensitivity indices from the recorded iterator transitions
-(buffered during the evaluation and bulk-built into fresh indices once
-the stream is exhausted).  The old side is empty, so every assignment
-routes to the heads as an insert, with no diff; a head whose keys prefix
-the join order then receives its batch already in key order, which
-``HeadState.apply``, the one place a head batch is ordered, keeps.
-Routing makes one pass over the changes: each head reads its target keys
-and payload from an assignment's keys + values through C-level getters,
-so no Python function runs per assignment.
-Heads stage on cleared workspaces, min/max heads into fresh scan trees,
-and nothing of the instance changes until every head has staged: a
-bootstrap that raises leaves it as it was.  The whole build runs with
-CPython's cyclic collector suspended: it allocates the heads' pages, the
-indices' trees and the evaluation's tuples by the hundred thousand, and
-none of them sits in a reference cycle, so each collector pass that
-their allocation would start walks them and finds nothing to free.  The
-collector is switched back on at the end only if it was on at the start.
-``maintain`` leaves the collector alone: a round allocates far less, and
-a pass suspended there would only run in the caller's next round.
+A round moves a rule instance from its bound (old) versions to new ones.
+It turns each changed predicate's version delta into trie surgeries,
+stabs the sensitivity indices with them to build the change oracle (the
+hits leave the index, one sorted batch per stab), evaluates the body over
+the old and the new versions restricted by the oracle, diffs the two
+assignment streams in key order and routes the differences to the heads.
+The new side's evaluation buffers the intervals it records and merges
+them into the indices once its stream is exhausted, so nothing reads an
+index while an evaluation runs.  Atoms whose key arguments prefix the
+join order carry no index: their surgeries name their own key as a point
+interval.
 
-maintain: turn version deltas into trie surgeries, match them against
-the sensitivity indices to build the change oracle (the hits of each
-stab are consumed: they leave the index in one sorted batch per stab),
-evaluate the body over the old and the new versions restricted by the
-oracle, diff the two assignment streams in key order, route the
-differences to each head's update action, and let the new-side
-evaluation refill the indices for the next round: it buffers the records
-it emits and merges them into the indices once, in one descent per
-index, when its stream is exhausted.  Nothing reads an index while an
-evaluation runs, because the oracle is built before either side starts.
+Bootstrap is the round whose old side is the empty database: no oracle,
+every assignment an insert with no diff, and the indices, the min/max
+trees and the heads start empty, so every head commits.  In any other
+round a head with an empty batch stages nothing and keeps its version.
 
-Each head stages a round in its own open transaction.  A round whose
-diff is empty stages no head, so a head's version advances only in a
-round that changes the rule's assignments.  The heads commit together
-once every one of them has staged, and a round publishes all of its
-heads or none: a raise, in a commit too, aborts the transactions
-still open, puts every head relation's version back, leaves the bound
-versions as they were, and puts back each sensitivity index's partition
-map and each min/max scan tree's root.  That is all a round saves: edits
-path-copy, a copy of an index's map holds every partition's old root,
-and every record count is read from a root.  So the consumed hits, the
-new side's merge, the partitions it created or emptied and the min/max
-edits of a round that raised are undone.
+A round publishes all of its heads or none.  It first saves everything it
+may change: the instance's index map, each index's partition map, each
+min/max tree's root and each head relation's version.  Edits path-copy
+and every record count is read from a root, so restoring that state, on
+any raise, is the whole rollback.
 
-Atoms whose key arguments prefix the join order carry no indices; their
-surgeries contribute their own key as a point interval, which names the
-changed region directly in join-order coordinates.  Every other stab hit
-maps back to its bound key prefix by the plan's ``IndexPlan``.
+Bootstrap runs with CPython's cyclic collector suspended: it allocates by
+the hundred thousand and makes no reference cycle, so a collector pass
+would find nothing to free.  It leaves the collector on or off as it
+found it.  ``maintain`` leaves it alone: a pass suspended there would
+only run in the caller's next round.
 """
 
 import gc
@@ -73,7 +52,7 @@ from .keys import KEY_MAX, render_key
 from .lftj import Counter, SensitivityRecorder, check_versions, evaluate
 from .rules import tuple_getter
 from .scantree import MAX_OP, MIN_OP
-from .store import ERASE, INSERT, surgery_iter
+from .store import ERASE, INSERT, RelationVersion, surgery_iter
 
 _delta_target, _delta_kind = itemgetter(0), itemgetter(2)
 _erases_first = itemgetter(0, 2)  # by target keys, then "ERASE" < "INSERT"
@@ -212,9 +191,6 @@ class HeadState:
         self.target, self.payload = _getters(
             head_plan, key_depth_count, self.agg is not None
         )
-        # a bootstrap's head replaces the relation's records: it stages
-        # on a cleared workspace
-        self.replaces = False
 
     def apply(self, deltas):
         """Stage (target_keys, payload, delta) updates; returns the open txn.
@@ -233,8 +209,6 @@ class HeadState:
             deltas = sorted(deltas, key=_delta_target)
         txn = self.relation.begin()
         try:
-            if self.replaces:
-                txn.clear()
             self._update(txn, deltas)
         except BaseException:
             txn.abort()
@@ -312,20 +286,19 @@ def build_oracle(inst, old_versions, new_versions, consume=True):
     return oracle, consumed
 
 
-def _diff(old_stream, new_stream, counts):
+def _diff(old_stream, new_stream, erases):
     """Old-only assignments as erases, new-only ones as inserts, in order.
 
-    counts[0] and counts[1] tally the inserts and erases.
+    erases[0] tallies the erases.
     """
     a = next(old_stream, None)
     b = next(new_stream, None)
     while a is not None or b is not None:
         if b is None or (a is not None and a < b):
-            counts[1] += 1
+            erases[0] += 1
             yield a, ERASE
             a = next(old_stream, None)
         elif a is None or b < a:
-            counts[0] += 1
             yield b, INSERT
             b = next(new_stream, None)
         else:
@@ -333,18 +306,18 @@ def _diff(old_stream, new_stream, counts):
             b = next(new_stream, None)
 
 
-def _route(heads, changes):
+def _route(heads, changes, replace):
     """Apply (assignment, delta) changes to every head and commit them.
 
     One pass over the changes builds every head's (target keys, payload,
     delta) batch by its C-level getters, with no Python call per change.
     Each head stages its batch in its own open transaction, and the heads
     commit once every one has staged.  A head with an empty batch (every
-    head's is empty when no assignment changed) stages nothing unless it
-    replaces its relation (at bootstrap), and keeps its version.  A raise,
-    in a stage or a commit, aborts the transactions still open and puts
-    every head relation's version back, so a round publishes every head or
-    none.  Returns the number of changes routed.
+    head's is empty when no assignment changed) stages nothing, and keeps
+    its version, unless the round replaces every head (``replace``, at
+    bootstrap).  A raise, in a stage or a commit, aborts the transactions
+    still open; the caller puts the head versions back.  Returns the
+    number of changes routed.
     """
     per_head = [[] for _ in heads]
     routes = [(h.target, h.payload, b.append) for h, b in zip(heads, per_head)]
@@ -352,11 +325,10 @@ def _route(heads, changes):
         row = keys + values
         for target, payload, append in routes:
             append((target(row), payload and payload(row), delta))
-    before = [head.relation.current for head in heads]
     staged, committed = [], 0
     try:
         for head, deltas in zip(heads, per_head):
-            if deltas or head.replaces:
+            if deltas or replace:
                 staged.append(head.apply(deltas))
         for txn in staged:
             txn.commit()
@@ -364,79 +336,54 @@ def _route(heads, changes):
     except BaseException:
         for txn in staged[committed:]:
             txn.abort()
-        for head, version in zip(heads, before):
-            head.relation.current = version
         raise
     return len(per_head[0])  # every head takes one delta per change
 
 
-def bootstrap(inst, versions, with_trace=True):
-    """Full evaluation: replaces the heads and the sensitivity indices.
-
-    The evaluation fills fresh indices, and fresh head states (with empty
-    min/max scan trees) stage each head on a cleared workspace.  Only
-    once every head has staged are the indices and head states swapped
-    in and the bound versions advanced: a bootstrap that raises, in a
-    head's commit too, leaves the instance and its head relations as they
-    were.
-
-    The build runs with the cyclic collector suspended, since it makes no
-    reference cycle (see the module docstring), and leaves the collector
-    on or off as it found it, whether it returns or raises.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        plan = inst.plan
-        indices = inst.fresh_indices()
-        heads = [
-            HeadState(h.plan, h.relation, len(plan.key_order)) for h in inst.heads
-        ]
-        for head in heads:
-            head.replaces = True
-        recorder = SensitivityRecorder(indices)
-        counter = Counter()
-        trace = [] if with_trace else None
-        # the old side is empty: every assignment routes as an insert
-        stream = evaluate(
-            plan, versions, recorder=recorder, trace=trace, counter=counter
-        )
-        n = _route(heads, zip(stream, repeat(INSERT)))
-        for head in heads:
-            head.replaces = False
-        inst.heads = heads
-        inst.indices = indices
-        inst.bound_versions = dict(versions)
-        inst.last_trace = trace
-        inst.last_oracle = None
-        return MaintenanceReport(
-            ops_new=counter.ops,
-            sens_added=recorder.added,
-            head_inserts=n,
-        )
-    finally:
-        if enabled:
-            gc.enable()
+def _saved(inst):
+    """Everything a round may change: the index map, each index's
+    partition map, each min/max tree's root and each head's version."""
+    return (
+        inst.indices,
+        [(ix, dict(ix.parts)) for ix in inst.indices.values()],
+        [(h.agg.tree, h.agg.tree.root) for h in inst.heads if h.agg is not None],
+        [(h.relation, h.relation.current) for h in inst.heads],
+    )
 
 
-def maintain(inst, new_versions, use_oracle=True, with_trace=False):
-    """One maintenance round against the currently bound versions."""
-    if inst.bound_versions is None:
-        raise UserError("rule has not been evaluated yet: run eval first")
+def _restore(inst, saved):
+    inst.indices, parts, roots, versions = saved
+    for ix, saved_parts in parts:
+        ix.parts = saved_parts
+    for tree, root in roots:
+        tree.root = root
+    for relation, version in versions:
+        relation.current = version
+
+
+def _round(inst, old_versions, new_versions, use_oracle, with_trace):
+    """Evaluate, route and report one round from ``old_versions`` (None:
+    the empty database) to ``new_versions``; a raise restores the saved
+    state."""
     plan = inst.plan
-    check_versions(plan, new_versions)
-    old_versions = inst.bound_versions
-    parts = [(ix, dict(ix.parts)) for ix in inst.indices.values()]
-    roots = [(h.agg.tree, h.agg.tree.root) for h in inst.heads if h.agg is not None]
+    saved = _saved(inst)
     try:
-        oracle = None
-        consumed = 0
-        if use_oracle:
+        oracle, consumed = None, 0
+        if old_versions is None:
+            # the old side is empty: so are the indices and the heads
+            inst.indices = inst.fresh_indices()
+            for head in inst.heads:
+                if head.agg is not None:
+                    head.agg.tree.root = None
+                v = head.relation.current
+                head.relation.current = RelationVersion(
+                    v.lineage, v.arity, v.version_id, None
+                )
+        elif use_oracle:
             oracle, consumed = build_oracle(inst, old_versions, new_versions)
         recorder = SensitivityRecorder(inst.indices)
         c_old, c_new = Counter(), Counter()
         trace = [] if with_trace else None
-        old_stream = evaluate(plan, old_versions, oracle=oracle, counter=c_old)
         new_stream = evaluate(
             plan,
             new_versions,
@@ -445,13 +392,15 @@ def maintain(inst, new_versions, use_oracle=True, with_trace=False):
             counter=c_new,
             trace=trace,
         )
-        counts = [0, 0]
-        _route(inst.heads, _diff(old_stream, new_stream, counts))
+        erases = [0]
+        if old_versions is None:
+            changes = zip(new_stream, repeat(INSERT))
+        else:
+            old_stream = evaluate(plan, old_versions, oracle=oracle, counter=c_old)
+            changes = _diff(old_stream, new_stream, erases)
+        routed = _route(inst.heads, changes, replace=old_versions is None)
     except BaseException:
-        for ix, saved in parts:
-            ix.parts = saved
-        for tree, root in roots:
-            tree.root = root
+        _restore(inst, saved)
         raise
     inst.bound_versions = dict(new_versions)
     inst.last_trace = trace  # None when the round was untraced
@@ -462,6 +411,31 @@ def maintain(inst, new_versions, use_oracle=True, with_trace=False):
         oracle_intervals=oracle.interval_count() if oracle is not None else 0,
         sens_consumed=consumed,
         sens_added=recorder.added,
-        head_inserts=counts[0],
-        head_erases=counts[1],
+        head_inserts=routed - erases[0],
+        head_erases=erases[0],
     )
+
+
+def bootstrap(inst, versions, with_trace=True):
+    """Full evaluation: the round from the empty database, which replaces
+    the heads and the sensitivity indices.
+
+    It runs with the cyclic collector suspended, since it makes no
+    reference cycle (see the module docstring), and leaves the collector
+    on or off as it found it, whether it returns or raises.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _round(inst, None, versions, use_oracle=False, with_trace=with_trace)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def maintain(inst, new_versions, use_oracle=True, with_trace=False):
+    """One maintenance round against the currently bound versions."""
+    if inst.bound_versions is None:
+        raise UserError("rule has not been evaluated yet: run eval first")
+    check_versions(inst.plan, new_versions)
+    return _round(inst, inst.bound_versions, new_versions, use_oracle, with_trace)

@@ -377,11 +377,7 @@ def apply_group(txn, deltas, group):
 
 
 class ScanBackedAggregate:
-    """Intermediate full-key relation with a min/max scan-tree.
-
-    The same intermediate can serve several heads grouping by different
-    key-prefix lengths (apply the deltas once, refresh each head).
-    """
+    """One min/max head's intermediate full-key relation, in a scan tree."""
 
     def __init__(self, op, arity):
         self.tree = ScanTree(op, leaf_target=LEAF_TARGET)

@@ -24,10 +24,9 @@ rebuilt (perfectly balanced) on the spot.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
 from itertools import islice, repeat
-from operator import is_, itemgetter, lt
-from typing import Callable, Optional
+from operator import add, is_, itemgetter, lt
+from typing import Callable
 
 from .errors import IntegrityError, UserError
 
@@ -61,22 +60,16 @@ def wrap64(x: int) -> int:
 @dataclass(frozen=True)
 class SemigroupOp:
     name: str
-    combine: Callable
-    contribution: Callable = lambda v: v
-    fold: Optional[Callable] = None  # combine of a non-empty iterable's contributions
-
-    def __post_init__(self):
-        if self.fold is None:
-            combine, contribution = self.combine, self.contribution
-            object.__setattr__(
-                self, "fold", lambda vs: reduce(combine, map(contribution, vs))
-            )
+    combine: Callable  # of two aggregates
+    fold: Callable  # the aggregate of a non-empty iterable of record values
 
 
-MAX_OP = SemigroupOp("MAX", max, fold=max)
-MIN_OP = SemigroupOp("MIN", min, fold=min)
-COUNT_OP = SemigroupOp("COUNT", lambda a, b: a + b, contribution=lambda v: 1)
-GROUP_SUM_OP = SemigroupOp("GROUP_SUM", lambda a, b: wrap64(a + b))
+MAX_OP = SemigroupOp("MAX", max, max)
+MIN_OP = SemigroupOp("MIN", min, min)
+COUNT_OP = SemigroupOp("COUNT", add, lambda vs: sum(1 for _ in vs))
+GROUP_SUM_OP = SemigroupOp(
+    "GROUP_SUM", lambda a, b: wrap64(a + b), lambda vs: wrap64(sum(vs))
+)
 
 
 class _SLeaf:
@@ -308,7 +301,7 @@ class ScanTree:
     # -- range queries ---------------------------------------------------
 
     def range_scan(self, lo, hi, probe=None):
-        """Combine of record contributions with lo <= key <= hi, or EMPTY.
+        """The aggregate of the records with lo <= key <= hi, or EMPTY.
 
         ``stats['combines']`` counts the values folded: one per maximal
         fully-covered subtree plus one per partially-covered boundary

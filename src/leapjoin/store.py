@@ -323,7 +323,8 @@ class Transaction:
                 )
             prev = keys
 
-    def insert(self, keys: tuple, value=None):
+    def insert(self, keys: tuple, value=None) -> bool:
+        """Stage keys holding value; False if they already hold it."""
         self._check_open()
         keys = tuple(keys)
         self._check_insert(keys, value)
@@ -340,11 +341,12 @@ class Transaction:
                     f"{self.relation.name}: conflicting value for key {keys}: "
                     f"{cur[0]!r} vs {value!r}"
                 )
-            return  # duplicate insert is a no-op
+            return False  # duplicate insert is a no-op
         if base is not None and base[0] == value:
             self._edits.pop(keys, None)  # erase+insert cancels out
         else:
             self._edits[keys] = value
+        return True
 
     def erase(self, keys: tuple, value=None):
         self._check_open()

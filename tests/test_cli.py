@@ -102,6 +102,23 @@ class TestDelta:
         assert out[0].startswith("warning:") and "no-op" in out[0]
         assert out[1] == "delta A version=2 inserts=0 erases=0 noops=1 records=5"
 
+    def test_insert_of_present_warns(self, ws, tmp_path):
+        """Each + of a tuple that is already there, in the base or staged
+        by an earlier line, is a no-op: counted and warned like an erase
+        of an absent tuple, and not as an insert."""
+        p = write(tmp_path / "a.tsv", "0\n2\n4\n")
+        ws.run_command(["load", "A/1", p])
+        p = write(tmp_path / "dd.txt", "+2\n+2\n-9\n+7\n+7\n")
+        out = ws.run_command(["delta", "A", p])
+        path = tmp_path / "dd.txt"
+        assert out == [
+            f"warning: {path}:1: insert of present tuple is a no-op",
+            f"warning: {path}:2: insert of present tuple is a no-op",
+            f"warning: {path}:3: erase of absent tuple is a no-op",
+            f"warning: {path}:5: insert of present tuple is a no-op",
+            "delta A version=2 inserts=1 erases=0 noops=4 records=4",
+        ]
+
 
 def rejects(ws, argv, message):
     """The command raises UserError with exactly this message."""

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import weakref
 from itertools import count as counting
+from operator import is_
 
 import pytest
 
@@ -578,8 +579,22 @@ FAULT_RULES = [
 ]
 
 
+class Same(tuple):
+    """Objects that equal only the very same objects, in the same order."""
+
+    def __eq__(self, other):
+        return len(self) == len(other) and all(map(is_, self, other))
+
+    __hash__ = None
+
+
 def instance_state(inst):
-    """What a round that raised must leave as it found it, counts too."""
+    """What a round that raised must leave as it found it, counts too.
+
+    Its last item holds, by identity, every object the round saves: the
+    index map, each partition root, each min/max root and each head's
+    version.
+    """
     trees = [h.agg.tree for h in inst.heads if h.agg is not None]
     return (
         head_records(inst),
@@ -589,6 +604,14 @@ def instance_state(inst):
         {key: len(ix) for key, ix in inst.indices.items()},
         [tree.size for tree in trees],
         [h.relation.current.count for h in inst.heads],
+        Same(
+            [
+                inst.indices,
+                *(root for ix in inst.indices.values() for root in ix.parts.values()),
+                *(tree.root for tree in trees),
+                *(h.relation.current for h in inst.heads),
+            ]
+        ),
     )
 
 
@@ -655,6 +678,33 @@ class TestFaultSweep:
             f"never raised at {sorted(reaches[run] - raised)}, "
             f"unlisted {sorted(raised - reaches[run])}"
         )
+
+    @pytest.mark.parametrize("rule,spec,value_of", SHAPES, ids=[s[0] for s in SHAPES])
+    def test_second_bootstrap_equals_a_fresh_instance(
+        self, rule, spec, value_of, monkeypatch
+    ):
+        """Maintained rounds, a bootstrap that raised once every head was
+        emptied and the indices replaced, more rounds, then a second
+        bootstrap: the heads, index records and min/max intermediates
+        equal a fresh instance's, after the rounds and after the
+        bootstrap."""
+        rng = random.Random(f"again-{rule}")
+        eng = Engine(rule, spec, leaf_capacity=4)
+        eng.random_fill(rng, per_relation=40, dom=8, value_of=value_of)
+        bootstrap(eng.inst, eng.versions())
+        for rounds in (4, 4):
+            for _ in range(rounds):
+                eng.random_edits(rng, 3, dom=8, value_of=value_of)
+                maintain(eng.inst, eng.versions())
+            assert head_records(eng.inst) == head_records(eng.fresh_reference())
+            eng.random_edits(rng, 3, dom=8, value_of=value_of)
+            with monkeypatch.context() as patch:
+                raise_at_call(patch, driver.HeadState, "apply", 1)
+                with pytest.raises(Injected):
+                    bootstrap(eng.inst, eng.versions())
+        bootstrap(eng.inst, eng.versions())
+        fresh = eng.fresh_reference()
+        assert instance_state(eng.inst)[:-1] == instance_state(fresh)[:-1]
 
     def test_raise_after_the_flush_created_and_emptied_partitions(self, monkeypatch):
         """A round that raised puts back each index's partitions and count.

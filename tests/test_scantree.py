@@ -193,7 +193,7 @@ class TestSemigroupOps:
         for op in (MAX_OP, MIN_OP, COUNT_OP, GROUP_SUM_OP):
             for _ in range(300):
                 x, y, z = (rng.randrange(-(2**63), 2**63) for _ in range(3))
-                cx, cy, cz = (op.contribution(v) for v in (x, y, z))
+                cx, cy, cz = (op.fold([v]) for v in (x, y, z))
                 assert op.combine(op.combine(cx, cy), cz) == op.combine(
                     cx, op.combine(cy, cz)
                 )
@@ -323,7 +323,7 @@ class TestInsertSorted:
 def fold_all(op, values):
     agg = EMPTY
     for v in values:
-        c = op.contribution(v)
+        c = op.fold([v])
         agg = c if agg is EMPTY else op.combine(agg, c)
     return agg
 
