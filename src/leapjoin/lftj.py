@@ -20,11 +20,13 @@ stream is exhausted.
 
 The accounting is inline: each move returns its cursor's landing key
 (None at the end of the level), which is kept as that cursor's key
-for the rest of the intersection, and from it bumps the op count,
-appends the trace event and emits the interval.  Each depth's
-participants carry their sensitivity buffer and sort-key getter, looked
-up once per evaluation.  The trie cursors step within their leaf at the
-last level (see ``store.TrieCursor``).
+for the rest of the intersection, and from it appends the trace event
+and emits the interval.  Each level counts its opens, seeks, nexts and
+ups in a local and adds them to ``Counter.ops`` once, when the level
+closes, so the count is whole once the stream is exhausted or closed.
+Each depth's participants carry their sensitivity buffer and sort-key
+getter, looked up once per evaluation.  The trie cursors step within
+their leaf at the last level (see ``store.TrieCursor``).
 
 A level pays only for what it holds.  Where its only participant is one
 atom cursor (no oracle), that cursor is always aligned with itself, so
@@ -236,13 +238,13 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter):
         for cur, name, slot in parts:
             to = cur.open()
             keys.append(to)
-            counter.ops += 1
             if trace is not None:
                 trace.append((name, OPEN, d, None, None, to))
             if slot is not None:
                 append, sort_key = slot
                 hi = KEY_MAX if to is None else to
                 append((sort_key((*keystack, KEY_MIN, hi)), hi))
+        ops = len(parts)  # the level's moves, added to counter.ops as it closes
         try:
             if None in keys:
                 return
@@ -256,7 +258,7 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter):
                         if k < cur_max:
                             cur, name, slot = parts[j]
                             to = cur.seek_lub(cur_max)
-                            counter.ops += 1
+                            ops += 1
                             if trace is not None:
                                 trace.append((name, SEEK, d, k, cur_max, to))
                             if slot is not None:
@@ -282,7 +284,7 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter):
                         yield from deeper(d + 1, adm, deeper)
                 frm = keys[0]
                 to = first.next()
-                counter.ops += 1
+                ops += 1
                 if trace is not None:
                     trace.append((first_name, NEXT, d, frm, None, to))
                 if first_slot is not None:
@@ -295,9 +297,9 @@ def _branch_gen(plan, bi, bp, versions, recorder, oracle, trace, counter):
         finally:
             for cur, name, _ in reversed(atom_parts):
                 cur.up()
-                counter.ops += 1
                 if trace is not None:
                     to = None if cur.depth == 0 or cur.at_end() else cur.key()
                     trace.append((name, UP, d, None, None, to))
+            counter.ops += ops + len(atom_parts)
 
     return descend(1, oracle is None, descend)

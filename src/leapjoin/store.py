@@ -53,12 +53,15 @@ fan-out at most 32, so every per-page pass below is bounded):
   or merges) is a copy of the branch with that child's slot swapped
   (``_swap_child``): no sibling is read, ``mins`` is shared unless the
   child's min key moved, and ``count`` moves by the child's change;
-* cursor move -- a target in the current leaf is found there by the
-  move's own call (no bisect for the next record); a target past the
-  leaf's last record climbs by compares and descends once, O(h) bisects
-  however far the target, through the one page-tree descent
-  ``_descend`` that lookups use from the root; an open followed by a far
-  seek descends once, from the root;
+* cursor move -- a move within the current leaf allocates nothing but
+  the unpadded key tuple a seek looks up: the leaf's record list and
+  index sit in two cursor slots, and one compare against the bound its
+  ``open`` made tells whether a record is under the level's prefix; the
+  next record is found with no bisect.  A target past the leaf's last
+  record climbs by compares and descends once, O(h) bisects however far
+  the target, through the one page-tree descent ``_descend`` that
+  lookups use from the root; an open followed by a far seek descends
+  once, from the root;
 * surgeries of a version against its base -- O(k) reads of the log, no
   page of the delta walk, and (at arity above 1) one O(h) prefix lookup
   per delta record and trie level;
@@ -73,7 +76,7 @@ from typing import Iterator, NamedTuple, Optional
 from weakref import ref
 
 from .errors import IntegrityError, UserError
-from .keys import KEY_MIN, check_storable_tuple
+from .keys import KEY_MAX, check_storable_tuple
 from .scantree import ABSENT
 
 INSERT = "INSERT"
@@ -83,6 +86,7 @@ _rec_keys = itemgetter(0)
 _min_key = attrgetter("min_key")
 _count = attrgetter("count")
 _children = attrgetter("children")
+_TOP = (KEY_MAX,)  # appended to a prefix, it orders above every key under it
 
 # Leaf pages hold between capacity//2 and 2*capacity records (root leaf
 # exempt); branch pages hold between _BR_MIN and _BR_MAX children.
@@ -176,8 +180,8 @@ class RelationVersion:
         return _descend(self.root, target, [])
 
     def has_prefix(self, prefix: tuple) -> bool:
-        pad = prefix + (KEY_MIN,) * (self.arity - len(prefix))
-        rec = self.locate_ge(pad)
+        # a key tuple orders before every longer tuple it prefixes
+        rec = self.locate_ge(prefix)
         return rec is not None and rec[0][: len(prefix)] == prefix
 
     def lookup(self, keys: tuple):
@@ -693,33 +697,40 @@ class TrieCursor:
     land on, or None at the end of the level, so a caller reads its
     position in the call that moved it.
 
-    Positions are backed by a root-to-leaf path into the page tree and the
-    record it stands at, None at the end of the level; open() snapshots
-    both so up() can restore the outer level even after the inner level
-    ran to its end.  A first-level open() stands at the version's cached
-    first record (``RelationVersion.first``) and builds no path: an empty
-    path marks the cursor as standing there, and the first move that needs
-    pages builds it, so an open followed by a far seek makes one descent.
+    A position is the record the cursor stands at (None at the end of the
+    level), its leaf's record list and index, and the branch frames above
+    that leaf in ``_path``; open() snapshots it for up(), which restores
+    the outer level even after the inner level ran to its end.  A
+    first-level open() stands at the version's cached first record
+    (``RelationVersion.first``) with no record list, and the first move
+    that needs pages builds the path, so an open followed by a far seek
+    makes one descent.
 
-    At the last level (depth == arity) full keys are distinct, so next()
-    steps to the following record of the current leaf and leaves the leaf
-    only at its end; seek_lub() there seeks the full key itself, with no
-    KEY_MIN padding.  A shallower next() seeks the successor key.
-    Neither compares prefixes at depth 1, where there is none.  A seek
-    target inside the current leaf is found there, with no bisect when it
-    is the next record; a target past the leaf's last record climbs at
-    once, by compares, and descends once: O(height) bisects however far
-    the target is.
+    open() also makes the level's bound, prefix + (KEY_MAX,): a record is
+    under the prefix exactly when its keys order below it.  A seek looks
+    up prefix + (k,) unpadded, as a key tuple orders before every longer
+    tuple it prefixes.  At the last level (depth == arity) next() steps to
+    the following record of the leaf and seeks only at the leaf's end; a
+    shallower next() seeks the successor key.  A seek target inside the
+    leaf is found there, with no bisect when it is the next record; a
+    target past the leaf's last record climbs at once, by compares, and
+    descends once: O(height) bisects however far the target is.
     """
 
-    __slots__ = ("version", "arity", "depth", "_path", "_rec", "_snaps")
+    __slots__ = (
+        "version", "arity", "depth", "_path", "_recs", "_i", "_rec", "_bound",
+        "_snaps",
+    )
 
     def __init__(self, version):
         self.version = version
         self.arity = version.arity
         self.depth = 0
-        self._path = []
+        self._path = []  # (branch, child index) frames, root first
+        self._recs = None  # the leaf's record list; None while no path is built
+        self._i = 0  # the record's index in _recs
         self._rec = None  # the record the cursor stands at; None at the end
+        self._bound = None  # the level's prefix + (KEY_MAX,)
         self._snaps = []
 
     def at_end(self) -> bool:
@@ -743,111 +754,93 @@ class TrieCursor:
         rec = self._rec
         if d > 0 and rec is None:
             raise IntegrityError("open() at end")
-        self._snaps.append((list(self._path), rec))
+        self._snaps.append((self._path.copy(), self._recs, self._i, rec, self._bound))
         self.depth = d + 1
         if d == 0:
-            # the path is empty at depth 0 (up() restores it so): stand at
+            # no path is built at depth 0 (up() restores it so): stand at
             # the first record and leave the path to the first move
             rec = self._rec = self.version.first()
             if rec is None:
                 return None
-        # deeper open: the current record is the least one under the new
-        # prefix already, so the position stands.
+            self._bound = _TOP
+        else:  # the current record is the least one under the new prefix
+            self._bound = rec[0][:d] + _TOP
         return rec[0][d]
 
     def up(self):
         if self.depth == 0:
             raise IntegrityError("up() above root")
-        path, self._rec = self._snaps.pop()
-        self._path[:] = path
+        self._path, self._recs, self._i, self._rec, self._bound = self._snaps.pop()
         self.depth -= 1
 
     def next(self):
         """Move to the following key at the current depth; returns it, or
         None when the level has no more keys."""
-        if self._rec is None:
+        rec = self._rec
+        if rec is None:
             raise IntegrityError("next() at end")
         d = self.depth
-        keys = self._rec[0]
         if d == self.arity:
-            path = self._path
-            if not path:  # standing at the first record: build its path
-                _leftmost(self.version.root, path)
-            leaf, i = path[-1]
-            i += 1
-            if i < len(leaf.records):
-                rec = leaf.records[i]
-                if d == 1 or rec[0][:-1] == keys[:-1]:
-                    path[-1] = (leaf, i)
+            recs = self._recs
+            if recs is None:  # standing at the first record: build its path
+                _leftmost(self.version.root, self._path)
+                recs = self._recs = self._path.pop()[0]
+            i = self._i + 1
+            if i < len(recs):
+                rec = recs[i]
+                if rec[0] < self._bound:
+                    self._i = i
                     self._rec = rec
                     return rec[0][-1]
                 self._rec = None
                 return None
-        return self.seek_lub(keys[d - 1] + 1)
+        return self.seek_lub(rec[0][d - 1] + 1)
 
     def seek_lub(self, k):
         """Move to the least key >= k at the current depth (forward only);
         returns it, or None when the level has no such key."""
-        if self._rec is None:
+        rec = self._rec
+        if rec is None:
             raise IntegrityError("seek_lub() at end")
         d = self.depth
-        keys = self._rec[0]
+        keys = rec[0]
         if k <= keys[d - 1]:
             return keys[d - 1]
-        prefix = keys[: d - 1]
-        target = prefix + (k,)
-        if d < self.arity:
-            target += (KEY_MIN,) * (self.arity - d)
-        path = self._path
-        if path:
-            leaf, i = path[-1]
-            recs = leaf.records
-            if target <= recs[-1][0]:  # the answer is in this leaf
-                i += 1  # a short hop lands on the next record: no bisect
-                if recs[i][0] < target:
-                    i = bisect_left(recs, target, i + 1, len(recs), key=_rec_keys)
-                path[-1] = (leaf, i)
-                rec = recs[i]
-            else:
-                rec = self._climb(target, leaf)
+        target = keys[: d - 1] + (k,)
+        recs = self._recs
+        if recs is not None and target <= recs[-1][0]:  # the answer is in this leaf
+            i = self._i + 1  # a short hop lands on the next record: no bisect
+            if recs[i][0] < target:
+                i = bisect_left(recs, target, i + 1, len(recs), key=_rec_keys)
+            self._i = i
+            rec = recs[i]
         else:
-            rec = self._climb(target, None)
-        if rec is None or (d > 1 and rec[0][: d - 1] != prefix):
+            # climb, one compare per level, to the lowest branch whose last
+            # min exceeds the target (its subtree holds the answer) or past
+            # the root, and descend once from there (no bisect in this leaf)
+            path = self._path
+            while path and path[-1][0].mins[-1] <= target:
+                path.pop()
+            node = path.pop()[0] if path else self.version.root
+            rec = _descend(node, target, path, recs)
+            if rec is not None:
+                self._recs, self._i = path.pop()
+        if rec is None or rec[0] >= self._bound:
             self._rec = None
             return None
         self._rec = rec
         return rec[0][d - 1]
 
-    def _climb(self, target, leaf):
-        """Move the path to the least record >= target, known to lie past
-        ``leaf`` (the path's leaf, or None when no path is built); None
-        past the end.
 
-        The path climbs, one compare per level, to the lowest branch whose
-        last min exceeds the target (its subtree holds the answer) or past
-        the root, and descends once from there through ``_descend`` (no
-        bisect in the leaf it just left).
-        """
-        path = self._path
-        if path:
-            path.pop()
-            while path and path[-1][0].mins[-1] <= target:
-                path.pop()
-        if path:
-            node = path.pop()[0]
-        else:
-            node = self.version.root
-        return _descend(node, target, path, leaf)
+def _descend(node, target, path, recs=None):
+    """Extend path from node down to the least record >= target, and return
+    it; None past the end of node's subtree.  The path gains a frame per
+    branch and a last (leaf records, index) frame.
 
-
-def _descend(node, target, path, leaf=None):
-    """Extend path from node down to the least record >= target; None past
-    the end of node's subtree.
-
-    One bisect per level, none in ``leaf`` (known to end below the target).
-    The descent remembers its deepest frame with a right sibling: when the
-    target lies past its leaf, the answer is that sibling's first record,
-    reached with no further bisect.
+    One bisect per level, none in the leaf holding ``recs`` (known to end
+    below the target).  The descent remembers its deepest frame with a
+    right sibling: when the target lies past its leaf, the answer is that
+    sibling's first record, reached with no further bisect.
     """
     right = -1  # the deepest frame in path with a right sibling
     while isinstance(node, _Branch):
@@ -858,11 +851,11 @@ def _descend(node, target, path, leaf=None):
             right = len(path)
         path.append((node, j))
         node = node.children[j]
-    recs = node.records
-    k = len(recs) if node is leaf else bisect_left(recs, target, key=_rec_keys)
-    if k < len(recs):
-        path.append((node, k))
-        return recs[k]
+    leaf = node.records
+    k = len(leaf) if leaf is recs else bisect_left(leaf, target, key=_rec_keys)
+    if k < len(leaf):
+        path.append((leaf, k))
+        return leaf[k]
     if right < 0:
         return None
     node, j = path[right]
@@ -872,9 +865,10 @@ def _descend(node, target, path, leaf=None):
 
 
 def _leftmost(node, path):
-    """Extend path from node down to its subtree's first record."""
+    """Extend path from node down to its subtree's first record, and return
+    it; the path's last frame is (leaf records, 0)."""
     while isinstance(node, _Branch):
         path.append((node, 0))
         node = node.children[0]
-    path.append((node, 0))
+    path.append((node.records, 0))
     return node.records[0]

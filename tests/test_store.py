@@ -1242,12 +1242,15 @@ def _branch_levels(version):
 
 
 class TestTrieCursorRandomized:
-    @pytest.mark.parametrize("arity", [1, 2, 3])
-    def test_random_calls_match_sorted_list_model(self, arity):
-        rng = random.Random(71 + arity)
-        dom = {1: 40, 2: 9, 3: 5}[arity]
+    # capacity 64 keeps a whole relation in one leaf, so a level's prefix
+    # bound is what ends it there
+    @pytest.mark.parametrize("leaf_capacity", [2, 3, 64])
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_random_calls_match_sorted_list_model(self, arity, leaf_capacity):
+        rng = random.Random(71 + arity + 100 * leaf_capacity)
+        dom = {1: 40, 2: 9, 3: 5, 4: 4}[arity]
         for _ in range(30):
-            rel = Relation("R", arity, is_function=True, leaf_capacity=2)
+            rel = Relation("R", arity, is_function=True, leaf_capacity=leaf_capacity)
             rows = {
                 tuple(rng.randrange(dom) for _ in range(arity))
                 for _ in range(rng.randrange(0, 50))
@@ -1298,6 +1301,46 @@ class TestTrieCursorRandomized:
             _walk_against_model(v, rng, 150, far)
 
 
+class TestHasPrefix:
+    """``has_prefix`` looks the bare prefix up: a key tuple orders before
+    every longer tuple it prefixes, so no padding is needed."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_matches_brute_force(self, arity):
+        rng = random.Random(401 + arity)
+        dom = {1: 30, 2: 8, 3: 4}[arity]
+        answers = set()
+        for trial in range(25):
+            rel = Relation("R", arity, leaf_capacity=rng.choice([2, 3, 64]))
+            rows = {  # trial 0 is an empty relation
+                tuple(rng.randrange(dom) for _ in range(arity))
+                for _ in range(rng.randrange(1, 60) if trial else 0)
+            }
+            v = fill(rel, rows)
+            for n in range(arity):
+                present = {t[:n] for t in rows}
+                probes = present | {(KEY_MIN,) * n, (KEY_MAX,) * n}
+                for _ in range(20):
+                    probes.add(tuple(rng.randrange(-1, dom + 1) for _ in range(n)))
+                for p in probes:
+                    want = p in present
+                    assert v.has_prefix(p) == want, (trial, p)
+                    answers.add((len(p), want))
+        assert answers == {(n, w) for n in range(arity) for w in (False, True)}
+
+
+def _leaf_mins(version):
+    """The min key of every leaf page of version."""
+    out, stack = set(), [version.root]
+    while stack:
+        node = stack.pop()
+        if hasattr(node, "children"):
+            stack.extend(node.children)
+        else:
+            out.add(node.min_key)
+    return out
+
+
 def _count_bisects(monkeypatch):
     """Count every bisect_left/bisect_right call the store makes."""
     calls = [0]
@@ -1314,7 +1357,8 @@ def _count_bisects(monkeypatch):
 
 class TestEditProportionalWork:
     """A one-key commit and a far cursor seek each make O(height) bisects
-    in a 100k-record relation, however wide its branches are."""
+    in a 100k-record relation, however wide its branches are; a cursor
+    move that stays in its leaf makes none."""
 
     @staticmethod
     def big_version(leaf_capacity=64):
@@ -1348,3 +1392,42 @@ class TestEditProportionalWork:
             assert c.seek_lub(k) == k + 1
             assert c.key() == k + 1
             assert calls[0] <= levels + 2, k
+
+    def test_moves_within_a_leaf_make_no_bisect(self, monkeypatch):
+        _, v = self.big_version()
+        starts = _leaf_mins(v)
+        c = v.cursor()
+        c.open()
+        assert c.seek_lub(100_001) == 100_002  # builds the page path
+        calls = _count_bisects(monkeypatch)
+        stayed = 0
+        for step in range(400):
+            calls[0] = 0
+            cur = c.key()
+            # a next(), or a seek that lands on the following record
+            assert (c.next() if step % 2 else c.seek_lub(cur + 1)) == cur + 2
+            if (cur + 2,) not in starts:
+                assert calls[0] == 0, (step, cur)
+                stayed += 1
+        assert stayed > 300
+
+    def test_last_level_walk(self, monkeypatch):
+        rel = Relation("R", 2)
+        txn = rel.begin()
+        txn.write_sorted([((a, b), None) for a in range(1000) for b in range(100)])
+        v = txn.commit()
+        levels, leaves = _branch_levels(v), len(_leaf_mins(v))
+        assert levels >= 3
+        calls = _count_bisects(monkeypatch)
+        c = v.cursor()
+        seen = 0
+        a = c.open()
+        while a is not None:
+            b = c.open()
+            while b is not None:
+                seen += 1
+                b = c.next()
+            c.up()
+            a = c.next()
+        assert seen == v.count == 100_000
+        assert calls[0] <= (levels + 2) * leaves
