@@ -25,8 +25,10 @@ and emits the interval.  Each level counts its opens, seeks, nexts and
 ups in a local and adds them to ``Counter.ops`` once, when the level
 closes, so the count is whole once the stream is exhausted or closed.
 Each depth's participants carry their sensitivity buffer and sort-key
-getter, looked up once per evaluation.  The trie cursors step within
-their leaf at the last level (see ``store.TrieCursor``).
+getter, looked up once per evaluation.  A cursor only moves forward
+through a level, and a level run to its end leaves its cursor at the
+record the outer level's next() lands on, so a full walk makes no
+page-tree seek (see ``store.TrieCursor``).
 
 A level pays only for what it holds.  Where its only participant is one
 atom cursor (no oracle), that cursor is always aligned with itself, so

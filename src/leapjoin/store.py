@@ -57,11 +57,16 @@ fan-out at most 32, so every per-page pass below is bounded):
   the unpadded key tuple a seek looks up: the leaf's record list and
   index sit in two cursor slots, and one compare against the bound its
   ``open`` made tells whether a record is under the level's prefix; the
-  next record is found with no bisect.  A target past the leaf's last
-  record climbs by compares and descends once, O(h) bisects however far
-  the target, through the one page-tree descent ``_descend`` that
-  lookups use from the root; an open followed by a far seek descends
-  once, from the root;
+  next record is found with no bisect, and at a leaf's end the next
+  leaf's first record is reached through the path, also with none.  A
+  level that ends keeps the record it ran into, and ``up`` carries that
+  position to the outer level, whose ``next`` lands there with one
+  compare; a re-open of the same outer record stands at the position
+  its first open kept.  So a full walk of the trie makes no bisect.  A
+  target past the leaf's last record climbs by compares and descends
+  once, O(h) bisects however far the target, through the one page-tree
+  descent ``_descend`` that lookups use from the root; an open followed
+  by a far seek descends once, from the root;
 * surgeries of a version against its base -- O(k) reads of the log, no
   page of the delta walk, and (at arity above 1) one O(h) prefix lookup
   per delta record and trie level;
@@ -87,6 +92,8 @@ _min_key = attrgetter("min_key")
 _count = attrgetter("count")
 _children = attrgetter("children")
 _TOP = (KEY_MAX,)  # appended to a prefix, it orders above every key under it
+# a record past every record: where a level that ran past the last one stops
+_PAST = (_TOP, None)
 
 # Leaf pages hold between capacity//2 and 2*capacity records (root leaf
 # exempt); branch pages hold between _BR_MIN and _BR_MAX children.
@@ -697,29 +704,37 @@ class TrieCursor:
     land on, or None at the end of the level, so a caller reads its
     position in the call that moved it.
 
-    A position is the record the cursor stands at (None at the end of the
-    level), its leaf's record list and index, and the branch frames above
-    that leaf in ``_path``; open() snapshots it for up(), which restores
-    the outer level even after the inner level ran to its end.  A
-    first-level open() stands at the version's cached first record
-    (``RelationVersion.first``) with no record list, and the first move
-    that needs pages builds the path, so an open followed by a far seek
-    makes one descent.
+    A position is the branch frames in ``_path`` and a leaf's record list
+    and index.  It is the position of the record the cursor stands at,
+    ``_rec``, unless ``_ahead`` is set: then it is that of ``_ahead``, the
+    least record past every record under the current key (at a level's
+    end, under the level's prefix), or ``_PAST`` when the version has no
+    such record.  A level that ends keeps the record it ran into as
+    ``_ahead``; up() restores the outer record and bound from the
+    snapshot open() made, and carries that position along, so the outer
+    next() lands on ``_ahead`` with one bound compare and an outer seek
+    starts from it.  up() also keeps the snapshot, and a re-open of the
+    same outer record stands at the snapshot's position again with no
+    descent.  A first-level open() stands at the version's cached first
+    record (``RelationVersion.first``) with no record list, and the first
+    move that needs pages builds the path.
 
     open() also makes the level's bound, prefix + (KEY_MAX,): a record is
     under the prefix exactly when its keys order below it.  A seek looks
     up prefix + (k,) unpadded, as a key tuple orders before every longer
     tuple it prefixes.  At the last level (depth == arity) next() steps to
-    the following record of the leaf and seeks only at the leaf's end; a
-    shallower next() seeks the successor key.  A seek target inside the
-    leaf is found there, with no bisect when it is the next record; a
-    target past the leaf's last record climbs at once, by compares, and
-    descends once: O(height) bisects however far the target is.
+    the following record of the leaf, and at the leaf's end to the first
+    record of the next leaf through the path, with no bisect; a shallower
+    next() seeks the successor key.  A seek target inside the leaf is
+    found there, with no bisect when it is the next record; a target past
+    the leaf's last record climbs at once, by compares, and descends once:
+    O(height) bisects however far the target is.  So a full walk of the
+    trie makes no seek at all.
     """
 
     __slots__ = (
         "version", "arity", "depth", "_path", "_recs", "_i", "_rec", "_bound",
-        "_snaps",
+        "_ahead", "_home", "_snaps",
     )
 
     def __init__(self, version):
@@ -731,6 +746,8 @@ class TrieCursor:
         self._i = 0  # the record's index in _recs
         self._rec = None  # the record the cursor stands at; None at the end
         self._bound = None  # the level's prefix + (KEY_MAX,)
+        self._ahead = None  # the record at the position, when it is not _rec
+        self._home = None  # the outer record's snapshot, kept by up() with _ahead
         self._snaps = []
 
     def at_end(self) -> bool:
@@ -754,13 +771,22 @@ class TrieCursor:
         rec = self._rec
         if d > 0 and rec is None:
             raise IntegrityError("open() at end")
-        self._snaps.append((self._path.copy(), self._recs, self._i, rec, self._bound))
+        if self._ahead is None:
+            snap = (self._path.copy(), self._recs, self._i, rec, self._bound)
+        else:  # a re-open: stand at the position up() kept for rec
+            snap = self._home
+            self._path = snap[0].copy()
+            self._recs = snap[1]
+            self._i = snap[2]
+            self._ahead = None
+        self._snaps.append(snap)
         self.depth = d + 1
         if d == 0:
             # no path is built at depth 0 (up() restores it so): stand at
             # the first record and leave the path to the first move
             rec = self._rec = self.version.first()
             if rec is None:
+                self._ahead = _PAST
                 return None
             self._bound = _TOP
         else:  # the current record is the least one under the new prefix
@@ -770,7 +796,14 @@ class TrieCursor:
     def up(self):
         if self.depth == 0:
             raise IntegrityError("up() above root")
-        self._path, self._recs, self._i, self._rec, self._bound = self._snaps.pop()
+        snap = self._snaps.pop()
+        if self._rec is None:  # the level ended at _ahead: carry its position
+            self._home = snap
+            self._rec = snap[3]
+            self._bound = snap[4]
+        else:
+            self._path, self._recs, self._i, self._rec, self._bound = snap
+            self._ahead = None
         self.depth -= 1
 
     def next(self):
@@ -780,7 +813,12 @@ class TrieCursor:
         if rec is None:
             raise IntegrityError("next() at end")
         d = self.depth
-        if d == self.arity:
+        if d < self.arity:
+            rec = self._ahead
+            if rec is None:
+                return self.seek_lub(self._rec[0][d - 1] + 1)
+            self._ahead = None
+        else:  # no level is open below, so nothing carried a position here
             recs = self._recs
             if recs is None:  # standing at the first record: build its path
                 _leftmost(self.version.root, self._path)
@@ -788,13 +826,19 @@ class TrieCursor:
             i = self._i + 1
             if i < len(recs):
                 rec = recs[i]
-                if rec[0] < self._bound:
-                    self._i = i
-                    self._rec = rec
-                    return rec[0][-1]
-                self._rec = None
-                return None
-        return self.seek_lub(rec[0][d - 1] + 1)
+                self._i = i
+            else:  # the leaf's end: on to the next leaf's first record
+                rec = _next_leaf(self._path)
+                if rec is None:
+                    rec = _PAST
+                else:
+                    self._recs, self._i = self._path.pop()
+        if rec[0] < self._bound:
+            self._rec = rec
+            return rec[0][d - 1]
+        self._rec = None
+        self._ahead = rec
+        return None
 
     def seek_lub(self, k):
         """Move to the least key >= k at the current depth (forward only);
@@ -807,8 +851,11 @@ class TrieCursor:
         if k <= keys[d - 1]:
             return keys[d - 1]
         target = keys[: d - 1] + (k,)
+        ahead = self._ahead
         recs = self._recs
-        if recs is not None and target <= recs[-1][0]:  # the answer is in this leaf
+        if ahead is not None and target <= ahead[0]:
+            rec = ahead
+        elif recs is not None and target <= recs[-1][0]:  # the answer is in this leaf
             i = self._i + 1  # a short hop lands on the next record: no bisect
             if recs[i][0] < target:
                 i = bisect_left(recs, target, i + 1, len(recs), key=_rec_keys)
@@ -823,32 +870,33 @@ class TrieCursor:
                 path.pop()
             node = path.pop()[0] if path else self.version.root
             rec = _descend(node, target, path, recs)
-            if rec is not None:
+            if rec is None:
+                rec = _PAST
+            else:
                 self._recs, self._i = path.pop()
-        if rec is None or rec[0] >= self._bound:
-            self._rec = None
-            return None
-        self._rec = rec
-        return rec[0][d - 1]
+        if rec[0] < self._bound:
+            self._rec = rec
+            if ahead is not None:
+                self._ahead = None
+            return rec[0][d - 1]
+        self._rec = None
+        self._ahead = rec
+        return None
 
 
 def _descend(node, target, path, recs=None):
     """Extend path from node down to the least record >= target, and return
-    it; None past the end of node's subtree.  The path gains a frame per
+    it; None past the end of the version.  The path gains a frame per
     branch and a last (leaf records, index) frame.
 
     One bisect per level, none in the leaf holding ``recs`` (known to end
-    below the target).  The descent remembers its deepest frame with a
-    right sibling: when the target lies past its leaf, the answer is that
-    sibling's first record, reached with no further bisect.
+    below the target).  When the target lies past its leaf, the answer is
+    the next leaf's first record, reached with no further bisect.
     """
-    right = -1  # the deepest frame in path with a right sibling
     while isinstance(node, _Branch):
         j = bisect_right(node.mins, target) - 1
         if j < 0:
             j = 0
-        if j < len(node.mins) - 1:
-            right = len(path)
         path.append((node, j))
         node = node.children[j]
     leaf = node.records
@@ -856,10 +904,18 @@ def _descend(node, target, path, recs=None):
     if k < len(leaf):
         path.append((leaf, k))
         return leaf[k]
-    if right < 0:
+    return _next_leaf(path)
+
+
+def _next_leaf(path):
+    """Move path, the branch frames above a leaf, to the next leaf's first
+    record, and return it; None when the leaf is the version's last.  The
+    deepest frame with a right sibling leads there, with no bisect."""
+    while path and path[-1][1] == len(path[-1][0].mins) - 1:
+        path.pop()
+    if not path:
         return None
-    node, j = path[right]
-    del path[right:]
+    node, j = path.pop()
     path.append((node, j + 1))
     return _leftmost(node.children[j + 1], path)
 

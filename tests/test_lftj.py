@@ -171,6 +171,31 @@ class TestFullEvaluate:
             want = naive_assignments(eng.plan, eng.versions())
             assert got == want, (rule, trial)
 
+    @pytest.mark.parametrize("leaf_capacity", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "rule,spec",
+        [
+            (
+                "P(y,x) <- A(y), E(x,y), A(x). @order(x,y)",
+                {"A": (1, False), "E": (2, False)},
+            ),
+            ("T(x,y,z) <- E(x,y), E(y,z), E(x,z).", {"E": (2, False)}),
+        ],
+    )
+    def test_reopened_atoms_over_small_leaves_match_oracle(
+        self, rule, spec, leaf_capacity
+    ):
+        """Atoms opened again under every outer key, over many small leaves:
+        A(y) from depth 0 at each x, and the triangle's E(x,z) at each y.
+        Their levels end, carry their end position up, and re-open."""
+        rng = random.Random(29 + leaf_capacity)
+        for trial in range(10):
+            eng = Engine(rule, spec, leaf_capacity=leaf_capacity)
+            eng.random_fill(rng, per_relation=rng.randrange(20, 80), dom=9)
+            got = list(evaluate(eng.plan, eng.versions()))
+            want = naive_assignments(eng.plan, eng.versions())
+            assert got == want, (trial, leaf_capacity)
+
     def test_seek_monotonicity(self):
         rng = random.Random(33)
         eng = Engine(

@@ -1187,21 +1187,40 @@ class _LevelModel:
 
 def _walk_against_model(v, rng, steps, seek_target):
     """Drive a cursor over v with random moves, checking each against a
-    stack of _LevelModel; ``seek_target(rng, level)`` draws seek keys."""
+    stack of _LevelModel; ``seek_target(rng, level)`` draws seek keys.
+
+    A "drain" runs the top level to its end with next() and goes up, and
+    then moves the outer level from the position the ended level carried:
+    a next(), a seek or a re-open, and a re-open when the drained level
+    was the first one.  After every move the cursor's key and value must
+    be those of the least record under the current key, at any depth.
+    """
     arity = v.arity
     records = dict(v.records())
+    least = {}  # prefix -> value of the least record under it
+    for keys in sorted(records, reverse=True):
+        for n in range(1, arity + 1):
+            least[keys[:n]] = records[keys]
     c = v.cursor()
     stack = []  # one _LevelModel per open level
-    for _ in range(steps):
+
+    def check(got=None, moved=True):
+        assert c.depth == len(stack)
+        if not stack:
+            return
+        top = stack[-1]
+        if moved:  # a move returns the key it lands on
+            assert got == (None if top.ended() else top.key())
+        assert c.at_end() == top.ended()
+        if not top.ended():
+            assert c.key() == top.key()
+            assert c.value() == least[top.prefix + (top.key(),)]
+        else:
+            with pytest.raises(IntegrityError):
+                c.key()
+
+    def apply(move):
         top = stack[-1] if stack else None
-        moves = []
-        if len(stack) < arity and (top is None or not top.ended()):
-            moves.append("open")
-        if stack:
-            moves.append("up")
-        if top is not None and not top.ended():
-            moves += ["next", "next", "seek", "seek"]
-        move = rng.choice(moves)
         if move == "open":
             got = c.open()
             prefix = () if top is None else top.prefix + (top.key(),)
@@ -1217,21 +1236,31 @@ def _walk_against_model(v, rng, steps, seek_target):
             got = c.seek_lub(k)
             if k > top.key():
                 top.i = bisect.bisect_left(top.keys, k, top.i)
-        if move != "up":  # a move returns the key it lands on
-            top = stack[-1]
-            assert got == (None if top.ended() else top.key())
-        assert c.depth == len(stack)
+        if move == "up":
+            check(moved=False)
+        else:
+            check(got)
+
+    for _ in range(steps):
+        top = stack[-1] if stack else None
+        moves = []
+        if len(stack) < arity and (top is None or not top.ended()):
+            moves.append("open")
         if stack:
-            top = stack[-1]
-            assert c.at_end() == top.ended()
-            if not top.ended():
-                assert c.key() == top.key()
-                if c.depth == arity:
-                    full = top.prefix + (top.key(),)
-                    assert c.value() == records[full]
-            else:
-                with pytest.raises(IntegrityError):
-                    c.key()
+            moves += ["up", "drain"]
+        if top is not None and not top.ended():
+            moves += ["next", "next", "seek", "seek"]
+        move = rng.choice(moves)
+        if move != "drain":
+            apply(move)
+            continue
+        while not top.ended():
+            apply("next")
+        apply("up")
+        if len(stack) == 0:
+            apply("open")  # a re-open from depth 0
+        else:
+            apply(rng.choice(["next", "seek"] + ["open"] * (len(stack) < arity)))
 
 
 def _branch_levels(version):
@@ -1412,11 +1441,15 @@ class TestEditProportionalWork:
         assert stayed > 300
 
     def test_last_level_walk(self, monkeypatch):
+        """A full walk of an arity-2 relation: each inner level ends at the
+        next prefix's first record, which its outer next() lands on, and
+        each leaf's end steps to the next leaf, so the whole walk makes
+        O(height) bisects, outer levels included."""
         rel = Relation("R", 2)
         txn = rel.begin()
         txn.write_sorted([((a, b), None) for a in range(1000) for b in range(100)])
         v = txn.commit()
-        levels, leaves = _branch_levels(v), len(_leaf_mins(v))
+        levels = _branch_levels(v)
         assert levels >= 3
         calls = _count_bisects(monkeypatch)
         c = v.cursor()
@@ -1428,6 +1461,22 @@ class TestEditProportionalWork:
                 seen += 1
                 b = c.next()
             c.up()
+            assert c.key() == a  # up() stands at the outer record
             a = c.next()
         assert seen == v.count == 100_000
-        assert calls[0] <= (levels + 2) * leaves
+        assert calls[0] <= levels + 2
+
+    def test_leaf_crossing_walk(self, monkeypatch):
+        """next() at a leaf's end steps to the next leaf's first record
+        through the path: a walk over every leaf makes no bisect."""
+        _, v = self.big_version()
+        assert len(_leaf_mins(v)) > 1000
+        calls = _count_bisects(monkeypatch)
+        c = v.cursor()
+        seen, k = 0, c.open()
+        while k is not None:
+            assert k == 2 * seen
+            seen += 1
+            k = c.next()
+        assert seen == v.count == 100_000
+        assert calls[0] == 0
