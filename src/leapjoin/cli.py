@@ -273,14 +273,14 @@ class Workspace:
         ]
 
     def cmd_scan(self, name, lo_text, hi_text):
-        """Debug probe: range scan over a min/max head's intermediate."""
+        """Debug probe: range scan over a min/max head's intermediate,
+        folded across the group partitions the range meets."""
         if name not in self.idb:
             raise UserError(f"{name} is not a rule head")
         rid, hi_pos = self.idb[name]
         head = self.rules[rid].heads[hi_pos]
         if head.agg is None:
             raise UserError(f"{name} is not backed by a scan tree")
-        tree = head.agg.tree
         arity = head.agg.arity
 
         def parse_endpoint(text):
@@ -289,7 +289,8 @@ class Workspace:
                 raise UserError(f"endpoint needs {arity} keys: {text!r}")
             return keys
 
-        value = tree.range_scan(parse_endpoint(lo_text), parse_endpoint(hi_text))
+        lo, hi = parse_endpoint(lo_text), parse_endpoint(hi_text)
+        value = head.agg.parts.range_scan(lo, hi)
         return [f"scan {name} = {'EMPTY' if value is EMPTY else render_value(value)}"]
 
     def cmd_dump_sens(self, rid):

@@ -14,14 +14,18 @@ interval.
 
 Bootstrap is the round whose old side is the empty database: no oracle,
 every assignment an insert with no diff, and the indices, the min/max
-trees and the heads start empty, so every head commits.  In any other
-round a head with an empty batch stages nothing and keeps its version.
+intermediates and the heads start empty, so every head commits.  In any
+other round a head with an empty batch stages nothing and keeps its
+version.
 
-A round publishes all of its heads or none.  It first saves everything it
-may change: the instance's index map, each index's partition map, each
-min/max tree's root and each head relation's version.  Edits path-copy
-and every record count is read from a root, so restoring that state, on
-any raise, is the whole rollback.
+A round publishes all of its heads or none.  It saves the instance's
+index map and each head relation's version, and has every partition map
+(each index's and each min/max intermediate's) record the roots the
+round replaces in it.  Edits path-copy and every record count is read
+from a root, so putting those back, on any raise, is the whole
+rollback: it costs what the round's changes cost, not the maps' sizes.
+A round that returns drops the record before it returns, so the roots
+it replaced are freed in the round that replaced them.
 
 Bootstrap runs with CPython's cyclic collector suspended: it allocates by
 the hundred thousand and makes no reference cycle, so a collector pass
@@ -178,9 +182,9 @@ class HeadState:
         self.render = render_record
         if kind in ("MIN", "MAX"):
             op = MAX_OP if kind == "MAX" else MIN_OP
-            self.agg = ScanBackedAggregate(op, key_depth_count)
             n = len(head_plan.key_sources)
-            self._update = partial(apply_semigroup, self.agg, prefix_len=n)
+            self.agg = ScanBackedAggregate(op, key_depth_count, n)
+            self._update = partial(apply_semigroup, self.agg)
         elif kind == "DIRECT":
             self._update = apply_direct
         else:
@@ -341,22 +345,19 @@ def _route(heads, changes, replace):
 
 
 def _saved(inst):
-    """Everything a round may change: the index map, each index's
-    partition map, each min/max tree's root and each head's version."""
-    return (
-        inst.indices,
-        [(ix, dict(ix.parts)) for ix in inst.indices.values()],
-        [(h.agg.tree, h.agg.tree.root) for h in inst.heads if h.agg is not None],
-        [(h.relation, h.relation.current) for h in inst.heads],
-    )
+    """The index map, every partition map, now recording the roots the
+    round replaces, and each head's version."""
+    maps = [ix.parts for ix in inst.indices.values()]
+    maps += [h.agg.parts for h in inst.heads if h.agg is not None]
+    for parts in maps:
+        parts.begin()
+    return inst.indices, maps, [(h.relation, h.relation.current) for h in inst.heads]
 
 
 def _restore(inst, saved):
-    inst.indices, parts, roots, versions = saved
-    for ix, saved_parts in parts:
-        ix.parts = saved_parts
-    for tree, root in roots:
-        tree.root = root
+    inst.indices, maps, versions = saved
+    for parts in maps:
+        parts.rollback()
     for relation, version in versions:
         relation.current = version
 
@@ -374,7 +375,7 @@ def _round(inst, old_versions, new_versions, use_oracle, with_trace):
             inst.indices = inst.fresh_indices()
             for head in inst.heads:
                 if head.agg is not None:
-                    head.agg.tree.root = None
+                    head.agg.parts.reset()
                 v = head.relation.current
                 head.relation.current = RelationVersion(
                     v.lineage, v.arity, v.version_id, None
@@ -402,6 +403,8 @@ def _round(inst, old_versions, new_versions, use_oracle, with_trace):
     except BaseException:
         _restore(inst, saved)
         raise
+    for parts in saved[1]:
+        parts.release()
     inst.bound_versions = dict(new_versions)
     inst.last_trace = trace  # None when the round was untraced
     inst.last_oracle = oracle

@@ -32,26 +32,24 @@ absent, the one format of every ordered tree's sorted batch:
   in one carry pass when the record is written.  Each delta is still
   checked as it folds, so a bad summand raises at its own delta.  Each
   group also renders its stored value for ``dump``;
-* scan-backed min/max -- an intermediate full-key relation with a
-  min/max scan-tree of 64-record leaves, written 1:1 as a direct head
-  is: a batch is folded and checked whole, then its writes change the
-  tree in one descent (a bulk build into an empty tree).  When the tree
-  then holds the batch's writes alone (after a batch into an empty
-  intermediate, as at every bootstrap), each group's extreme is the op's
-  fold over the group's own writes; otherwise only the group prefixes of
-  keys whose value changed recompute by range scan.  Either way a group gets
-  its first extreme in key order, and the head gets one batch.
+* scan-backed min/max -- an intermediate full-key relation, written 1:1
+  as a direct head is, kept as a ``scantree.Partitions`` by the head's
+  group keys: one small min/max scan tree of 64-record leaves per group.
+  A batch is folded and checked whole, then each group's run of writes
+  merges into its group's tree in one descent (a bulk build into an
+  empty one, as at every bootstrap).  Each changed group's extreme is
+  then its tree root's cached aggregate, the first extreme in key order,
+  with no range scan; the head gets one batch.
 """
 
 from fractions import Fraction
-from itertools import groupby, islice, repeat
+from itertools import groupby, islice
 from math import frexp, inf, isfinite
-from operator import countOf, is_, itemgetter, lt, methodcaller
+from operator import countOf, itemgetter, lt, methodcaller
 from typing import Callable, NamedTuple, Optional
 
 from .errors import IntegrityError, UserError
-from .keys import KEY_MAX, KEY_MIN
-from .scantree import ABSENT, EMPTY, LEAF_TARGET, ScanTree, wrap64
+from .scantree import ABSENT, Partitions, wrap64
 from .store import INSERT
 
 _SEG_BITS = 52
@@ -197,7 +195,6 @@ class SegmentedFloat:
 # None when the head reads as empty.
 
 _keys = itemgetter(0)  # of a delta or a write
-_value = itemgetter(1)  # of a write
 _write = itemgetter(0, 1)  # a delta's (keys, payload)
 _delta = itemgetter(2)
 
@@ -377,66 +374,46 @@ def apply_group(txn, deltas, group):
 
 
 class ScanBackedAggregate:
-    """One min/max head's intermediate full-key relation, in a scan tree."""
+    """One min/max head's intermediate full-key relation, partitioned by
+    the head's group keys (the first ``prefix_len`` of its ``arity``)."""
 
-    def __init__(self, op, arity):
-        self.tree = ScanTree(op, leaf_target=LEAF_TARGET)
+    def __init__(self, op, arity, prefix_len):
+        self.parts = Partitions(op, prefix_len, arity)
+        self.tree = self.parts.tree  # the op, the leaf target and the stats
         self.arity = arity
 
     def apply_deltas(self, deltas):
         """Apply a round's key-ordered (keys, value, delta) batch 1:1, as a
         direct head does; returns its (keys, value | ABSENT) writes.
 
-        The writes are listed, so the whole batch is checked before the
-        tree changes in one ``ScanTree.apply_sorted`` descent (a bulk
-        build into an empty tree).
+        The writes are listed, so the whole batch is checked before any
+        group's tree changes.
         """
-        get = self.tree.get if self.tree.root is not None else None
+        parts = self.parts
+        get = parts.find if parts else None
         writes = _insert_pairs(get, deltas)
         if writes is None:
             writes = list(_direct_writes("aggregate", get, deltas))
-        self.tree.apply_sorted(writes)
+        parts.apply_sorted(writes)
         return writes
 
-    def refresh_head(self, txn, writes, prefix_len):
-        """Write each changed group's extreme to the head.
+    def refresh_head(self, txn, writes):
+        """Write the extreme of each group of key-ordered writes to the
+        head, once: its tree root's cached aggregate."""
+        txn.write_sorted(self._refreshed(txn.reader(), writes))
 
-        When the tree holds the writes alone (after any batch into an empty
-        intermediate, as at every bootstrap), each group's extreme is the
-        op's fold over its own writes: the first extreme in key order, as
-        a range scan finds it.  Otherwise each changed group is
-        range-scanned.
-        """
-        txn.write_sorted(self._refreshed(txn.reader(), writes, prefix_len))
-
-    def _refreshed(self, get, writes, prefix_len):
-        """Head writes for the groups of key-ordered writes, each once."""
-        group_of = itemgetter(slice(prefix_len))
-        if len(writes) == self.tree.size and not any(
-            map(is_, map(_value, writes), repeat(ABSENT))  # C-level
-        ):
-            fold = self.tree.op.fold
-            runs = groupby(
-                zip(map(group_of, map(_keys, writes)), map(_value, writes)), _keys
-            )
-            extremes = ((group, fold(map(_value, run))) for group, run in runs)
-        else:
-            lo = (KEY_MIN,) * (self.arity - prefix_len)
-            hi = (KEY_MAX,) * (self.arity - prefix_len)
-            scan = self.tree.range_scan
-            extremes = (
-                (group, scan(group + lo, group + hi))
-                for group, _ in groupby(map(_keys, writes), group_of)
-            )
-        for group, agg in extremes:
+    def _refreshed(self, get, writes):
+        parts = self.parts
+        group_of = itemgetter(slice(parts.prefix_len))
+        for group, _ in groupby(map(group_of, map(_keys, writes))):
+            root = parts.get(group)
             cur = None if get is None else get(group)
-            if agg is EMPTY:
+            if root is None:
                 if cur is not None:
                     yield group, ABSENT
-            elif cur is None or cur[0] != agg:
-                yield group, agg
+            elif cur is None or cur[0] != root.agg:
+                yield group, root.agg
 
 
-def apply_semigroup(agg: ScanBackedAggregate, txn, deltas, prefix_len: int):
-    writes = agg.apply_deltas(deltas)
-    agg.refresh_head(txn, writes, prefix_len)
+def apply_semigroup(agg: ScanBackedAggregate, txn, deltas):
+    agg.refresh_head(txn, agg.apply_deltas(deltas))

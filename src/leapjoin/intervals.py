@@ -7,36 +7,31 @@ other key variables bound earlier in the join order (the context, a
 payload for the oracle builder).
 
 Every stab and every emitted record names one exact prefix, so the index
-is partitioned by it (Graefe's partitioned B-tree, "Modern B-Tree
-Techniques", 2011): ``parts`` maps each prefix to the root of a max-scan
-tree over that prefix's records, ordered by (prefix, lo, hi, context).
-Interval ends aggregate as MAX while interval starts are ordered by the
-key itself, so a stab looks its prefix's root up and then prunes every
-subtree whose max end is below the probe or whose min start is above it;
-no level of a tree only separates one prefix from another.  The roots
-share one ``ScanTree`` (``tree``) for the op, the leaf target and the
-stats; its own root stays empty, and ``len`` sums the counts of the
-partitions' roots.  No partition is kept empty.
+is partitioned by it: ``parts`` is a ``scantree.Partitions`` of max-scan
+trees, one per prefix, over that prefix's records ordered by (prefix,
+lo, hi, context).  Interval ends aggregate as MAX while interval starts
+are ordered by the key itself, so a stab looks its prefix's root up and
+then prunes every subtree whose max end is below the probe or whose min
+start is above it.  ``len`` sums the counts of the partitions' roots.
 
 Every change is one sorted batch, merged run by run (one run per
-prefix) by ``ScanTree.merge``: an evaluation buffers the records it emits
-and ``add_batch`` merges them once, when its stream is exhausted (it
-sorts and dedupes the batch in place and splits it at prefix boundaries
-by bisection); ``stab_and_remove`` erases a stab's hits in one run of
+prefix): an evaluation buffers the records it emits and ``add_batch``
+merges them once, when its stream is exhausted (it sorts and dedupes the
+batch in place, and ``Partitions.apply_sorted`` splits it at prefix
+boundaries); ``stab_and_remove`` erases a stab's hits in one run of
 ``(sort key, ABSENT)`` pairs; ``add`` is the batch of one.  The
-partitions' roots path-copy like any scan tree's, so a copy of ``parts``
-is a whole snapshot of the index (``driver.maintain`` restores one when
-a round raises).
+partitions' roots path-copy like any scan tree's, and the map records
+the roots a round replaces, so ``driver`` puts back just those when a
+round raises.
 """
 
-from bisect import bisect_right
 from itertools import compress
 from operator import gt, itemgetter, ne
 from typing import NamedTuple
 
 from .errors import UserError
-from .keys import KEY_MAX, render_key
-from .scantree import ABSENT, LEAF_TARGET, MAX_OP, ScanTree, _rec_key, _SLeaf
+from .keys import render_key
+from .scantree import ABSENT, MAX_OP, Partitions, _rec_key, _SLeaf
 
 _rec_hi = itemgetter(1)
 
@@ -62,31 +57,19 @@ class IntervalIndex:
     def __init__(self, prefix_len: int, context_len: int):
         self.prefix_len = prefix_len
         self.context_len = context_len
-        self.tree = ScanTree(MAX_OP, leaf_target=LEAF_TARGET)
-        self.parts = {}  # prefix -> root of its records; never None
+        # a sort key is the prefix, lo, hi and the context
+        self.parts = Partitions(MAX_OP, prefix_len, prefix_len + 2 + context_len)
+        self.tree = self.parts.tree  # the op, the leaf target and the stats
         self.stats = {"visits": 0}
-        # a sort key's tail past its prefix is at most this
-        self._tail = (KEY_MAX,) * (2 + context_len)
 
     def __len__(self):
-        return sum(root.count for root in self.parts.values())
+        return self.parts.size
 
     def _record_of(self, sort_key):
         p = self.prefix_len
         return SensitivityRecord(
             sort_key[:p], sort_key[p], sort_key[p + 1], sort_key[p + 2 :]
         )
-
-    def _merge(self, prefix, edits, lo, hi):
-        """Merge edits[lo:hi], all of ``prefix``, into its partition;
-        returns how many records were new."""
-        parts = self.parts
-        root, added = self.tree.merge(parts.get(prefix), edits, lo, hi)
-        if root is None:
-            parts.pop(prefix, None)
-        else:
-            parts[prefix] = root
-        return added
 
     def add(self, rec: SensitivityRecord) -> bool:
         if len(rec.prefix) != self.prefix_len or len(rec.context) != self.context_len:
@@ -101,8 +84,7 @@ class IntervalIndex:
         alone orders the pairs, with one tuple walk per compare.  The
         dedupe and the ``lo <= hi`` check are C-level passes over the
         sorted pairs; a faulty pair raises, naming the first one, before
-        any partition changes.  Each prefix's run is found by one
-        bisection and merged into its partition.
+        any partition changes.
         """
         records.sort(key=_rec_key)
         rest = records[1:]
@@ -112,19 +94,11 @@ class IntervalIndex:
         bad = next(compress(records, map(gt, los, map(_rec_hi, records))), None)
         if bad is not None:
             raise UserError(f"interval lo > hi: {self._record_of(bad[0])}")
-        added, lo, kept, tail = 0, 0, len(records), self._tail
-        while lo < kept:
-            prefix = records[lo][0][:p]
-            hi = bisect_right(records, prefix + tail, lo, kept, key=_rec_key)
-            added += self._merge(prefix, records, lo, hi)
-            lo = hi
-        return added
+        return self.parts.apply_sorted(records)
 
     def enumerate(self):
-        parts = self.parts
-        for prefix in sorted(parts):
-            for key, _ in ScanTree._collect(parts[prefix]):
-                yield self._record_of(key)
+        for key, _ in self.parts.records():
+            yield self._record_of(key)
 
     def _stab_keys(self, prefix, x):
         out = []
@@ -157,16 +131,10 @@ class IntervalIndex:
         """``stab``, then erase its hits (in key order) in one run."""
         keys = self._stab_keys(prefix, x)
         if keys:
-            self._merge(prefix, [(key, ABSENT) for key in keys], 0, len(keys))
+            self.parts.merge(prefix, [(key, ABSENT) for key in keys], 0, len(keys))
         return [self._record_of(key) for key in keys]
 
     # -- invariant checks (used by tests) ----------------------------------
 
     def audit(self):
-        """Every partition is a sound scan tree of records that carry its
-        prefix, and none is empty."""
-        p = self.prefix_len
-        for prefix, root in self.parts.items():
-            assert len(prefix) == p and root is not None
-            self.tree.audit_root(root)
-            assert root.min_key[:p] == prefix == root.max_key[:p]
+        self.parts.audit()

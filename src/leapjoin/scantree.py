@@ -10,16 +10,17 @@ Every edit goes through one path: ``merge`` takes a run of a batch of
 ``(key, value)`` pairs sorted by key, where the value ``ABSENT`` erases
 its key, and applies it in one descent to the tree under a given root.
 ``apply_sorted`` merges a whole batch into the tree's own root (a single
-insert or erase is the batch of one); a caller that keeps many roots
-under one op, leaf target and stats (``IntervalIndex``, one root per
-prefix) merges into each of them.  ``ABSENT`` is defined here once; the
-store's page tree takes batches in the same format.  A subtree the batch
-does not change is returned as it is; each changed node is rebuilt from
-its new children once, on the way up.  Rebalancing: a leaf splits in halves,
-recursively, while it exceeds twice the bucket target and triggers a
-parent rebuild when it falls under half of it; an internal
-node whose child holds more than twice as many records as its sibling is
-rebuilt (perfectly balanced) on the spot.
+insert or erase is the batch of one).  ``Partitions`` keeps one root per
+key prefix under one op, leaf target and stats, splits a batch at prefix
+boundaries and merges each run into its prefix's root; the sensitivity
+index and the min/max intermediate are both kept so.  ``ABSENT`` is
+defined here once; the store's page tree takes batches in the same
+format.  A subtree the batch does not change is returned as it is; each
+changed node is rebuilt from its new children once, on the way up.
+Rebalancing: a leaf splits in halves, recursively, while it exceeds
+twice the bucket target and triggers a parent rebuild when it falls
+under half of it; an internal node whose child holds more than twice as
+many records as its sibling is rebuilt (perfectly balanced) on the spot.
 """
 
 from bisect import bisect_left, bisect_right
@@ -29,6 +30,7 @@ from operator import add, is_, itemgetter, lt
 from typing import Callable
 
 from .errors import IntegrityError, UserError
+from .keys import KEY_MAX
 
 _rec_key = itemgetter(0)
 _rec_value = itemgetter(1)
@@ -99,6 +101,24 @@ def _violates(l, r):
     return l.count > 2 * r.count or r.count > 2 * l.count
 
 
+def _find(node, key):
+    """``(value,)`` of key's record in the tree under ``node``, else None."""
+    while isinstance(node, _SNode):
+        node = node.left if key <= node.left.max_key else node.right
+    if node is None:
+        return None
+    recs = node.records
+    i = bisect_left(recs, key, key=_rec_key)
+    if i < len(recs) and recs[i][0] == key:
+        return (recs[i][1],)
+    return None
+
+
+def _check_range(lo, hi):
+    if lo > hi:
+        raise UserError(f"range_scan: lo {lo!r} > hi {hi!r}")
+
+
 class ScanTree:
     def __init__(self, op: SemigroupOp, leaf_target: int = 12):
         if leaf_target < 1:
@@ -116,15 +136,7 @@ class ScanTree:
     # -- point access ----------------------------------------------------
 
     def get(self, key):
-        node = self.root
-        while isinstance(node, _SNode):
-            node = node.left if key <= node.left.max_key else node.right
-        if node is None:
-            return None
-        i = bisect_left(node.records, key, key=_rec_key)
-        if i < len(node.records) and node.records[i][0] == key:
-            return (node.records[i][1],)
-        return None
+        return _find(self.root, key)
 
     def insert(self, key, value=None):
         if self.get(key) is not None:
@@ -265,6 +277,8 @@ class ScanTree:
         op = self.op
         target = self.leaf_target
         n = len(records)
+        if n <= target:  # one leaf, as below (a copy too), with none of the set-up
+            return _SLeaf(records[:], op)
         parts = max(1, (n + target - 1) // target)
         size, extra = divmod(n, parts)
         leaves, at = [], 0
@@ -308,8 +322,7 @@ class ScanTree:
         leaf.  ``probe``, if given, collects (min_key, max_key, value)
         for each contribution.
         """
-        if lo > hi:
-            raise UserError(f"range_scan: lo {lo!r} > hi {hi!r}")
+        _check_range(lo, hi)
         if self.root is None:
             return EMPTY
         return self._scan(self.root, lo, hi, probe)
@@ -410,6 +423,119 @@ class ScanTree:
             return lrecs + rrecs
 
         return len(walk(root))
+
+
+class Partitions(dict):
+    """Scan trees partitioned by key prefix (Graefe's partitioned B-tree,
+    "Modern B-Tree Techniques", 2011).
+
+    Maps each prefix of ``prefix_len`` keys to the root of a scan tree over
+    the records that carry it, never None: no partition is kept empty, and
+    no tree level only separates one prefix from another.  The roots share
+    one ``ScanTree`` (``tree``) for the op, the leaf target and the stats;
+    its own root stays empty.  Change the map through ``apply_sorted``,
+    ``merge`` and ``reset`` alone, which record each root they replace
+    while a ``begin`` is open: ``rollback`` puts those roots back,
+    ``release`` drops them.  The record holds only the partitions changed
+    since ``begin``, so neither costs more than the changes did.
+    """
+
+    __slots__ = ("tree", "prefix_len", "_tail", "_undo")
+
+    def __init__(self, op: SemigroupOp, prefix_len: int, key_len: int):
+        super().__init__()
+        self.tree = ScanTree(op, leaf_target=LEAF_TARGET)
+        self.prefix_len = prefix_len
+        self._tail = (KEY_MAX,) * (key_len - prefix_len)  # no key's tail is above
+        self._undo = None  # prefix -> its root at ``begin`` (None: absent)
+
+    @property
+    def size(self) -> int:
+        return sum(root.count for root in self.values())
+
+    def find(self, key):
+        """``(value,)`` of key's record, else None: one dict lookup and one
+        descent of its partition."""
+        return _find(self.get(key[: self.prefix_len]), key)
+
+    def apply_sorted(self, edits):
+        """Merge a batch as ``ScanTree.apply_sorted`` takes it, unchecked,
+        run by run: each prefix's run is found by one bisection and merged
+        into its partition.  Returns how many keys were added."""
+        p, tail, n = self.prefix_len, self._tail, len(edits)
+        added = lo = 0
+        while lo < n:
+            prefix = edits[lo][0][:p]
+            hi = bisect_right(edits, prefix + tail, lo, n, key=_rec_key)
+            added += self.merge(prefix, edits, lo, hi)
+            lo = hi
+        return added
+
+    def merge(self, prefix, edits, lo, hi):
+        """Merge edits[lo:hi], all of ``prefix``, into its partition; returns
+        how many keys were added."""
+        old = self.get(prefix)
+        undo = self._undo
+        if undo is not None and prefix not in undo:
+            undo[prefix] = old
+        root, added = self.tree.merge(old, edits, lo, hi)
+        if root is not None:
+            self[prefix] = root
+        elif old is not None:
+            del self[prefix]
+        return added
+
+    def reset(self):
+        """Drop every partition."""
+        undo = self._undo
+        if undo is not None:
+            for prefix, root in self.items():
+                undo.setdefault(prefix, root)
+        self.clear()
+
+    def begin(self):
+        """Start recording the roots that changes replace."""
+        self._undo = {}
+
+    def rollback(self):
+        """Put back every root replaced since ``begin``, and stop recording."""
+        for prefix, root in self._undo.items():
+            if root is None:
+                self.pop(prefix, None)
+            else:
+                self[prefix] = root
+        self._undo = None
+
+    def release(self):
+        """Stop recording; the replaced roots are freed."""
+        self._undo = None
+
+    def records(self):
+        """Every (key, value) record, in key order."""
+        for prefix in sorted(self):
+            yield from ScanTree._collect(self[prefix])
+
+    def range_scan(self, lo, hi):
+        """The aggregate of the records with lo <= key <= hi, or EMPTY: the
+        partitions the range meets, each scanned, folded in key order."""
+        _check_range(lo, hi)
+        p, tree, combine = self.prefix_len, self.tree, self.tree.op.combine
+        agg = EMPTY
+        for prefix in sorted(self):
+            if lo[:p] <= prefix <= hi[:p]:
+                part = tree._scan(self[prefix], lo, hi, None)
+                if part is not EMPTY:
+                    agg = part if agg is EMPTY else combine(agg, part)
+        return agg
+
+    def audit(self):
+        """Every partition is a sound scan tree of records that carry its
+        prefix, and none is empty."""
+        p = self.prefix_len
+        for prefix, root in self.items():
+            assert len(prefix) == p and root is not None
+            self.tree.audit_root(root)
+            assert root.min_key[:p] == prefix == root.max_key[:p]
 
 
 def complement_iter(big: ScanTree, small: ScanTree, stats=None):

@@ -1,7 +1,11 @@
+import random
+from operator import gt, lt
+
 import pytest
 
-from leapjoin.cli import Workspace, main
+from leapjoin.cli import Workspace, _parse_value, main
 from leapjoin.errors import UserError
+from leapjoin.heads import render_value
 
 
 def write(path, text):
@@ -422,6 +426,60 @@ class TestScan:
         assert ws.run_command(["scan", "MS", "3,-inf", "+inf,+inf"]) == [
             "scan MS = EMPTY"
         ]
+
+    def test_scan_equals_a_fold_of_the_records_in_key_order(self, ws, tmp_path):
+        """Ranges that cover, cut, miss and cross the group partitions, the
+        groups with no record among them: each scan is the first extreme in
+        key order of the intermediate's records in the range."""
+        rng = random.Random(61)
+        ties = ["1", "1.0", "-0.0", "0", "0.0", "-1", "-1.0", "2"]
+        rows = {}
+        for r in (0, 2, 3, 5):  # groups 1 and 4 have no record
+            for _ in range(rng.randrange(1, 7)):
+                rows[r, rng.randrange(4), rng.randrange(4)] = rng.choice(ties)
+        text = "".join(f"{r}\t{s}\t{t}\t{v}\n" for (r, s, t), v in rows.items())
+        ws.run_command(["load", "S/3", write(tmp_path / "s.tsv", text), "--function"])
+        ws.run_command(["rule", "MX[r]=m <- agg<< m=max(v) >> S[r,s,t]=v."])
+        ws.run_command(["rule", "MN[r,s]=m <- agg<< m=min(v) >> S[r,s,t]=v."])
+        ws.run_command(["eval", "r1"])
+        ws.run_command(["eval", "r2"])
+        ends = [-1, 0, 1, 2, 3, 4, 5, 6]
+
+        def point(*fixed):
+            return tuple(fixed) + tuple(rng.choice(ends) for _ in range(3 - len(fixed)))
+
+        def brute(lo, hi, better):
+            best = None
+            for key in sorted(rows):
+                v = _parse_value(rows[key], "")
+                if lo <= key <= hi and (best is None or better(v, best)):
+                    best = v
+            return "EMPTY" if best is None else render_value(best)
+
+        def check():
+            cases = [
+                ((r, -1, -1), (r, 6, 6)) for r in range(7)  # cover or miss a group
+            ] + [((2, 1, 0), (2, 2, 3)), ((0, 3, 1), (3, 0, 2)), ((-1,) * 3, (6,) * 3)]
+            for _ in range(60):
+                lo, hi = sorted((point(), point(rng.choice(ends))))
+                cases.append((lo, hi))
+            for lo, hi in cases:
+                ends_text = [",".join(map(str, k)) for k in (lo, hi)]
+                for head, better in (("MX", gt), ("MN", lt)):
+                    got = ws.run_command(["scan", head, *ends_text])
+                    assert got == [f"scan {head} = {brute(lo, hi, better)}"], (lo, hi)
+
+        check()
+        # empty group 2 and start group 4, then scan again
+        edits = [f"-{r}\t{s}\t{t}\t{v}\n" for (r, s, t), v in rows.items() if r == 2]
+        edits.append("+4\t1\t1\t7\n")
+        for key in [k for k in rows if k[0] == 2]:
+            del rows[key]
+        rows[4, 1, 1] = "7"
+        ws.run_command(["delta", "S", write(tmp_path / "d.txt", "".join(edits))])
+        ws.run_command(["maintain", "r1"])
+        ws.run_command(["maintain", "r2"])
+        check()
 
     def test_scan_rejects_non_scan_heads(self, ws, tmp_path):
         load_unary(ws, tmp_path)

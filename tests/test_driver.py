@@ -496,20 +496,20 @@ class TestFailedRound:
         eng = Engine("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)})
         eng.random_fill(random.Random(20), per_relation=60, dom=8)
         bootstrap(eng.inst, eng.versions())
-        tree = eng.inst.heads[-1].agg.tree
-        before = list(tree.items())
+        parts = eng.inst.heads[-1].agg.parts
+        before = list(parts.records())
         eng.random_edits(random.Random(21), 6, dom=8)
 
-        def fail(agg, txn, touched, prefix_len):
-            assert list(agg.tree.items()) != before  # the tree did change
+        def fail(agg, txn, writes):
+            assert list(agg.parts.records()) != before  # the groups did change
             raise RuntimeError("injected")
 
         with monkeypatch.context() as patch:
             patch.setattr(ScanBackedAggregate, "refresh_head", fail)
             with pytest.raises(RuntimeError, match="injected"):
                 maintain(eng.inst, eng.versions())
-        assert list(tree.items()) == before
-        tree.audit()
+        assert list(parts.records()) == before
+        parts.audit()
         maintain(eng.inst, eng.versions())
         assert head_records(eng.inst) == head_records(eng.fresh_reference())
 
@@ -524,7 +524,7 @@ FAULT_POINTS = [
     (store.Transaction, "write_sorted"),
     (store, "_apply"),
     (store, "_pack"),
-    (scantree.ScanTree, "apply_sorted"),
+    (scantree.Partitions, "apply_sorted"),
     (scantree.ScanTree, "merge"),
     (intervals.IntervalIndex, "stab_and_remove"),
     (intervals.IntervalIndex, "add_batch"),
@@ -538,7 +538,7 @@ FAULT_POINTS = [
 ANY_ROUND = {"commit", "write_sorted", "_apply", "_pack", "flush", "apply"}
 # and where a rule keeps sensitivity indices: a bootstrap fills them, a
 # round stabs them too
-INDEXED = {"merge", "add_batch"}
+INDEXED = {"apply_sorted", "merge", "add_batch"}
 # and where a rule has a min/max head
 MIN_MAX = {"apply_sorted", "merge", "refresh_head"}
 
@@ -591,24 +591,24 @@ class Same(tuple):
 def instance_state(inst):
     """What a round that raised must leave as it found it, counts too.
 
-    Its last item holds, by identity, every object the round saves: the
-    index map, each partition root, each min/max root and each head's
-    version.
+    Its last item holds, by identity, every object the round saves or
+    puts back: the index map, each index partition's root and each
+    min/max partition's root, in prefix order, and each head's version.
     """
-    trees = [h.agg.tree for h in inst.heads if h.agg is not None]
+    maps = [h.agg.parts for h in inst.heads if h.agg is not None]
+    roots = [ix.parts for ix in inst.indices.values()] + maps
     return (
         head_records(inst),
         {key: list(ix.enumerate()) for key, ix in inst.indices.items()},
-        [list(tree.items()) for tree in trees],
+        [list(parts.records()) for parts in maps],
         dict(inst.bound_versions),
         {key: len(ix) for key, ix in inst.indices.items()},
-        [tree.size for tree in trees],
+        [parts.size for parts in maps],
         [h.relation.current.count for h in inst.heads],
         Same(
             [
                 inst.indices,
-                *(root for ix in inst.indices.values() for root in ix.parts.values()),
-                *(tree.root for tree in trees),
+                *(parts[prefix] for parts in roots for prefix in sorted(parts)),
                 *(h.relation.current for h in inst.heads),
             ]
         ),
@@ -744,9 +744,9 @@ class TestFaultSweep:
         assert head_records(eng.inst) == head_records(eng.fresh_reference())
 
     def test_bootstrap_folds_min_max_groups_inside_refresh_head(self, monkeypatch):
-        """A bootstrap's min/max head folds each group from its writes, with
-        no range scan, inside ``refresh_head``: the sweep's fault point
-        there fires during a bootstrap too."""
+        """A bootstrap's min/max head reads each group's extreme from its
+        partition's root, with no range scan, inside ``refresh_head``: the
+        sweep's fault point there fires during a bootstrap too."""
         rng = random.Random(23)
         eng = Engine("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)})
         eng.random_fill(rng, per_relation=40, dom=8)
@@ -846,6 +846,45 @@ class TestGarbage:
         finally:
             gc.callbacks.remove(note)
         assert eng.head_records("C") == [(k,) for k in range(0, 5000, 2)]
+
+    @pytest.mark.parametrize(
+        "rule,spec", [TRIANGLE, MAX], ids=["index partitions", "min/max groups"]
+    )
+    def test_a_round_frees_the_roots_it_replaced_before_it_returns(
+        self, rule, spec, monkeypatch
+    ):
+        """The partition roots a round replaced are freed, by reference
+        counting, before the round returns: no free is left for the next
+        round to pay."""
+        rng = random.Random(24)
+        eng = Engine(rule, spec)
+        eng.random_fill(rng, per_relation=200, dom=30)
+        bootstrap(eng.inst, eng.versions())
+        maps = [ix.parts for ix in eng.inst.indices.values()]
+        maps += [h.agg.parts for h in eng.inst.heads if h.agg is not None]
+        # ids of the roots before the round and not freed since: an id
+        # stays unique while its root lives, and leaves the set when it dies
+        alive = set()
+        for node in (scantree._SLeaf, scantree._SNode):
+            monkeypatch.setattr(
+                node, "__del__", lambda n: alive.discard(id(n)), raising=False
+            )
+        replaced = 0
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                alive.update(id(r) for parts in maps for r in parts.values())
+                before = len(alive)
+                eng.random_edits(rng, 3, dom=30)
+                maintain(eng.inst, eng.versions())
+                roots = {id(r) for parts in maps for r in parts.values()}
+                assert alive <= roots  # a root left alive is still a root
+                replaced += before - len(alive)
+                alive.clear()
+        finally:
+            gc.enable()
+        assert replaced > 0
 
     def test_dropped_engine_is_freed_by_reference_counting(self):
         eng = Engine("P(x,z) <- E(x,y), E(y,z).", {"E": (2, False)})

@@ -8,7 +8,8 @@ from operator import itemgetter
 import pytest
 
 from conftest import Engine, expected_head, head_snapshot, naive_assignments
-from leapjoin.driver import bootstrap
+from leapjoin import scantree
+from leapjoin.driver import bootstrap, maintain
 from leapjoin.errors import IntegrityError, UserError
 from leapjoin.heads import (
     FUNCTION_VALUE,
@@ -20,7 +21,6 @@ from leapjoin.heads import (
     apply_semigroup,
     x_segment,
 )
-from leapjoin.keys import KEY_MAX, KEY_MIN
 from leapjoin.scantree import ABSENT, MAX_OP, MIN_OP, ScanTree, wrap64
 from leapjoin.store import ERASE, INSERT, Relation, Transaction
 
@@ -225,49 +225,49 @@ SALES = [
 
 class TestSemigroup:
     def test_sales_erase_recomputes_group_max(self):
-        agg = ScanBackedAggregate(MAX_OP, 2)
+        agg = ScanBackedAggregate(MAX_OP, 2, 1)
         head = store("MS", 1, func=True)
         txn = head.begin()
-        apply_semigroup(
-            agg, txn, [((r, s), v, INSERT) for r, s, v in SALES], prefix_len=1
-        )
+        apply_semigroup(agg, txn, [((r, s), v, INSERT) for r, s, v in SALES])
         txn.commit()
         assert records(head) == [((1,), 15000.0), ((2,), 9000.0), ((3,), 5300.0)]
         txn = head.begin()
-        apply_semigroup(agg, txn, [((2, 13), 9000.00, ERASE)], prefix_len=1)
+        apply_semigroup(agg, txn, [((2, 13), 9000.00, ERASE)])
         txn.commit()
         assert records(head) == [((1,), 15000.0), ((2,), 7024.0), ((3,), 5300.0)]
 
     def test_insert_into_empty_group(self):
-        agg = ScanBackedAggregate(MAX_OP, 2)
+        agg = ScanBackedAggregate(MAX_OP, 2, 1)
         head = store("M", 1, func=True)
         txn = head.begin()
-        apply_semigroup(agg, txn, [((4, 1), 12.5, INSERT)], prefix_len=1)
+        apply_semigroup(agg, txn, [((4, 1), 12.5, INSERT)])
         txn.commit()
         assert records(head) == [((4,), 12.5)]
 
     def test_group_emptied_removes_head_record(self):
-        agg = ScanBackedAggregate(MAX_OP, 2)
+        agg = ScanBackedAggregate(MAX_OP, 2, 1)
         head = store("M", 1, func=True)
         txn = head.begin()
-        apply_semigroup(agg, txn, [((4, 1), 2, INSERT)], prefix_len=1)
+        apply_semigroup(agg, txn, [((4, 1), 2, INSERT)])
         txn.commit()
         txn = head.begin()
-        apply_semigroup(agg, txn, [((4, 1), 2, ERASE)], prefix_len=1)
+        apply_semigroup(agg, txn, [((4, 1), 2, ERASE)])
         txn.commit()
         assert records(head) == []
 
     def test_erase_absent_intermediate_is_integrity_error(self):
-        agg = ScanBackedAggregate(MAX_OP, 2)
+        agg = ScanBackedAggregate(MAX_OP, 2, 1)
         head = store("M", 1, func=True)
         txn = head.begin()
         with pytest.raises(IntegrityError):
-            apply_semigroup(agg, txn, [((4, 1), 2, ERASE)], prefix_len=1)
+            apply_semigroup(agg, txn, [((4, 1), 2, ERASE)])
         txn.abort()
 
     def test_shared_intermediate_two_prefix_lengths(self):
+        """One intermediate per prefix length, each partitioned by its
+        head's group keys, against the same dict reference."""
         rng = random.Random(43)
-        agg = ScanBackedAggregate(MAX_OP, 3)
+        aggs = [ScanBackedAggregate(MAX_OP, 3, n) for n in (1, 2)]
         coarse = store("A1", 1, func=True)
         fine = store("A2", 2, func=True)
         ref = {}
@@ -283,12 +283,11 @@ class TestSemigroup:
                     deltas.append((k, v, INSERT))
             if not deltas:
                 continue
-            touched = agg.apply_deltas(sorted(deltas, key=_target))
-            t1, t2 = coarse.begin(), fine.begin()
-            agg.refresh_head(t1, touched, prefix_len=1)
-            agg.refresh_head(t2, touched, prefix_len=2)
-            t1.commit()
-            t2.commit()
+            for agg, head in zip(aggs, (coarse, fine)):
+                txn = head.begin()
+                apply_semigroup(agg, txn, sorted(deltas, key=_target))
+                txn.commit()
+                agg.parts.audit()
             by1, by2 = {}, {}
             for (x, y, z), v in ref.items():
                 by1[(x,)] = max(by1.get((x,), v), v)
@@ -299,7 +298,7 @@ class TestSemigroup:
     def test_batches_match_sequential_dict_reference(self):
         rng = random.Random(46)
         grid = [(x, y) for x in range(5) for y in range(8)]
-        agg = ScanBackedAggregate(MAX_OP, 2)
+        agg = ScanBackedAggregate(MAX_OP, 2, 1)
         ref = {k: rng.randrange(100) for k in grid[::2]}
         agg.apply_deltas([(k, v, INSERT) for k, v in ref.items()])
         for round_ in range(50):
@@ -328,8 +327,8 @@ class TestSemigroup:
                         live[k] = rng.randrange(100)
                         deltas.append((k, live[k], INSERT))
             writes = agg.apply_deltas(sorted(deltas, key=_target))
-            agg.tree.audit()
-            assert dict(agg.tree.items()) == live, f"round {round_}"
+            agg.parts.audit()
+            assert dict(agg.parts.records()) == live, f"round {round_}"
             changed = sorted(
                 (k, live.get(k, ABSENT))
                 for k in ref.keys() | live.keys()
@@ -360,47 +359,84 @@ class TestSemigroup:
         ],
     )
     def test_batch_errors_from_pending_and_tree(self, deltas, message):
-        agg = ScanBackedAggregate(MAX_OP, 2)
+        agg = ScanBackedAggregate(MAX_OP, 2, 1)
         agg.apply_deltas([((2, 2), 9, INSERT)])
         with pytest.raises(IntegrityError, match=f"aggregate {message}"):
             agg.apply_deltas(deltas)
-        assert list(agg.tree.items()) == [((2, 2), 9)]
+        assert list(agg.parts.records()) == [((2, 2), 9)]
 
     def test_key_inserted_and_erased_in_one_batch_never_reaches_the_tree(self):
-        agg = ScanBackedAggregate(MAX_OP, 2)  # an empty tree is bulk-built
+        agg = ScanBackedAggregate(MAX_OP, 2, 1)  # an empty tree is bulk-built
         agg.apply_deltas([((1, 1), 5, INSERT), ((1, 1), 5, ERASE), ((2, 2), 7, INSERT)])
-        assert list(agg.tree.items()) == [((2, 2), 7)]
-        agg.tree.audit()
+        assert list(agg.parts.records()) == [((2, 2), 7)]
+        agg.parts.audit()
 
     def test_erase_and_reinsert_of_one_value_changes_nothing(self, monkeypatch):
-        agg = ScanBackedAggregate(MAX_OP, 2)
+        agg = ScanBackedAggregate(MAX_OP, 2, 1)
         head = store("M", 1, func=True)
         txn = head.begin()
         deltas = [((1, k), k, INSERT) for k in range(40)]
-        apply_semigroup(agg, txn, deltas, prefix_len=1)
+        apply_semigroup(agg, txn, deltas)
         txn.commit()
-        root, scan, scans = agg.tree.root, agg.tree.range_scan, []
+        root, scan, scans = agg.parts[1,], ScanTree.range_scan, []
         monkeypatch.setattr(
-            agg.tree, "range_scan", lambda *args: scans.append(args) or scan(*args)
+            ScanTree, "range_scan", lambda *args: scans.append(args) or scan(*args)
         )
         txn = head.begin()
         deltas = [((1, 39), 39, ERASE), ((1, 39), 39, INSERT)]
-        apply_semigroup(agg, txn, deltas, prefix_len=1)
+        apply_semigroup(agg, txn, deltas)
         txn.commit()
         assert records(head) == [((1,), 39)]
-        assert agg.tree.root is root
+        assert agg.parts[1,] is root
         assert scans == []
 
     def test_batch_that_raises_leaves_the_tree_unchanged(self):
-        agg = ScanBackedAggregate(MAX_OP, 2)
+        agg = ScanBackedAggregate(MAX_OP, 2, 1)
         agg.apply_deltas([((k // 10, k % 10), k, INSERT) for k in range(100)])
-        before = list(agg.tree.items())
+        before = list(agg.parts.records())
         # a valid erase first: the batch is validated before the tree changes
         deltas = [((3, 4), 34, ERASE), ((5, 6), 1, INSERT)]
         with pytest.raises(IntegrityError, match="aggregate insert of live record"):
             agg.apply_deltas(deltas)
-        assert list(agg.tree.items()) == before
-        agg.tree.audit()
+        assert list(agg.parts.records()) == before
+        agg.parts.audit()
+
+    def test_one_edit_round_work_does_not_grow_with_the_group_count(
+        self, monkeypatch
+    ):
+        """A one-edit round on a max head rebuilds its own group's tree and
+        runs no range scan: it builds as many scan-tree nodes over 10,000
+        groups as over 100 groups of the same size."""
+        built, work = [], []
+
+        def counting(init):
+            def counted(node, *args):
+                built.append(node)
+                init(node, *args)
+
+            return counted
+
+        for groups in (100, 10_000):
+            eng = Engine("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)})
+            rows = [(x, y, (7 * x + y) % 13) for x in range(groups) for y in range(4)]
+            eng.load("E2", rows)
+            bootstrap(eng.inst, eng.versions(), with_trace=False)
+            txn = eng.relations["E2"].begin()
+            txn.insert((50, 9), 99)
+            txn.commit()
+            del built[:]
+            scans = []
+            with monkeypatch.context() as patch:
+                for node in (scantree._SLeaf, scantree._SNode):
+                    patch.setattr(node, "__init__", counting(node.__init__))
+                scan = ScanTree.range_scan
+                patch.setattr(
+                    ScanTree, "range_scan", lambda *a: scans.append(a) or scan(*a)
+                )
+                maintain(eng.inst, eng.versions())
+            work.append((len(built), len(scans)))
+            assert eng.head_rels["M"].current.lookup((50,)) == (99,)
+        assert work[0] == work[1] and work[0][0] > 0 and work[0][1] == 0, work
 
     def test_max_bootstrap_builds_the_tree_in_bulk(self, monkeypatch):
         inserts = []
@@ -416,8 +452,8 @@ class TestSemigroup:
         bootstrap(eng.inst, eng.versions())
         assert inserts == []
         agg = eng.inst.heads[0].agg
-        agg.tree.audit()
-        assert agg.tree.size == eng.relations["E2"].current.count
+        agg.parts.audit()
+        assert agg.parts.size == eng.relations["E2"].current.count
         want = expected_head(eng.plan, 0, naive_assignments(eng.plan, eng.versions()))
         assert head_snapshot(eng.inst.heads[0]) == want
 
@@ -737,11 +773,11 @@ class TestBatchPath:
     @pytest.mark.parametrize("op", [MAX_OP, MIN_OP])
     def test_min_max_refresh_batches_match_dict_reference(self, op):
         rng = random.Random(f"batch-{op.name}")
-        agg = ScanBackedAggregate(op, 2)
+        agg = ScanBackedAggregate(op, 2, 1)
         rel = store("M", 1, func=True)
         pick = max if op is MAX_OP else min
         live = {}
-        apply = partial(apply_semigroup, agg, prefix_len=1)
+        apply = partial(apply_semigroup, agg)
         for round_ in range(40):
             deltas = []
             for k in rng.sample([(x, y) for x in range(5) for y in range(4)], 6):
@@ -764,18 +800,18 @@ class TestBatchPath:
 
     def test_writers_refuse_a_batch_out_of_key_order(self):
         deltas = [((2,), 1, INSERT), ((1,), 1, INSERT)]
-        agg = ScanBackedAggregate(MAX_OP, 1)
+        agg = ScanBackedAggregate(MAX_OP, 1, 1)
         for apply, refusal in (
             (apply_direct, "H: direct batch"),
             (partial(apply_group, group=SUM), "H: batch"),
-            (partial(apply_semigroup, agg, prefix_len=1), "aggregate batch"),
+            (partial(apply_semigroup, agg), "aggregate batch"),
         ):
             txn = store("H", 1, func=True).begin()
             message = rf"^{refusal} keys not increasing at \(1,\)"
             with pytest.raises(UserError, match=message):
                 apply(txn, deltas)
             txn.abort()
-        assert agg.tree.root is None
+        assert not agg.parts
 
     def test_bootstrap_makes_no_per_key_transaction_calls(self, monkeypatch):
         calls = []
@@ -1003,26 +1039,26 @@ class TestRunFold:
 
 
 class TestFreshFold:
-    """When the intermediate holds a batch's writes alone (after a batch
-    into an empty one, or one that replaced every record), a min/max head
-    folds each group from its writes: the first extreme in key order, as a
-    range scan finds it."""
+    """A min/max head reads each changed group's extreme from the root of
+    the group's tree, with no range scan: the first extreme in key order,
+    whether the round refilled the intermediate or edited it."""
 
     @pytest.mark.parametrize("prefix_len", [1, 2])
     @pytest.mark.parametrize("op", [MAX_OP, MIN_OP])
-    def test_fold_from_writes_equals_a_range_scan_per_group(self, op, prefix_len):
+    def test_head_is_the_first_extreme_in_key_order(self, op, prefix_len, monkeypatch):
         rng = random.Random(f"fresh-{op.name}-{prefix_len}")
-        agg = ScanBackedAggregate(op, 3)
+        agg = ScanBackedAggregate(op, 3, prefix_len)
         rel = store("M", prefix_len, func=True)
         scans = []
-        scan = agg.tree.range_scan
-        agg.tree.range_scan = lambda lo, hi: scans.append(lo) or scan(lo, hi)
-        pad = 3 - prefix_len
+        scan = ScanTree.range_scan
+        monkeypatch.setattr(
+            ScanTree, "range_scan", lambda *args: scans.append(args) or scan(*args)
+        )
         cells = [(x, y, z) for x in range(4) for y in range(3) for z in range(4)]
         ties = [1, 1.0, 0.0, -0.0, -1, -1.0, True]
-        live, folded = {}, 0
+        live, refilled = {}, 0
         for round_ in range(24):
-            alone = agg.tree.root is None
+            refill = not agg.parts
             if round_ % 6 == 5:  # empty the intermediate; the next round refills it
                 deltas = [(k, v, ERASE) for k, v in live.items()]
                 live = {}
@@ -1030,7 +1066,7 @@ class TestFreshFold:
                 deltas = [(k, v, ERASE) for k, v in live.items()]
                 live = {k: rng.choice(ties) + 10 * round_ for k in live}
                 deltas += [(k, v, INSERT) for k, v in live.items()]
-                alone = True
+                refill = True
             else:
                 deltas = []
                 for k in rng.sample(cells, 20):
@@ -1039,26 +1075,25 @@ class TestFreshFold:
                     else:
                         live[k] = rng.choice(ties)
                         deltas.append((k, live[k], INSERT))
-            del scans[:]
             txn = rel.begin()
-            apply_semigroup(agg, txn, head_order(deltas), prefix_len=prefix_len)
+            apply_semigroup(agg, txn, head_order(deltas))
             txn.commit()
-            assert (scans == []) == alone, f"round {round_}"
-            groups = sorted({k[:prefix_len] for k in live})
-            want = [
-                (g, scan(g + (KEY_MIN,) * pad, g + (KEY_MAX,) * pad)) for g in groups
-            ]
+            assert scans == [], f"round {round_}"
+            by_group = {}
+            for k, v in sorted(live.items()):
+                by_group.setdefault(k[:prefix_len], []).append(v)
+            want = [(g, op.fold(vs)) for g, vs in sorted(by_group.items())]
             got = records(rel)
             assert got == want, f"round {round_}"
-            if alone:
+            if refill:
                 # every group's extreme is new: the same extreme, not only an
                 # equal one (1 is not 1.0 or True, and 0.0 is not -0.0)
                 assert list(map(repr, got)) == list(map(repr, want))
-                folded += 1
-        assert folded == 8
+                refilled += 1
+        assert refilled == 8
 
-    def test_batch_that_erases_is_scanned_though_the_tree_counts_its_writes(self):
-        agg = ScanBackedAggregate(MAX_OP, 2)
+    def test_batch_with_an_erase_and_as_many_writes_as_records_left(self):
+        agg = ScanBackedAggregate(MAX_OP, 2, 1)
         rel = store("M", 1, func=True)
         for deltas in (
             [((0, 1), 5, INSERT), ((0, 2), 1, INSERT)],
@@ -1066,7 +1101,7 @@ class TestFreshFold:
             [((0, 1), 5, ERASE), ((0, 3), 2, INSERT)],
         ):
             txn = rel.begin()
-            apply_semigroup(agg, txn, deltas, prefix_len=1)
+            apply_semigroup(agg, txn, deltas)
             txn.commit()
-        assert agg.tree.size == 2
+        assert agg.parts.size == 2
         assert records(rel) == [((0,), 2)]
