@@ -379,8 +379,13 @@ class ScanBackedAggregate:
 
     def __init__(self, op, arity, prefix_len):
         self.parts = Partitions(op, prefix_len, arity)
-        self.tree = self.parts.tree  # the op, the leaf target and the stats
         self.arity = arity
+
+    @property
+    def tree(self):
+        """The partitions' shared ``ScanTree``: the op, the leaf target and
+        the stats."""
+        return self.parts.tree
 
     def apply_deltas(self, deltas):
         """Apply a round's key-ordered (keys, value, delta) batch 1:1, as a

@@ -59,8 +59,13 @@ class IntervalIndex:
         self.context_len = context_len
         # a sort key is the prefix, lo, hi and the context
         self.parts = Partitions(MAX_OP, prefix_len, prefix_len + 2 + context_len)
-        self.tree = self.parts.tree  # the op, the leaf target and the stats
         self.stats = {"visits": 0}
+
+    @property
+    def tree(self):
+        """The partitions' shared ``ScanTree``: the op, the leaf target and
+        the stats."""
+        return self.parts.tree
 
     def __len__(self):
         return self.parts.size

@@ -24,6 +24,7 @@ many records as its sibling is rebuilt (perfectly balanced) on the spot.
 """
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import add, is_, itemgetter, lt
@@ -277,8 +278,6 @@ class ScanTree:
         op = self.op
         target = self.leaf_target
         n = len(records)
-        if n <= target:  # one leaf, as below (a copy too), with none of the set-up
-            return _SLeaf(records[:], op)
         parts = max(1, (n + target - 1) // target)
         size, extra = divmod(n, parts)
         leaves, at = [], 0
@@ -322,10 +321,14 @@ class ScanTree:
         leaf.  ``probe``, if given, collects (min_key, max_key, value)
         for each contribution.
         """
+        return self.scan_root(self.root, lo, hi, probe)
+
+    def scan_root(self, root, lo, hi, probe=None):
+        """``range_scan`` over the tree under ``root`` (None: empty)."""
         _check_range(lo, hi)
-        if self.root is None:
+        if root is None:
             return EMPTY
-        return self._scan(self.root, lo, hi, probe)
+        return self._scan(root, lo, hi, probe)
 
     def _scan(self, node, lo, hi, probe):
         if node.max_key < lo or node.min_key > hi:
@@ -425,38 +428,51 @@ class ScanTree:
         return len(walk(root))
 
 
-class Partitions(dict):
+class Partitions(Mapping):
     """Scan trees partitioned by key prefix (Graefe's partitioned B-tree,
     "Modern B-Tree Techniques", 2011).
 
-    Maps each prefix of ``prefix_len`` keys to the root of a scan tree over
-    the records that carry it, never None: no partition is kept empty, and
-    no tree level only separates one prefix from another.  The roots share
-    one ``ScanTree`` (``tree``) for the op, the leaf target and the stats;
-    its own root stays empty.  Change the map through ``apply_sorted``,
-    ``merge`` and ``reset`` alone, which record each root they replace
-    while a ``begin`` is open: ``rollback`` puts those roots back,
-    ``release`` drops them.  The record holds only the partitions changed
-    since ``begin``, so neither costs more than the changes did.
+    A read-only mapping from each prefix of ``prefix_len`` keys to the root
+    of a scan tree over the records that carry it, never None: no partition
+    is kept empty, and no tree level only separates one prefix from
+    another.  The roots share one ``ScanTree`` (``tree``) for the op, the
+    leaf target and the stats; its own root stays empty.  Only
+    ``apply_sorted``, ``merge`` and ``reset`` change the map, and each
+    records the roots it replaces while a ``begin`` is open: ``rollback``
+    puts those roots back, ``release`` drops them.  The record holds only
+    the partitions changed since ``begin``, so neither costs more than the
+    changes did.
     """
 
-    __slots__ = ("tree", "prefix_len", "_tail", "_undo")
+    __slots__ = ("tree", "prefix_len", "_roots", "_tail", "_undo")
 
     def __init__(self, op: SemigroupOp, prefix_len: int, key_len: int):
-        super().__init__()
         self.tree = ScanTree(op, leaf_target=LEAF_TARGET)
         self.prefix_len = prefix_len
+        self._roots = {}  # prefix -> root of its records
         self._tail = (KEY_MAX,) * (key_len - prefix_len)  # no key's tail is above
         self._undo = None  # prefix -> its root at ``begin`` (None: absent)
 
+    def __getitem__(self, prefix):
+        return self._roots[prefix]
+
+    def get(self, prefix, default=None):
+        return self._roots.get(prefix, default)
+
+    def __iter__(self):
+        return iter(self._roots)
+
+    def __len__(self):
+        return len(self._roots)
+
     @property
     def size(self) -> int:
-        return sum(root.count for root in self.values())
+        return sum(root.count for root in self._roots.values())
 
     def find(self, key):
         """``(value,)`` of key's record, else None: one dict lookup and one
         descent of its partition."""
-        return _find(self.get(key[: self.prefix_len]), key)
+        return _find(self._roots.get(key[: self.prefix_len]), key)
 
     def apply_sorted(self, edits):
         """Merge a batch as ``ScanTree.apply_sorted`` takes it, unchecked,
@@ -474,24 +490,25 @@ class Partitions(dict):
     def merge(self, prefix, edits, lo, hi):
         """Merge edits[lo:hi], all of ``prefix``, into its partition; returns
         how many keys were added."""
-        old = self.get(prefix)
+        roots = self._roots
+        old = roots.get(prefix)
         undo = self._undo
         if undo is not None and prefix not in undo:
             undo[prefix] = old
         root, added = self.tree.merge(old, edits, lo, hi)
         if root is not None:
-            self[prefix] = root
+            roots[prefix] = root
         elif old is not None:
-            del self[prefix]
+            del roots[prefix]
         return added
 
     def reset(self):
         """Drop every partition."""
         undo = self._undo
         if undo is not None:
-            for prefix, root in self.items():
+            for prefix, root in self._roots.items():
                 undo.setdefault(prefix, root)
-        self.clear()
+        self._roots.clear()
 
     def begin(self):
         """Start recording the roots that changes replace."""
@@ -499,11 +516,12 @@ class Partitions(dict):
 
     def rollback(self):
         """Put back every root replaced since ``begin``, and stop recording."""
+        roots = self._roots
         for prefix, root in self._undo.items():
             if root is None:
-                self.pop(prefix, None)
+                roots.pop(prefix, None)
             else:
-                self[prefix] = root
+                roots[prefix] = root
         self._undo = None
 
     def release(self):
@@ -512,27 +530,33 @@ class Partitions(dict):
 
     def records(self):
         """Every (key, value) record, in key order."""
-        for prefix in sorted(self):
-            yield from ScanTree._collect(self[prefix])
+        roots = self._roots
+        for prefix in sorted(roots):
+            yield from ScanTree._collect(roots[prefix])
 
     def range_scan(self, lo, hi):
         """The aggregate of the records with lo <= key <= hi, or EMPTY: the
-        partitions the range meets, each scanned, folded in key order."""
+        partitions the range meets, each scanned, folded in key order.
+
+        Finding those partitions compares every prefix once (and sorts
+        only the ones met), so a call costs O(partitions); the ``scan``
+        probe is its one caller, and no round makes one.
+        """
         _check_range(lo, hi)
-        p, tree, combine = self.prefix_len, self.tree, self.tree.op.combine
+        p, roots, tree = self.prefix_len, self._roots, self.tree
+        first, last, combine = lo[:p], hi[:p], tree.op.combine
         agg = EMPTY
-        for prefix in sorted(self):
-            if lo[:p] <= prefix <= hi[:p]:
-                part = tree._scan(self[prefix], lo, hi, None)
-                if part is not EMPTY:
-                    agg = part if agg is EMPTY else combine(agg, part)
+        for prefix in sorted(q for q in roots if first <= q <= last):
+            part = tree.scan_root(roots[prefix], lo, hi)
+            if part is not EMPTY:
+                agg = part if agg is EMPTY else combine(agg, part)
         return agg
 
     def audit(self):
         """Every partition is a sound scan tree of records that carry its
         prefix, and none is empty."""
         p = self.prefix_len
-        for prefix, root in self.items():
+        for prefix, root in self._roots.items():
             assert len(prefix) == p and root is not None
             self.tree.audit_root(root)
             assert root.min_key[:p] == prefix == root.max_key[:p]

@@ -98,7 +98,7 @@ def test_criterion_02_interval_tree_figures():
         (93, 100), (98, 107),
     ]
     ix2 = IntervalIndex(0, 0)
-    ix2.tree = ScanTree(MAX_OP, leaf_target=1)  # one record per leaf, as in the figure
+    ix2.parts.tree = ScanTree(MAX_OP, leaf_target=1)  # one record per leaf, as in the figure
     for lo, hi in figure:
         ix2.add(SensitivityRecord((), lo, hi, ()))
     got80 = [(r.lo, r.hi) for r in ix2.stab((), 80)]

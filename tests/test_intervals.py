@@ -24,20 +24,14 @@ def rec(lo, hi, prefix=(), ctx=()):
 def index(prefix_len, context_len, leaf_target):
     """An IntervalIndex whose scan trees hold ``leaf_target`` records per leaf."""
     ix = IntervalIndex(prefix_len, context_len)
-    ix.tree = ScanTree(MAX_OP, leaf_target=leaf_target)
+    ix.parts.tree = ScanTree(MAX_OP, leaf_target=leaf_target)
     return ix
 
 
 def erase_one(ix, r):
     """Erase one present record from its partition, the sequential reference."""
-    root = ix.parts[r.prefix]
     size = len(ix)
-    root, added = ix.tree.merge(root, [(r.sort_key(), ABSENT)], 0, 1)
-    assert added == 0
-    if root is None:
-        del ix.parts[r.prefix]
-    else:
-        ix.parts[r.prefix] = root
+    assert ix.parts.merge(r.prefix, [(r.sort_key(), ABSENT)], 0, 1) == 0
     assert len(ix) == size - 1
 
 
@@ -311,4 +305,27 @@ class TestPartitions:
         ix.audit()
         assert ix.add(rec(5, 5, (3,))) is True
         assert sorted(ix.parts) == [(3,), (8,)] and len(ix) == 2
+        ix.audit()
+
+    def test_map_and_tree_are_read_only(self):
+        """The map changes only through its merges and ``reset``, which a
+        rollback undoes; the shared tree is set on the map, not the index."""
+        ix = IntervalIndex(1, 0)
+        ix.add(rec(1, 4, (3,)))
+        parts, root = ix.parts, ix.parts[3,]
+        with pytest.raises(TypeError):
+            parts[9,] = root
+        with pytest.raises(TypeError):
+            del parts[3,]
+        for name in ("pop", "update", "setdefault", "clear"):
+            assert not hasattr(parts, name)
+        with pytest.raises(AttributeError):
+            ix.tree = ScanTree(MAX_OP, leaf_target=1)
+        assert ix.tree is parts.tree
+        parts.begin()
+        ix.add(rec(0, 9, (8,)))
+        assert ix.stab_and_remove((3,), 2) == [rec(1, 4, (3,))]
+        parts.reset()
+        parts.rollback()
+        assert dict(parts) == {(3,): root}
         ix.audit()
