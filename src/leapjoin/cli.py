@@ -281,7 +281,7 @@ class Workspace:
         head = self.rules[rid].heads[hi_pos]
         if head.agg is None:
             raise UserError(f"{name} is not backed by a scan tree")
-        arity = head.agg.arity
+        arity = len(self.rules[rid].plan.key_order)
 
         def parse_endpoint(text):
             keys = tuple(parse_key(p) for p in text.split(","))
@@ -290,11 +290,13 @@ class Workspace:
             return keys
 
         lo, hi = parse_endpoint(lo_text), parse_endpoint(hi_text)
-        value = head.agg.parts.range_scan(lo, hi)
+        value = head.agg.range_scan(lo, hi)
         return [f"scan {name} = {'EMPTY' if value is EMPTY else render_value(value)}"]
 
     def cmd_dump_sens(self, rid):
         inst = self._instance(rid)
+        if inst.bound_versions is None:  # its empty indices hold no evaluation
+            return []
         plan = inst.plan
         out = []
         for (bi, pos, lvl), index in sorted(inst.indices.items()):

@@ -12,20 +12,43 @@ index while an evaluation runs.  Atoms whose key arguments prefix the
 join order carry no index: their surgeries name their own key as a point
 interval.
 
-Bootstrap is the round whose old side is the empty database: no oracle,
-every assignment an insert with no diff, and the indices, the min/max
-intermediates and the heads start empty, so every head commits.  In any
-other round a head with an empty batch stages nothing and keeps its
-version.
+A rule instance builds its partition maps once, ``inst.maps``: each
+index's and each min/max intermediate's ``scantree.Partitions``.
+Bootstrap is the round from the empty database: no oracle, every
+assignment an insert with no diff, every map emptied in place
+(``Partitions.reset``) and every head emptied, so every head commits.
+In any other round a head with an empty batch keeps its version, and
+the oracle is built once, from the intervals the round's stabs gather.
 
-A round publishes all of its heads or none.  It saves the instance's
-index map and each head relation's version, and has every partition map
-(each index's and each min/max intermediate's) record the roots the
-round replaces in it.  Edits path-copy and every record count is read
-from a root, so putting those back, on any raise, is the whole
-rollback: it costs what the round's changes cost, not the maps' sizes.
-A round that returns drops the record before it returns, so the roots
-it replaced are freed in the round that replaced them.
+A round publishes all of its heads or none.  It saves each head
+relation's version, and has every map in ``inst.maps`` record the roots
+the round replaces in it.  Edits path-copy and every record count is read
+from a root, so putting those back, on any raise, is the whole rollback:
+it costs what the round's changes cost, not the maps' sizes.  A round
+that returns drops the record before it returns, so the roots it
+replaced are freed in the round that replaced them.
+
+A maintained index stays sound when a round admits only part of a
+level.  A record of an atom over [lo, hi] says the atom holds no key
+strictly inside it (nor lo, for a seek's record), and an edit of the
+atom at k stabs away each of its records over k, so every record left
+is true.  Every round keeps the level invariant: under each binding of
+the shallower keys, the records of all the level's atoms together cover
+every key.  A round removes only the records its stabs hit, its oracle
+admits their whole intervals, and there each leapfrog step emits a
+record over the keys it passes, up to the oracle's end (beyond which the
+old records stay) or an atom that ran out (whose record reaches +inf).
+Strict coverage, each fresh record inside one of its own atom's, is not
+kept: a level opened at the oracle's first key seeks its atoms in
+another order than a fresh run (``PARTIAL_COVERAGE`` in
+``tests/test_driver.py``).  The invariant suffices: for an edit of atom
+G at a key k that no G record covers, some other atom I of the level
+has a record over k that lacks k (a key that only ends a record was
+sought by G too, unless an atom ran out first, whose record lacks it).
+No assignment runs through k until I gains k, and I's edit, in the same
+round or a later one, stabs that record and admits k.  A disjunction
+keeps this per branch; the oracle's cursor and an atom with no index
+(each of whose edits is admitted as a point) emit no records.
 
 Bootstrap runs with CPython's cyclic collector suspended: it allocates by
 the hundred thousand and makes no reference cycle, so a collector pass
@@ -39,13 +62,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import islice, repeat
-from operator import gt, itemgetter
+from operator import countOf, gt, itemgetter
 
 from .errors import UserError
 from .heads import (
     FUNCTION_VALUE,
     GROUPS,
-    ScanBackedAggregate,
     apply_direct,
     apply_group,
     apply_semigroup,
@@ -55,7 +77,7 @@ from .intervals import IntervalIndex
 from .keys import KEY_MAX, render_key
 from .lftj import Counter, SensitivityRecorder, check_versions, evaluate
 from .rules import tuple_getter
-from .scantree import MAX_OP, MIN_OP
+from .scantree import MAX_OP, MIN_OP, Partitions
 from .store import ERASE, INSERT, RelationVersion, surgery_iter
 
 _delta_target, _delta_kind = itemgetter(0), itemgetter(2)
@@ -107,35 +129,27 @@ class OracleEntry:
 
 
 class ChangeOracle:
-    """Per-depth merged interval sets keyed by the bound key prefix.
+    """Per-depth merged interval sets keyed by the bound key prefix, built
+    once from a round's ``(depth, bound prefix) -> [(lo, hi)]`` runs.
 
     An interval at depth d admits every deeper binding under it; the
     prefixes of deeper contributions surface at shallower depths as
     point intervals so the evaluator can reach them.
     """
 
-    def __init__(self):
-        self._admit = {}  # (depth, prefix) -> [(lo, hi)]
-        self._points = {}  # (depth, prefix) -> set of keys
-        self._entries = None
-
-    def add(self, depth, bound_prefix, lo, hi):
-        self._admit.setdefault((depth, bound_prefix), []).append((lo, hi))
-        for d in range(1, depth):
-            self._points.setdefault((d, bound_prefix[: d - 1]), set()).add(
-                bound_prefix[d - 1]
-            )
-
-    def finalize(self):
+    def __init__(self, runs):
+        points = {}  # (depth, prefix) -> set of keys
+        for depth, prefix in runs:
+            for d in range(1, depth):
+                points.setdefault((d, prefix[: d - 1]), set()).add(prefix[d - 1])
         entries = {}
-        for key in self._admit.keys() | self._points.keys():
-            admit = _merge_intervals(self._admit[key]) if key in self._admit else []
-            pts = self._points.get(key)
+        for key in runs.keys() | points.keys():
+            admit = _merge_intervals(runs.get(key, ()))
+            pts = points.get(key)
             # a second merge changes merged admits only where points join them
             merged = _merge_intervals(admit + [(p, p) for p in pts]) if pts else admit
             entries[key] = OracleEntry(merged, admit)
         self._entries = entries
-        return self
 
     def entry(self, depth, prefix):
         return self._entries.get((depth, prefix))
@@ -183,7 +197,7 @@ class HeadState:
         if kind in ("MIN", "MAX"):
             op = MAX_OP if kind == "MAX" else MIN_OP
             n = len(head_plan.key_sources)
-            self.agg = ScanBackedAggregate(op, key_depth_count, n)
+            self.agg = Partitions(op, n, key_depth_count)
             self._update = partial(apply_semigroup, self.agg)
         elif kind == "DIRECT":
             self._update = apply_direct
@@ -233,16 +247,15 @@ class RuleInstance:
             HeadState(hp, rel, len(plan.key_order))
             for hp, rel in zip(plan.heads, head_relations)
         ]
-        self.indices = {}
+        self.indices = {
+            key: IntervalIndex(spec.prefix_len, spec.context_len)
+            for key, spec in plan.index_specs.items()
+        }
+        self.maps = [ix.parts for ix in self.indices.values()]
+        self.maps += [h.agg for h in self.heads if h.agg is not None]
         self.bound_versions = None  # None until the first bootstrap
         self.last_trace = None
         self.last_oracle = None
-
-    def fresh_indices(self):
-        return {
-            key: IntervalIndex(spec.prefix_len, spec.context_len)
-            for key, spec in self.plan.index_specs.items()
-        }
 
     def current_versions(self, relations):
         return {
@@ -259,7 +272,7 @@ def build_oracle(inst, old_versions, new_versions, consume=True):
     for every atom over it.
     """
     plan = inst.plan
-    oracle = ChangeOracle()
+    runs = {}  # (depth, bound prefix) -> [(lo, hi)]
     consumed = 0
     surgeries = {}  # pred -> its round's surgeries, shared by its atoms
     for bi, bp in enumerate(plan.branches):
@@ -278,28 +291,23 @@ def build_oracle(inst, old_versions, new_versions, consume=True):
                 if spec is None:
                     # args prefix the join order: the surgery names its own
                     # position in order coordinates
-                    oracle.add(ap.depths[lvl - 1], alpha, k, k)
+                    runs.setdefault((ap.depths[lvl - 1], alpha), []).append((k, k))
                     continue
                 idx = inst.indices[bi, pos, lvl]
                 hits = idx.stab_and_remove(alpha, k) if consume else idx.stab(alpha, k)
                 consumed += len(hits)
                 for rec in hits:
                     bound = spec.oracle_prefix(rec.prefix + rec.context)
-                    oracle.add(spec.depth, bound, rec.lo, rec.hi)
-    oracle.finalize()
-    return oracle, consumed
+                    runs.setdefault((spec.depth, bound), []).append((rec.lo, rec.hi))
+    return ChangeOracle(runs), consumed
 
 
-def _diff(old_stream, new_stream, erases):
-    """Old-only assignments as erases, new-only ones as inserts, in order.
-
-    erases[0] tallies the erases.
-    """
+def _diff(old_stream, new_stream):
+    """Old-only assignments as erases, new-only ones as inserts, in order."""
     a = next(old_stream, None)
     b = next(new_stream, None)
     while a is not None or b is not None:
         if b is None or (a is not None and a < b):
-            erases[0] += 1
             yield a, ERASE
             a = next(old_stream, None)
         elif a is None or b < a:
@@ -321,7 +329,7 @@ def _route(heads, changes, replace):
     its version, unless the round replaces every head (``replace``, at
     bootstrap).  A raise, in a stage or a commit, aborts the transactions
     still open; the caller puts the head versions back.  Returns the
-    number of changes routed.
+    numbers of inserts and erases routed.
     """
     per_head = [[] for _ in heads]
     routes = [(h.target, h.payload, b.append) for h, b in zip(heads, per_head)]
@@ -341,22 +349,21 @@ def _route(heads, changes, replace):
         for txn in staged[committed:]:
             txn.abort()
         raise
-    return len(per_head[0])  # every head takes one delta per change
+    deltas = per_head[0]  # every head takes one delta per change
+    erases = countOf(map(_delta_kind, deltas), ERASE)
+    return len(deltas) - erases, erases
 
 
 def _saved(inst):
-    """The index map, every partition map, now recording the roots the
-    round replaces, and each head's version."""
-    maps = [ix.parts for ix in inst.indices.values()]
-    maps += [h.agg.parts for h in inst.heads if h.agg is not None]
-    for parts in maps:
+    """Each head's version; every partition map now records the roots the
+    round replaces."""
+    for parts in inst.maps:
         parts.begin()
-    return inst.indices, maps, [(h.relation, h.relation.current) for h in inst.heads]
+    return [(h.relation, h.relation.current) for h in inst.heads]
 
 
-def _restore(inst, saved):
-    inst.indices, maps, versions = saved
-    for parts in maps:
+def _restore(inst, versions):
+    for parts in inst.maps:
         parts.rollback()
     for relation, version in versions:
         relation.current = version
@@ -371,11 +378,10 @@ def _round(inst, old_versions, new_versions, use_oracle, with_trace):
     try:
         oracle, consumed = None, 0
         if old_versions is None:
-            # the old side is empty: so are the indices and the heads
-            inst.indices = inst.fresh_indices()
+            # the old side is empty: so are the partition maps and the heads
+            for parts in inst.maps:
+                parts.reset()
             for head in inst.heads:
-                if head.agg is not None:
-                    head.agg.parts.reset()
                 v = head.relation.current
                 head.relation.current = RelationVersion(
                     v.lineage, v.arity, v.version_id, None
@@ -393,17 +399,16 @@ def _round(inst, old_versions, new_versions, use_oracle, with_trace):
             counter=c_new,
             trace=trace,
         )
-        erases = [0]
         if old_versions is None:
             changes = zip(new_stream, repeat(INSERT))
         else:
             old_stream = evaluate(plan, old_versions, oracle=oracle, counter=c_old)
-            changes = _diff(old_stream, new_stream, erases)
-        routed = _route(inst.heads, changes, replace=old_versions is None)
+            changes = _diff(old_stream, new_stream)
+        inserts, erases = _route(inst.heads, changes, replace=old_versions is None)
     except BaseException:
         _restore(inst, saved)
         raise
-    for parts in saved[1]:
+    for parts in inst.maps:
         parts.release()
     inst.bound_versions = dict(new_versions)
     inst.last_trace = trace  # None when the round was untraced
@@ -414,14 +419,14 @@ def _round(inst, old_versions, new_versions, use_oracle, with_trace):
         oracle_intervals=oracle.interval_count() if oracle is not None else 0,
         sens_consumed=consumed,
         sens_added=recorder.added,
-        head_inserts=routed - erases[0],
-        head_erases=erases[0],
+        head_inserts=inserts,
+        head_erases=erases,
     )
 
 
 def bootstrap(inst, versions, with_trace=True):
-    """Full evaluation: the round from the empty database, which replaces
-    the heads and the sensitivity indices.
+    """Full evaluation: the round from the empty database, which empties
+    the heads and the partition maps first.
 
     It runs with the cyclic collector suspended, since it makes no
     reference cycle (see the module docstring), and leaves the collector

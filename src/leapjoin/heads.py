@@ -33,13 +33,15 @@ absent, the one format of every ordered tree's sorted batch:
   checked as it folds, so a bad summand raises at its own delta.  Each
   group also renders its stored value for ``dump``;
 * scan-backed min/max -- an intermediate full-key relation, written 1:1
-  as a direct head is, kept as a ``scantree.Partitions`` by the head's
-  group keys: one small min/max scan tree of 64-record leaves per group.
-  A batch is folded and checked whole, then each group's run of writes
-  merges into its group's tree in one descent (a bulk build into an
-  empty one, as at every bootstrap).  Each changed group's extreme is
-  then its tree root's cached aggregate, the first extreme in key order,
-  with no range scan; the head gets one batch.
+  as a direct head is, which is a bare ``scantree.Partitions`` by the
+  head's group keys (``HeadState.agg``, built with its instance and
+  emptied by ``reset`` at bootstrap): one small min/max scan tree of
+  64-record leaves per group.  ``apply_deltas`` folds and checks a batch
+  whole, then merges each group's run of writes into its group's tree in
+  one descent (a bulk build into an empty one, as at every bootstrap).
+  ``refresh_head`` then reads each changed group's extreme from its tree
+  root's cached aggregate, the first extreme in key order, with no range
+  scan; the head gets one batch.
 """
 
 from fractions import Fraction
@@ -49,7 +51,7 @@ from operator import countOf, itemgetter, lt, methodcaller
 from typing import Callable, NamedTuple, Optional
 
 from .errors import IntegrityError, UserError
-from .scantree import ABSENT, Partitions, wrap64
+from .scantree import ABSENT, wrap64
 from .store import INSERT
 
 _SEG_BITS = 52
@@ -373,52 +375,41 @@ def apply_group(txn, deltas, group):
     txn.write_sorted(_group_writes(txn.relation.name, txn.reader(), deltas, group))
 
 
-class ScanBackedAggregate:
-    """One min/max head's intermediate full-key relation, partitioned by
-    the head's group keys (the first ``prefix_len`` of its ``arity``)."""
+def apply_deltas(parts, deltas):
+    """Apply a round's key-ordered (keys, value, delta) batch 1:1 to a
+    min/max head's intermediate, as a direct head does; returns its
+    (keys, value | ABSENT) writes.
 
-    def __init__(self, op, arity, prefix_len):
-        self.parts = Partitions(op, prefix_len, arity)
-        self.arity = arity
-
-    @property
-    def tree(self):
-        """The partitions' shared ``ScanTree``: the op, the leaf target and
-        the stats."""
-        return self.parts.tree
-
-    def apply_deltas(self, deltas):
-        """Apply a round's key-ordered (keys, value, delta) batch 1:1, as a
-        direct head does; returns its (keys, value | ABSENT) writes.
-
-        The writes are listed, so the whole batch is checked before any
-        group's tree changes.
-        """
-        parts = self.parts
-        get = parts.find if parts else None
-        writes = _insert_pairs(get, deltas)
-        if writes is None:
-            writes = list(_direct_writes("aggregate", get, deltas))
-        parts.apply_sorted(writes)
-        return writes
-
-    def refresh_head(self, txn, writes):
-        """Write the extreme of each group of key-ordered writes to the
-        head, once: its tree root's cached aggregate."""
-        txn.write_sorted(self._refreshed(txn.reader(), writes))
-
-    def _refreshed(self, get, writes):
-        parts = self.parts
-        group_of = itemgetter(slice(parts.prefix_len))
-        for group, _ in groupby(map(group_of, map(_keys, writes))):
-            root = parts.get(group)
-            cur = None if get is None else get(group)
-            if root is None:
-                if cur is not None:
-                    yield group, ABSENT
-            elif cur is None or cur[0] != root.agg:
-                yield group, root.agg
+    The writes are listed, so the whole batch is checked before any
+    group's tree changes.
+    """
+    get = parts.find if parts else None
+    writes = _insert_pairs(get, deltas)
+    if writes is None:
+        writes = list(_direct_writes("aggregate", get, deltas))
+    parts.apply_sorted(writes)
+    return writes
 
 
-def apply_semigroup(agg: ScanBackedAggregate, txn, deltas):
-    agg.refresh_head(txn, agg.apply_deltas(deltas))
+def refresh_head(parts, txn, writes):
+    """Write the extreme of each group of key-ordered writes to the head,
+    once: its tree root's cached aggregate."""
+    get = txn.reader()
+    group_of = itemgetter(slice(parts.prefix_len))
+    out = []
+    for group, _ in groupby(map(group_of, map(_keys, writes))):
+        root = parts.get(group)
+        cur = None if get is None else get(group)
+        if root is None:
+            if cur is not None:
+                out.append((group, ABSENT))
+        elif cur is None or cur[0] != root.agg:
+            out.append((group, root.agg))
+    txn.write_sorted(out)
+
+
+def apply_semigroup(parts, txn, deltas):
+    """Min/max updates: the intermediate ``parts``, a ``scantree.Partitions``
+    by the head's group keys, takes the batch, then the head its changed
+    groups' extremes."""
+    refresh_head(parts, txn, apply_deltas(parts, deltas))

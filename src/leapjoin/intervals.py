@@ -22,7 +22,8 @@ boundaries); ``stab_and_remove`` erases a stab's hits in one run of
 ``(sort key, ABSENT)`` pairs; ``add`` is the batch of one.  The
 partitions' roots path-copy like any scan tree's, and the map records
 the roots a round replaces, so ``driver`` puts back just those when a
-round raises.
+round raises.  An index lives as long as its rule instance: a bootstrap
+empties it in place (``Partitions.reset``), so its stats accumulate.
 """
 
 from itertools import compress

@@ -287,6 +287,19 @@ class TestDumpSens:
             "b1.B_sens = {[-inf,1], [1,2], [2,6], [6,7], [7,+inf]}",
         ]
 
+    def test_before_the_first_eval_prints_nothing(self, ws, tmp_path):
+        """The indices exist from the rule's installation, empty; with no
+        evaluation yet there is nothing to print, not one empty line per
+        index."""
+        load_unary(ws, tmp_path)
+        ws.run_command(["rule", "C(x) <- A(x), B(x). @force_sens"])
+        assert ws.run_command(["dump-sens", "r1"]) == []
+        ws.run_command(["eval", "r1"])
+        assert ws.run_command(["dump-sens", "r1"]) == [
+            "A_sens = {[-inf,0], [1,2], [2,4], [6,6], [6,+inf]}",
+            "B_sens = {[-inf,1], [2,2], [4,6]}",
+        ]
+
 
 class TestDump:
     def test_round_trip_reload(self, ws, tmp_path):

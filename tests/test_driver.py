@@ -9,7 +9,7 @@ from operator import is_
 import pytest
 
 from conftest import Engine, expected_head, head_snapshot, naive_assignments
-from leapjoin import driver, intervals, lftj, scantree, store
+from leapjoin import driver, heads, intervals, lftj, scantree, store
 from leapjoin.driver import (
     ChangeOracle,
     OracleEntry,
@@ -19,7 +19,6 @@ from leapjoin.driver import (
     maintain,
 )
 from leapjoin.errors import IntegrityError, UserError
-from leapjoin.heads import ScanBackedAggregate
 from leapjoin.keys import KEY_MAX, KEY_MIN
 from leapjoin.store import Relation, RelationVersion
 
@@ -239,7 +238,7 @@ class TestMaintain:
         eng = Engine("C(x) <- A(x), B(x).", {"A": (1, False), "B": (1, False)})
         eng.load("A", [(0,), (2,), (4,), (5,), (6,)])
         eng.load("B", [(1,), (2,), (6,), (7,)])
-        assert eng.inst.fresh_indices() == {}
+        assert eng.inst.indices == {} and eng.inst.maps == []
         bootstrap(eng.inst, eng.versions())
         apply_unary_deltas(eng)
         report = maintain(eng.inst, eng.versions())
@@ -496,16 +495,16 @@ class TestFailedRound:
         eng = Engine("M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.", {"E2": (2, True)})
         eng.random_fill(random.Random(20), per_relation=60, dom=8)
         bootstrap(eng.inst, eng.versions())
-        parts = eng.inst.heads[-1].agg.parts
+        parts = eng.inst.heads[-1].agg
         before = list(parts.records())
         eng.random_edits(random.Random(21), 6, dom=8)
 
         def fail(agg, txn, writes):
-            assert list(agg.parts.records()) != before  # the groups did change
+            assert list(agg.records()) != before  # the groups did change
             raise RuntimeError("injected")
 
         with monkeypatch.context() as patch:
-            patch.setattr(ScanBackedAggregate, "refresh_head", fail)
+            patch.setattr(heads, "refresh_head", fail)
             with pytest.raises(RuntimeError, match="injected"):
                 maintain(eng.inst, eng.versions())
         assert list(parts.records()) == before
@@ -525,12 +524,13 @@ FAULT_POINTS = [
     (store, "_apply"),
     (store, "_pack"),
     (scantree.Partitions, "apply_sorted"),
+    (scantree.Partitions, "reset"),
     (scantree.ScanTree, "merge"),
     (intervals.IntervalIndex, "stab_and_remove"),
     (intervals.IntervalIndex, "add_batch"),
     (lftj.SensitivityRecorder, "flush"),
     (driver.HeadState, "apply"),
-    (ScanBackedAggregate, "refresh_head"),
+    (heads, "refresh_head"),
 ]
 
 # the points every rule's round raises at: input and head commits, the
@@ -541,6 +541,8 @@ ANY_ROUND = {"commit", "write_sorted", "_apply", "_pack", "flush", "apply"}
 INDEXED = {"apply_sorted", "merge", "add_batch"}
 # and where a rule has a min/max head
 MIN_MAX = {"apply_sorted", "merge", "refresh_head"}
+# and, at bootstrap, where a rule has either: the partition maps are emptied
+RESET = {"reset"}
 
 # (rule, relation spec, value drawer, {run: the points its sweep must
 # raise at}); a point that a rule's rounds no longer reach fails its sweep
@@ -558,14 +560,17 @@ FAULT_RULES = [
         None,
         {
             "maintain": ANY_ROUND | INDEXED | {"stab_and_remove"},
-            "bootstrap": ANY_ROUND | INDEXED,
+            "bootstrap": ANY_ROUND | INDEXED | RESET,
         },
     ),
     (
         "M[x]=m <- agg<< m=max(v) >> E2[x,y]=v.",
         {"E2": (2, True)},
         None,
-        {"maintain": ANY_ROUND | MIN_MAX, "bootstrap": ANY_ROUND | MIN_MAX},
+        {
+            "maintain": ANY_ROUND | MIN_MAX,
+            "bootstrap": ANY_ROUND | MIN_MAX | RESET,
+        },
     ),
     (
         "P(x,z) <- E(x,y), E(y,z).",
@@ -573,7 +578,7 @@ FAULT_RULES = [
         None,
         {
             "maintain": ANY_ROUND | INDEXED | {"stab_and_remove"},
-            "bootstrap": ANY_ROUND | INDEXED,
+            "bootstrap": ANY_ROUND | INDEXED | RESET,
         },
     ),
 ]
@@ -592,11 +597,11 @@ def instance_state(inst):
     """What a round that raised must leave as it found it, counts too.
 
     Its last item holds, by identity, every object the round saves or
-    puts back: the index map, each index partition's root and each
-    min/max partition's root, in prefix order, and each head's version.
+    puts back: each partition map (every index's and every min/max
+    intermediate's), each index partition's root and each min/max
+    partition's root, in prefix order, and each head's version.
     """
-    maps = [h.agg.parts for h in inst.heads if h.agg is not None]
-    roots = [ix.parts for ix in inst.indices.values()] + maps
+    maps = [h.agg for h in inst.heads if h.agg is not None]
     return (
         head_records(inst),
         {key: list(ix.enumerate()) for key, ix in inst.indices.items()},
@@ -607,8 +612,8 @@ def instance_state(inst):
         [h.relation.current.count for h in inst.heads],
         Same(
             [
-                inst.indices,
-                *(parts[prefix] for parts in roots for prefix in sorted(parts)),
+                *inst.maps,
+                *(parts[prefix] for parts in inst.maps for prefix in sorted(parts)),
                 *(h.relation.current for h in inst.heads),
             ]
         ),
@@ -683,8 +688,8 @@ class TestFaultSweep:
     def test_second_bootstrap_equals_a_fresh_instance(
         self, rule, spec, value_of, monkeypatch
     ):
-        """Maintained rounds, a bootstrap that raised once every head was
-        emptied and the indices replaced, more rounds, then a second
+        """Maintained rounds, a bootstrap that raised once every head and
+        every partition map was emptied, more rounds, then a second
         bootstrap: the heads, index records and min/max intermediates
         equal a fresh instance's, after the rounds and after the
         bootstrap."""
@@ -705,6 +710,29 @@ class TestFaultSweep:
         bootstrap(eng.inst, eng.versions())
         fresh = eng.fresh_reference()
         assert instance_state(eng.inst)[:-1] == instance_state(fresh)[:-1]
+
+    @pytest.mark.parametrize("rule,spec,value_of", SHAPES, ids=[s[0] for s in SHAPES])
+    def test_bootstrap_after_rounds_resets_every_map_in_place(
+        self, rule, spec, value_of
+    ):
+        """A bootstrap over maintained, non-empty partition maps empties
+        each in place and refills it: every index and min/max map is the
+        object it was, and holds what a fresh instance's holds."""
+        rng = random.Random(f"reset-{rule}")
+        eng = Engine(rule, spec, leaf_capacity=4)
+        eng.random_fill(rng, per_relation=40, dom=8, value_of=value_of)
+        bootstrap(eng.inst, eng.versions())
+        for _ in range(4):
+            eng.random_edits(rng, 3, dom=8, value_of=value_of)
+            maintain(eng.inst, eng.versions())
+        indices, maps = dict(eng.inst.indices), list(eng.inst.maps)
+        assert all(maps)
+        eng.random_edits(rng, 3, dom=8, value_of=value_of)
+        bootstrap(eng.inst, eng.versions())
+        assert eng.inst.indices.keys() == indices.keys()
+        assert Same(indices.values()) == list(eng.inst.indices.values())
+        assert Same(maps) == eng.inst.maps
+        assert instance_state(eng.inst)[:-1] == instance_state(eng.fresh_reference())[:-1]
 
     def test_raise_after_the_flush_created_and_emptied_partitions(self, monkeypatch):
         """A round that raised puts back each index's partitions and count.
@@ -759,7 +787,7 @@ class TestFaultSweep:
 
         with monkeypatch.context() as patch:
             patch.setattr(scantree.ScanTree, "range_scan", no_scan)
-            raise_at_call(patch, ScanBackedAggregate, "refresh_head", 1)
+            raise_at_call(patch, heads, "refresh_head", 1)
             with pytest.raises(Injected, match="refresh_head call 1"):
                 bootstrap(eng.inst, eng.versions())
             assert instance_state(eng.inst) == before
@@ -860,8 +888,7 @@ class TestGarbage:
         eng = Engine(rule, spec)
         eng.random_fill(rng, per_relation=200, dom=30)
         bootstrap(eng.inst, eng.versions())
-        maps = [ix.parts for ix in eng.inst.indices.values()]
-        maps += [h.agg.parts for h in eng.inst.heads if h.agg is not None]
+        maps = eng.inst.maps
         # ids of the roots before the round and not freed since: an id
         # stays unique while its root lives, and leaves the set when it dies
         alive = set()
@@ -1150,6 +1177,53 @@ class TestIndexCoverage:
         run_coverage_rounds(rule, spec, value_of, check)
 
 
+class TestPartialAdmission:
+    """The level invariant of the driver module docstring, on one shape of
+    PARTIAL_COVERAGE.
+
+    A round that inserts I(0,2,3) admits depth 3 under (x, y) = (0, 2)
+    from 3 on: the oracle opens at 3, G (the level's first atom) seeks 3
+    and runs out, and I, standing at 1, never seeks 3.  So no record of I
+    under (0, 2) covers a key above 1, where a fresh bootstrap has I's
+    [3,3].  G's [3,+inf] under x = 0, context y = 2, witnesses that gap:
+    G holds no key there.  An edit of I inside the gap stabs nothing and
+    changes no assignment; the edit of G that makes one stabs the witness.
+    """
+
+    RULE = "F(x,y) <- G(x,z), H(y,z), I(x,y,z). @order(x,y,z) @force_sens"
+    SPEC = {"G": (2, False), "H": (2, False), "I": (3, False)}
+
+    def gapped(self):
+        assert self.RULE in PARTIAL_COVERAGE
+        eng = Engine(self.RULE, self.SPEC)
+        eng.load("G", [(0, 2), (1, 0), (2, 3), (3, 3)])
+        eng.load("H", [(0, 1), (1, 0), (2, 0), (2, 3), (2, 5)])
+        eng.load("I", [(0, 2, 1), (0, 2, 2), (1, 2, 2), (2, 2, 2), (3, 3, 1)])
+        bootstrap(eng.inst, eng.versions())
+        edit(eng, "I", (0, 2, 3))
+        maintain(eng.inst, eng.versions())
+        assert head_records(eng.inst) == head_records(eng.fresh_reference())
+        # (branch, atom, level): I's z is its third argument, G's its second
+        i_index, g_index = eng.inst.indices[0, 2, 3], eng.inst.indices[0, 0, 2]
+        assert i_index.stab((0, 2), 5) == []
+        witness = intervals.SensitivityRecord((0,), 3, KEY_MAX, (2,))
+        assert g_index.stab((0,), 5) == [witness]
+        return eng
+
+    @pytest.mark.parametrize("same_round", [False, True], ids=["later", "same"])
+    def test_edit_in_the_gap_then_its_witness(self, same_round):
+        eng = self.gapped()
+        edit(eng, "I", (0, 2, 5))  # inside I's gap; H holds (2, 5)
+        if not same_round:
+            report = maintain(eng.inst, eng.versions())
+            assert report.oracle_intervals == 0 and report.head_inserts == 0
+            assert head_records(eng.inst) == head_records(eng.fresh_reference())
+        edit(eng, "G", (0, 5))  # stabs G's witness: (0, 2, 5) now joins
+        report = maintain(eng.inst, eng.versions())
+        assert report.head_inserts == 1 and eng.head_records("F") == [(0, 2)]
+        assert head_records(eng.inst) == head_records(eng.fresh_reference())
+
+
 class TestRolledBackProbe:
     """A rolled-back version's id comes again, so a round names the versions
     it compares by identity, never by version id."""
@@ -1174,25 +1248,34 @@ class TestRolledBackProbe:
         assert head_records(eng.inst) == head_records(eng.fresh_reference())
 
 
-def two_merge_oracle(oracle):
-    """The reference finalize: each key's admits merged, then merged again
-    with its points, whether it has any or not."""
+def two_merge_oracle(runs):
+    """The reference oracle: each run's prefix as a point at every
+    shallower depth, and each key's admits merged, then merged again with
+    its points, whether it has any or not."""
+    points = {}
+    for depth, prefix in runs:
+        for d in range(1, depth):
+            points.setdefault((d, prefix[: d - 1]), set()).add(prefix[d - 1])
     entries = {}
-    for key in set(oracle._admit) | set(oracle._points):
-        admit = driver._merge_intervals(oracle._admit.get(key, ()))
-        pts = [(p, p) for p in oracle._points.get(key, ())]
+    for key in set(runs) | set(points):
+        admit = driver._merge_intervals(runs.get(key, ()))
+        pts = [(p, p) for p in points.get(key, ())]
         entries[key] = OracleEntry(driver._merge_intervals(admit + pts), admit)
-    ref = ChangeOracle()
+    ref = ChangeOracle({})
     ref._entries = entries
     return ref
 
 
 class TestOracleFinalize:
+    """``ChangeOracle`` fixes its entries as it is built: a key with no
+    points merges its admits once, and the reference merges every key
+    twice."""
+
     # SHAPES[:10] are criterion 5's ten rule shapes
     @pytest.mark.parametrize(
         "rule,spec,value_of", SHAPES[:10], ids=[s[0] for s in SHAPES[:10]]
     )
-    def test_one_merge_per_key_matches_two(self, rule, spec, value_of):
+    def test_one_merge_per_key_matches_two(self, rule, spec, value_of, monkeypatch):
         rng = random.Random(rule)
         eng = Engine(rule, spec)
         eng.random_fill(rng, per_relation=40, dom=10, value_of=value_of)
@@ -1200,10 +1283,15 @@ class TestOracleFinalize:
         nonempty = 0
         for _ in range(40):
             eng.random_edits(rng, rng.randrange(1, 5), dom=10, value_of=value_of)
-            oracle, _ = build_oracle(
-                eng.inst, eng.inst.bound_versions, eng.versions(), consume=False
-            )
-            ref = two_merge_oracle(oracle)
+            runs = []
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    driver, "ChangeOracle", lambda r: runs.append(r) or ChangeOracle(r)
+                )
+                oracle, _ = build_oracle(
+                    eng.inst, eng.inst.bound_versions, eng.versions(), consume=False
+                )
+            ref = two_merge_oracle(*runs)
             assert list(oracle.render_lines()) == list(ref.render_lines())
             assert oracle.interval_count() == ref.interval_count()
             assert {k: e.admit for k, e in oracle._entries.items()} == {

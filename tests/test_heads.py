@@ -14,14 +14,14 @@ from leapjoin.errors import IntegrityError, UserError
 from leapjoin.heads import (
     FUNCTION_VALUE,
     GROUPS,
-    ScanBackedAggregate,
     SegmentedFloat,
+    apply_deltas,
     apply_direct,
     apply_group,
     apply_semigroup,
     x_segment,
 )
-from leapjoin.scantree import ABSENT, MAX_OP, MIN_OP, ScanTree, wrap64
+from leapjoin.scantree import ABSENT, MAX_OP, MIN_OP, Partitions, ScanTree, wrap64
 from leapjoin.store import ERASE, INSERT, Relation, Transaction
 
 
@@ -225,7 +225,7 @@ SALES = [
 
 class TestSemigroup:
     def test_sales_erase_recomputes_group_max(self):
-        agg = ScanBackedAggregate(MAX_OP, 2, 1)
+        agg = Partitions(MAX_OP, 1, 2)
         head = store("MS", 1, func=True)
         txn = head.begin()
         apply_semigroup(agg, txn, [((r, s), v, INSERT) for r, s, v in SALES])
@@ -237,7 +237,7 @@ class TestSemigroup:
         assert records(head) == [((1,), 15000.0), ((2,), 7024.0), ((3,), 5300.0)]
 
     def test_insert_into_empty_group(self):
-        agg = ScanBackedAggregate(MAX_OP, 2, 1)
+        agg = Partitions(MAX_OP, 1, 2)
         head = store("M", 1, func=True)
         txn = head.begin()
         apply_semigroup(agg, txn, [((4, 1), 12.5, INSERT)])
@@ -245,7 +245,7 @@ class TestSemigroup:
         assert records(head) == [((4,), 12.5)]
 
     def test_group_emptied_removes_head_record(self):
-        agg = ScanBackedAggregate(MAX_OP, 2, 1)
+        agg = Partitions(MAX_OP, 1, 2)
         head = store("M", 1, func=True)
         txn = head.begin()
         apply_semigroup(agg, txn, [((4, 1), 2, INSERT)])
@@ -256,7 +256,7 @@ class TestSemigroup:
         assert records(head) == []
 
     def test_erase_absent_intermediate_is_integrity_error(self):
-        agg = ScanBackedAggregate(MAX_OP, 2, 1)
+        agg = Partitions(MAX_OP, 1, 2)
         head = store("M", 1, func=True)
         txn = head.begin()
         with pytest.raises(IntegrityError):
@@ -267,7 +267,7 @@ class TestSemigroup:
         """One intermediate per prefix length, each partitioned by its
         head's group keys, against the same dict reference."""
         rng = random.Random(43)
-        aggs = [ScanBackedAggregate(MAX_OP, 3, n) for n in (1, 2)]
+        aggs = [Partitions(MAX_OP, n, 3) for n in (1, 2)]
         coarse = store("A1", 1, func=True)
         fine = store("A2", 2, func=True)
         ref = {}
@@ -287,7 +287,7 @@ class TestSemigroup:
                 txn = head.begin()
                 apply_semigroup(agg, txn, sorted(deltas, key=_target))
                 txn.commit()
-                agg.parts.audit()
+                agg.audit()
             by1, by2 = {}, {}
             for (x, y, z), v in ref.items():
                 by1[(x,)] = max(by1.get((x,), v), v)
@@ -298,9 +298,9 @@ class TestSemigroup:
     def test_batches_match_sequential_dict_reference(self):
         rng = random.Random(46)
         grid = [(x, y) for x in range(5) for y in range(8)]
-        agg = ScanBackedAggregate(MAX_OP, 2, 1)
+        agg = Partitions(MAX_OP, 1, 2)
         ref = {k: rng.randrange(100) for k in grid[::2]}
-        agg.apply_deltas([(k, v, INSERT) for k, v in ref.items()])
+        apply_deltas(agg, [(k, v, INSERT) for k, v in ref.items()])
         for round_ in range(50):
             # apply moves in order against `live`, so the list is valid
             # when read one delta at a time; its keys come in random order,
@@ -326,9 +326,9 @@ class TestSemigroup:
                     if move == "erase-insert":
                         live[k] = rng.randrange(100)
                         deltas.append((k, live[k], INSERT))
-            writes = agg.apply_deltas(sorted(deltas, key=_target))
-            agg.parts.audit()
-            assert dict(agg.parts.records()) == live, f"round {round_}"
+            writes = apply_deltas(agg, sorted(deltas, key=_target))
+            agg.audit()
+            assert dict(agg.records()) == live, f"round {round_}"
             changed = sorted(
                 (k, live.get(k, ABSENT))
                 for k in ref.keys() | live.keys()
@@ -359,26 +359,27 @@ class TestSemigroup:
         ],
     )
     def test_batch_errors_from_pending_and_tree(self, deltas, message):
-        agg = ScanBackedAggregate(MAX_OP, 2, 1)
-        agg.apply_deltas([((2, 2), 9, INSERT)])
+        agg = Partitions(MAX_OP, 1, 2)
+        apply_deltas(agg, [((2, 2), 9, INSERT)])
         with pytest.raises(IntegrityError, match=f"aggregate {message}"):
-            agg.apply_deltas(deltas)
-        assert list(agg.parts.records()) == [((2, 2), 9)]
+            apply_deltas(agg, deltas)
+        assert list(agg.records()) == [((2, 2), 9)]
 
     def test_key_inserted_and_erased_in_one_batch_never_reaches_the_tree(self):
-        agg = ScanBackedAggregate(MAX_OP, 2, 1)  # an empty tree is bulk-built
-        agg.apply_deltas([((1, 1), 5, INSERT), ((1, 1), 5, ERASE), ((2, 2), 7, INSERT)])
-        assert list(agg.parts.records()) == [((2, 2), 7)]
-        agg.parts.audit()
+        agg = Partitions(MAX_OP, 1, 2)  # an empty tree is bulk-built
+        deltas = [((1, 1), 5, INSERT), ((1, 1), 5, ERASE), ((2, 2), 7, INSERT)]
+        apply_deltas(agg, deltas)
+        assert list(agg.records()) == [((2, 2), 7)]
+        agg.audit()
 
     def test_erase_and_reinsert_of_one_value_changes_nothing(self, monkeypatch):
-        agg = ScanBackedAggregate(MAX_OP, 2, 1)
+        agg = Partitions(MAX_OP, 1, 2)
         head = store("M", 1, func=True)
         txn = head.begin()
         deltas = [((1, k), k, INSERT) for k in range(40)]
         apply_semigroup(agg, txn, deltas)
         txn.commit()
-        root, scan, scans = agg.parts[1,], ScanTree.range_scan, []
+        root, scan, scans = agg[1,], ScanTree.range_scan, []
         monkeypatch.setattr(
             ScanTree, "range_scan", lambda *args: scans.append(args) or scan(*args)
         )
@@ -387,19 +388,19 @@ class TestSemigroup:
         apply_semigroup(agg, txn, deltas)
         txn.commit()
         assert records(head) == [((1,), 39)]
-        assert agg.parts[1,] is root
+        assert agg[1,] is root
         assert scans == []
 
     def test_batch_that_raises_leaves_the_tree_unchanged(self):
-        agg = ScanBackedAggregate(MAX_OP, 2, 1)
-        agg.apply_deltas([((k // 10, k % 10), k, INSERT) for k in range(100)])
-        before = list(agg.parts.records())
+        agg = Partitions(MAX_OP, 1, 2)
+        apply_deltas(agg, [((k // 10, k % 10), k, INSERT) for k in range(100)])
+        before = list(agg.records())
         # a valid erase first: the batch is validated before the tree changes
         deltas = [((3, 4), 34, ERASE), ((5, 6), 1, INSERT)]
         with pytest.raises(IntegrityError, match="aggregate insert of live record"):
-            agg.apply_deltas(deltas)
-        assert list(agg.parts.records()) == before
-        agg.parts.audit()
+            apply_deltas(agg, deltas)
+        assert list(agg.records()) == before
+        agg.audit()
 
     def test_one_edit_round_work_does_not_grow_with_the_group_count(
         self, monkeypatch
@@ -452,8 +453,8 @@ class TestSemigroup:
         bootstrap(eng.inst, eng.versions())
         assert inserts == []
         agg = eng.inst.heads[0].agg
-        agg.parts.audit()
-        assert agg.parts.size == eng.relations["E2"].current.count
+        agg.audit()
+        assert agg.size == eng.relations["E2"].current.count
         want = expected_head(eng.plan, 0, naive_assignments(eng.plan, eng.versions()))
         assert head_snapshot(eng.inst.heads[0]) == want
 
@@ -773,7 +774,7 @@ class TestBatchPath:
     @pytest.mark.parametrize("op", [MAX_OP, MIN_OP])
     def test_min_max_refresh_batches_match_dict_reference(self, op):
         rng = random.Random(f"batch-{op.name}")
-        agg = ScanBackedAggregate(op, 2, 1)
+        agg = Partitions(op, 1, 2)
         rel = store("M", 1, func=True)
         pick = max if op is MAX_OP else min
         live = {}
@@ -800,7 +801,7 @@ class TestBatchPath:
 
     def test_writers_refuse_a_batch_out_of_key_order(self):
         deltas = [((2,), 1, INSERT), ((1,), 1, INSERT)]
-        agg = ScanBackedAggregate(MAX_OP, 1, 1)
+        agg = Partitions(MAX_OP, 1, 1)
         for apply, refusal in (
             (apply_direct, "H: direct batch"),
             (partial(apply_group, group=SUM), "H: batch"),
@@ -811,7 +812,7 @@ class TestBatchPath:
             with pytest.raises(UserError, match=message):
                 apply(txn, deltas)
             txn.abort()
-        assert not agg.parts
+        assert not agg
 
     def test_bootstrap_makes_no_per_key_transaction_calls(self, monkeypatch):
         calls = []
@@ -1047,7 +1048,7 @@ class TestFreshFold:
     @pytest.mark.parametrize("op", [MAX_OP, MIN_OP])
     def test_head_is_the_first_extreme_in_key_order(self, op, prefix_len, monkeypatch):
         rng = random.Random(f"fresh-{op.name}-{prefix_len}")
-        agg = ScanBackedAggregate(op, 3, prefix_len)
+        agg = Partitions(op, prefix_len, 3)
         rel = store("M", prefix_len, func=True)
         scans = []
         scan = ScanTree.range_scan
@@ -1058,7 +1059,7 @@ class TestFreshFold:
         ties = [1, 1.0, 0.0, -0.0, -1, -1.0, True]
         live, refilled = {}, 0
         for round_ in range(24):
-            refill = not agg.parts
+            refill = not agg
             if round_ % 6 == 5:  # empty the intermediate; the next round refills it
                 deltas = [(k, v, ERASE) for k, v in live.items()]
                 live = {}
@@ -1093,7 +1094,7 @@ class TestFreshFold:
         assert refilled == 8
 
     def test_batch_with_an_erase_and_as_many_writes_as_records_left(self):
-        agg = ScanBackedAggregate(MAX_OP, 2, 1)
+        agg = Partitions(MAX_OP, 1, 2)
         rel = store("M", 1, func=True)
         for deltas in (
             [((0, 1), 5, INSERT), ((0, 2), 1, INSERT)],
@@ -1103,5 +1104,5 @@ class TestFreshFold:
             txn = rel.begin()
             apply_semigroup(agg, txn, deltas)
             txn.commit()
-        assert agg.parts.size == 2
+        assert agg.size == 2
         assert records(rel) == [((0,), 2)]

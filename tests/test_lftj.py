@@ -72,7 +72,7 @@ class TestFullEvaluate:
         eng = Engine("C(x) <- A(x), B(x). @force_sens", {"A": (1, False), "B": (1, False)})
         eng.load("A", [(0,), (2,), (4,), (5,), (6,)])
         eng.load("B", [(1,), (2,), (6,), (7,)])
-        indices = eng.inst.fresh_indices()
+        indices = eng.inst.indices
         rec = SensitivityRecorder(indices)
         out = list(evaluate(eng.plan, eng.versions(), recorder=rec))
         assert [k for k, _ in out] == [(2,), (6,)]
@@ -85,7 +85,7 @@ class TestFullEvaluate:
     def test_empty_relation_open_interval_covers_everything(self):
         eng = Engine("C(x) <- A(x), B(x). @force_sens", {"A": (1, False), "B": (1, False)})
         eng.load("B", [(3,), (9,)])
-        indices = eng.inst.fresh_indices()
+        indices = eng.inst.indices
         rec = SensitivityRecorder(indices)
         out = list(evaluate(eng.plan, eng.versions(), recorder=rec))
         assert out == []
@@ -99,7 +99,7 @@ class TestFullEvaluate:
         eng = Engine("C(x) <- A(x), B(x). @force_sens", {"A": (1, False), "B": (1, False)})
         eng.load("A", [(0,), (2,), (4,), (5,), (6,)])
         eng.load("B", [(1,), (2,), (6,), (7,)])
-        indices = eng.inst.fresh_indices()
+        indices = eng.inst.indices
         rec = SensitivityRecorder(indices)
         stream = evaluate(eng.plan, eng.versions(), recorder=rec)
         assert next(stream)[0] == (2,)
@@ -112,7 +112,7 @@ class TestFullEvaluate:
         eng = Engine("C(x) <- A(x), B(x). @force_sens", {"A": (1, False), "B": (1, False)})
         eng.load("A", [(0,), (2,), (4,), (5,), (6,)])
         eng.load("B", [(1,), (2,), (6,), (7,)])
-        indices = eng.inst.fresh_indices()
+        indices = eng.inst.indices
         rec = SensitivityRecorder(indices)
         stream = evaluate(eng.plan, eng.versions(), recorder=rec)
         next(stream)
