@@ -13,10 +13,10 @@ join order carry no index: their surgeries name their own key as a point
 interval.
 
 A rule instance builds its partition maps once, ``inst.maps``: each
-index's and each min/max intermediate's ``scantree.Partitions``.
+index's and each min/max intermediate's ``scantree.ScanTree``.
 Bootstrap is the round from the empty database: no oracle, every
 assignment an insert with no diff, every map emptied in place
-(``Partitions.reset``) and every head emptied, so every head commits.
+(``ScanTree.reset``) and every head emptied, so every head commits.
 In any other round a head with an empty batch keeps its version, and
 the oracle is built once, from the intervals the round's stabs gather.
 
@@ -77,7 +77,7 @@ from .intervals import IntervalIndex
 from .keys import KEY_MAX, render_key
 from .lftj import Counter, SensitivityRecorder, check_versions, evaluate
 from .rules import tuple_getter
-from .scantree import MAX_OP, MIN_OP, Partitions
+from .scantree import LEAF_TARGET, MAX_OP, MIN_OP, ScanTree
 from .store import ERASE, INSERT, RelationVersion, surgery_iter
 
 _delta_target, _delta_kind = itemgetter(0), itemgetter(2)
@@ -196,8 +196,7 @@ class HeadState:
         self.render = render_record
         if kind in ("MIN", "MAX"):
             op = MAX_OP if kind == "MAX" else MIN_OP
-            n = len(head_plan.key_sources)
-            self.agg = Partitions(op, n, key_depth_count)
+            self.agg = ScanTree(op, LEAF_TARGET, len(head_plan.key_sources))
             self._update = partial(apply_semigroup, self.agg)
         elif kind == "DIRECT":
             self._update = apply_direct

@@ -33,7 +33,7 @@ absent, the one format of every ordered tree's sorted batch:
   checked as it folds, so a bad summand raises at its own delta.  Each
   group also renders its stored value for ``dump``;
 * scan-backed min/max -- an intermediate full-key relation, written 1:1
-  as a direct head is, which is a bare ``scantree.Partitions`` by the
+  as a direct head is, which is a ``scantree.ScanTree`` partitioned by the
   head's group keys (``HeadState.agg``, built with its instance and
   emptied by ``reset`` at bootstrap): one small min/max scan tree of
   64-record leaves per group.  ``apply_deltas`` folds and checks a batch
@@ -387,7 +387,7 @@ def apply_deltas(parts, deltas):
     writes = _insert_pairs(get, deltas)
     if writes is None:
         writes = list(_direct_writes("aggregate", get, deltas))
-    parts.apply_sorted(writes)
+    parts.merge(writes)
     return writes
 
 
@@ -409,7 +409,7 @@ def refresh_head(parts, txn, writes):
 
 
 def apply_semigroup(parts, txn, deltas):
-    """Min/max updates: the intermediate ``parts``, a ``scantree.Partitions``
-    by the head's group keys, takes the batch, then the head its changed
-    groups' extremes."""
+    """Min/max updates: the intermediate ``parts``, a ``scantree.ScanTree``
+    partitioned by the head's group keys, takes the batch, then the head
+    its changed groups' extremes."""
     refresh_head(parts, txn, apply_deltas(parts, deltas))

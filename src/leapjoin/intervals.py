@@ -7,23 +7,23 @@ other key variables bound earlier in the join order (the context, a
 payload for the oracle builder).
 
 Every stab and every emitted record names one exact prefix, so the index
-is partitioned by it: ``parts`` is a ``scantree.Partitions`` of max-scan
-trees, one per prefix, over that prefix's records ordered by (prefix,
-lo, hi, context).  Interval ends aggregate as MAX while interval starts
-are ordered by the key itself, so a stab looks its prefix's root up and
-then prunes every subtree whose max end is below the probe or whose min
-start is above it.  ``len`` sums the counts of the partitions' roots.
+is partitioned by it: ``parts`` is a max-scan ``scantree.ScanTree``
+with one partition per prefix, over that prefix's records ordered by
+(prefix, lo, hi, context).  Interval ends aggregate as MAX while
+interval starts are ordered by the key itself, so a stab looks its
+prefix's root up and then prunes every subtree whose max end is below
+the probe or whose min start is above it.  ``len`` is the tree's size.
 
 Every change is one sorted batch, merged run by run (one run per
 prefix): an evaluation buffers the records it emits and ``add_batch``
 merges them once, when its stream is exhausted (it sorts and dedupes the
-batch in place, and ``Partitions.apply_sorted`` splits it at prefix
+batch in place, and ``ScanTree.merge`` splits it at prefix
 boundaries); ``stab_and_remove`` erases a stab's hits in one run of
 ``(sort key, ABSENT)`` pairs; ``add`` is the batch of one.  The
 partitions' roots path-copy like any scan tree's, and the map records
 the roots a round replaces, so ``driver`` puts back just those when a
 round raises.  An index lives as long as its rule instance: a bootstrap
-empties it in place (``Partitions.reset``), so its stats accumulate.
+empties it in place (``ScanTree.reset``), so its stats accumulate.
 """
 
 from itertools import compress
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import UserError
 from .keys import render_key
-from .scantree import ABSENT, MAX_OP, Partitions, _rec_key, _SLeaf
+from .scantree import ABSENT, LEAF_TARGET, MAX_OP, ScanTree, _rec_key, _SLeaf
 
 _rec_hi = itemgetter(1)
 
@@ -58,15 +58,13 @@ class IntervalIndex:
     def __init__(self, prefix_len: int, context_len: int):
         self.prefix_len = prefix_len
         self.context_len = context_len
-        # a sort key is the prefix, lo, hi and the context
-        self.parts = Partitions(MAX_OP, prefix_len, prefix_len + 2 + context_len)
+        self.parts = ScanTree(MAX_OP, LEAF_TARGET, prefix_len)
         self.stats = {"visits": 0}
 
     @property
     def tree(self):
-        """The partitions' shared ``ScanTree``: the op, the leaf target and
-        the stats."""
-        return self.parts.tree
+        """The scan tree ``parts``, which holds the stats."""
+        return self.parts
 
     def __len__(self):
         return self.parts.size
@@ -100,7 +98,7 @@ class IntervalIndex:
         bad = next(compress(records, map(gt, los, map(_rec_hi, records))), None)
         if bad is not None:
             raise UserError(f"interval lo > hi: {self._record_of(bad[0])}")
-        return self.parts.apply_sorted(records)
+        return self.parts.merge(records)
 
     def enumerate(self):
         for key, _ in self.parts.records():
@@ -137,7 +135,7 @@ class IntervalIndex:
         """``stab``, then erase its hits (in key order) in one run."""
         keys = self._stab_keys(prefix, x)
         if keys:
-            self.parts.merge(prefix, [(key, ABSENT) for key in keys], 0, len(keys))
+            self.parts.merge([(key, ABSENT) for key in keys])
         return [self._record_of(key) for key in keys]
 
     # -- invariant checks (used by tests) ----------------------------------

@@ -38,8 +38,8 @@ Three access paths matter downstream:
 * ``surgery_iter`` -- the delta stream refined into trie-branch
   insert/remove operations at every depth.  For a version and the very
   base it was committed on, the stream is read from the version's log;
-  any other pair (several commits apart, a rolled-back base, a load or a
-  commit over a cleared workspace) is walked by ``delta_iter``.
+  any other pair (several commits apart, a rolled-back base, or a commit
+  onto an empty version, as a load is) is walked by ``delta_iter``.
 
 Per-round cost model, for k edits into a relation of height h (branch
 fan-out at most 32, so every per-page pass below is bounded):
@@ -378,14 +378,6 @@ class Transaction:
         self._edits[keys] = ABSENT
         return True
 
-    def clear(self):
-        """Erase every record: the commit starts from an empty relation."""
-        self._check_open()
-        base = self.base
-        self.base = RelationVersion(base.lineage, base.arity, base.version_id, None)
-        self._edits = {}
-        self._batch = None
-
     def abort(self):
         self._check_open()
         self._done = True
@@ -410,8 +402,8 @@ class Transaction:
             rel.stats["pages_allocated"] += alloc[0]
         self._done = True
         rel._txn_open = False
-        # a load or a commit over a cleared workspace keeps no log: the walk
-        # from its empty base reads only the new records anyway
+        # a commit onto an empty version (a load, or a head that bootstrap
+        # emptied) keeps no log: the walk from it reads only the new records
         log = (ref(base), edits, superseded) if base.root is not None else None
         rel.current = RelationVersion(
             base.lineage, base.arity, base.version_id + 1, root, log

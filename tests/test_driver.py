@@ -116,7 +116,7 @@ class TestBootstrap:
         txn.commit()
         before = rel.current.version_id
         bootstrap(eng.inst, eng.versions())
-        # one version, staged on a cleared workspace: the stray is gone
+        # one version, committed onto an emptied one: the stray is gone
         refilled = rel.current
         assert refilled.version_id == before + 1
         assert refilled.count == len(first)
@@ -523,9 +523,9 @@ FAULT_POINTS = [
     (store.Transaction, "write_sorted"),
     (store, "_apply"),
     (store, "_pack"),
-    (scantree.Partitions, "apply_sorted"),
-    (scantree.Partitions, "reset"),
     (scantree.ScanTree, "merge"),
+    (scantree.ScanTree, "_merge_run"),
+    (scantree.ScanTree, "reset"),
     (intervals.IntervalIndex, "stab_and_remove"),
     (intervals.IntervalIndex, "add_batch"),
     (lftj.SensitivityRecorder, "flush"),
@@ -538,9 +538,9 @@ FAULT_POINTS = [
 ANY_ROUND = {"commit", "write_sorted", "_apply", "_pack", "flush", "apply"}
 # and where a rule keeps sensitivity indices: a bootstrap fills them, a
 # round stabs them too
-INDEXED = {"apply_sorted", "merge", "add_batch"}
+INDEXED = {"merge", "_merge_run", "add_batch"}
 # and where a rule has a min/max head
-MIN_MAX = {"apply_sorted", "merge", "refresh_head"}
+MIN_MAX = {"merge", "_merge_run", "refresh_head"}
 # and, at bootstrap, where a rule has either: the partition maps are emptied
 RESET = {"reset"}
 

@@ -21,7 +21,7 @@ from leapjoin.heads import (
     apply_semigroup,
     x_segment,
 )
-from leapjoin.scantree import ABSENT, MAX_OP, MIN_OP, Partitions, ScanTree, wrap64
+from leapjoin.scantree import ABSENT, LEAF_TARGET, MAX_OP, MIN_OP, ScanTree, wrap64
 from leapjoin.store import ERASE, INSERT, Relation, Transaction
 
 
@@ -225,7 +225,7 @@ SALES = [
 
 class TestSemigroup:
     def test_sales_erase_recomputes_group_max(self):
-        agg = Partitions(MAX_OP, 1, 2)
+        agg = ScanTree(MAX_OP, LEAF_TARGET, 1)
         head = store("MS", 1, func=True)
         txn = head.begin()
         apply_semigroup(agg, txn, [((r, s), v, INSERT) for r, s, v in SALES])
@@ -237,7 +237,7 @@ class TestSemigroup:
         assert records(head) == [((1,), 15000.0), ((2,), 7024.0), ((3,), 5300.0)]
 
     def test_insert_into_empty_group(self):
-        agg = Partitions(MAX_OP, 1, 2)
+        agg = ScanTree(MAX_OP, LEAF_TARGET, 1)
         head = store("M", 1, func=True)
         txn = head.begin()
         apply_semigroup(agg, txn, [((4, 1), 12.5, INSERT)])
@@ -245,7 +245,7 @@ class TestSemigroup:
         assert records(head) == [((4,), 12.5)]
 
     def test_group_emptied_removes_head_record(self):
-        agg = Partitions(MAX_OP, 1, 2)
+        agg = ScanTree(MAX_OP, LEAF_TARGET, 1)
         head = store("M", 1, func=True)
         txn = head.begin()
         apply_semigroup(agg, txn, [((4, 1), 2, INSERT)])
@@ -256,7 +256,7 @@ class TestSemigroup:
         assert records(head) == []
 
     def test_erase_absent_intermediate_is_integrity_error(self):
-        agg = Partitions(MAX_OP, 1, 2)
+        agg = ScanTree(MAX_OP, LEAF_TARGET, 1)
         head = store("M", 1, func=True)
         txn = head.begin()
         with pytest.raises(IntegrityError):
@@ -267,7 +267,7 @@ class TestSemigroup:
         """One intermediate per prefix length, each partitioned by its
         head's group keys, against the same dict reference."""
         rng = random.Random(43)
-        aggs = [Partitions(MAX_OP, n, 3) for n in (1, 2)]
+        aggs = [ScanTree(MAX_OP, LEAF_TARGET, n) for n in (1, 2)]
         coarse = store("A1", 1, func=True)
         fine = store("A2", 2, func=True)
         ref = {}
@@ -298,7 +298,7 @@ class TestSemigroup:
     def test_batches_match_sequential_dict_reference(self):
         rng = random.Random(46)
         grid = [(x, y) for x in range(5) for y in range(8)]
-        agg = Partitions(MAX_OP, 1, 2)
+        agg = ScanTree(MAX_OP, LEAF_TARGET, 1)
         ref = {k: rng.randrange(100) for k in grid[::2]}
         apply_deltas(agg, [(k, v, INSERT) for k, v in ref.items()])
         for round_ in range(50):
@@ -359,21 +359,21 @@ class TestSemigroup:
         ],
     )
     def test_batch_errors_from_pending_and_tree(self, deltas, message):
-        agg = Partitions(MAX_OP, 1, 2)
+        agg = ScanTree(MAX_OP, LEAF_TARGET, 1)
         apply_deltas(agg, [((2, 2), 9, INSERT)])
         with pytest.raises(IntegrityError, match=f"aggregate {message}"):
             apply_deltas(agg, deltas)
         assert list(agg.records()) == [((2, 2), 9)]
 
     def test_key_inserted_and_erased_in_one_batch_never_reaches_the_tree(self):
-        agg = Partitions(MAX_OP, 1, 2)  # an empty tree is bulk-built
+        agg = ScanTree(MAX_OP, LEAF_TARGET, 1)  # an empty tree is bulk-built
         deltas = [((1, 1), 5, INSERT), ((1, 1), 5, ERASE), ((2, 2), 7, INSERT)]
         apply_deltas(agg, deltas)
         assert list(agg.records()) == [((2, 2), 7)]
         agg.audit()
 
     def test_erase_and_reinsert_of_one_value_changes_nothing(self, monkeypatch):
-        agg = Partitions(MAX_OP, 1, 2)
+        agg = ScanTree(MAX_OP, LEAF_TARGET, 1)
         head = store("M", 1, func=True)
         txn = head.begin()
         deltas = [((1, k), k, INSERT) for k in range(40)]
@@ -392,7 +392,7 @@ class TestSemigroup:
         assert scans == []
 
     def test_batch_that_raises_leaves_the_tree_unchanged(self):
-        agg = Partitions(MAX_OP, 1, 2)
+        agg = ScanTree(MAX_OP, LEAF_TARGET, 1)
         apply_deltas(agg, [((k // 10, k % 10), k, INSERT) for k in range(100)])
         before = list(agg.records())
         # a valid erase first: the batch is validated before the tree changes
@@ -774,7 +774,7 @@ class TestBatchPath:
     @pytest.mark.parametrize("op", [MAX_OP, MIN_OP])
     def test_min_max_refresh_batches_match_dict_reference(self, op):
         rng = random.Random(f"batch-{op.name}")
-        agg = Partitions(op, 1, 2)
+        agg = ScanTree(op, LEAF_TARGET, 1)
         rel = store("M", 1, func=True)
         pick = max if op is MAX_OP else min
         live = {}
@@ -801,7 +801,7 @@ class TestBatchPath:
 
     def test_writers_refuse_a_batch_out_of_key_order(self):
         deltas = [((2,), 1, INSERT), ((1,), 1, INSERT)]
-        agg = Partitions(MAX_OP, 1, 1)
+        agg = ScanTree(MAX_OP, LEAF_TARGET, 1)
         for apply, refusal in (
             (apply_direct, "H: direct batch"),
             (partial(apply_group, group=SUM), "H: batch"),
@@ -1048,7 +1048,7 @@ class TestFreshFold:
     @pytest.mark.parametrize("op", [MAX_OP, MIN_OP])
     def test_head_is_the_first_extreme_in_key_order(self, op, prefix_len, monkeypatch):
         rng = random.Random(f"fresh-{op.name}-{prefix_len}")
-        agg = Partitions(op, prefix_len, 3)
+        agg = ScanTree(op, LEAF_TARGET, prefix_len)
         rel = store("M", prefix_len, func=True)
         scans = []
         scan = ScanTree.range_scan
@@ -1094,7 +1094,7 @@ class TestFreshFold:
         assert refilled == 8
 
     def test_batch_with_an_erase_and_as_many_writes_as_records_left(self):
-        agg = Partitions(MAX_OP, 1, 2)
+        agg = ScanTree(MAX_OP, LEAF_TARGET, 1)
         rel = store("M", 1, func=True)
         for deltas in (
             [((0, 1), 5, INSERT), ((0, 2), 1, INSERT)],

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from itertools import groupby
 
 import pytest
 
@@ -8,7 +9,7 @@ from conftest import index_nodes
 from leapjoin.errors import UserError
 from leapjoin.intervals import IntervalIndex, SensitivityRecord
 from leapjoin.keys import KEY_MAX, KEY_MIN
-from leapjoin.scantree import ABSENT, MAX_OP, ScanTree
+from leapjoin.scantree import ABSENT, COUNT_OP, MAX_OP, ScanTree
 
 FIGURE_INTERVALS = [
     (11, 100), (29, 47), (40, 42), (49, 82), (62, 78), (63, 73), (67, 72),
@@ -24,14 +25,14 @@ def rec(lo, hi, prefix=(), ctx=()):
 def index(prefix_len, context_len, leaf_target):
     """An IntervalIndex whose scan trees hold ``leaf_target`` records per leaf."""
     ix = IntervalIndex(prefix_len, context_len)
-    ix.parts.tree = ScanTree(MAX_OP, leaf_target=leaf_target)
+    ix.parts.leaf_target = leaf_target
     return ix
 
 
 def erase_one(ix, r):
     """Erase one present record from its partition, the sequential reference."""
     size = len(ix)
-    assert ix.parts.merge(r.prefix, [(r.sort_key(), ABSENT)], 0, 1) == 0
+    assert ix.parts.apply_sorted([(r.sort_key(), ABSENT)]) == 0
     assert len(ix) == size - 1
 
 
@@ -287,13 +288,69 @@ class TestPartitions:
             assert ix.add_batch(batch) == want
         assert list(ix.parts)[:3] == [prefixes[0], prefixes[1], prefixes[2]]
         ix.audit()
-        records = [rec(k[plen], hi, k[:plen], k[plen + 2 :]) for k, hi in one.items()]
+        records = [rec(k[plen], hi, k[:plen], k[plen + 2 :]) for k, hi in one.records()]
         assert list(ix.enumerate()) == records
         assert len(ix) == one.size
         for p in sorted(set(prefixes)) + [(5,) * plen]:
             for x in range(-1, 335, 7):
                 want = [r for r in records if r.prefix == p and r.lo <= x <= r.hi]
                 assert ix.stab(p, x) == want
+
+    @pytest.mark.parametrize("op", [MAX_OP, COUNT_OP], ids=lambda op: op.name)
+    @pytest.mark.parametrize("plen", [1, 2])
+    def test_queries_answer_as_unpartitioned_trees(self, plen, op):
+        """A tree partitioned by a key prefix answers every query as one
+        ``prefix_len`` 0 tree over the same records does, and a range scan
+        folds as many values as one ``prefix_len`` 0 tree per prefix."""
+        rng = random.Random(f"parted-{plen}-{op.name}")
+        parted, whole, per_prefix = ScanTree(op, 3, plen), ScanTree(op, 3), {}
+        live = set()
+
+        def draw_prefix():
+            return tuple(rng.randrange(4) for _ in range(plen))
+
+        for _ in range(30):  # batches of sets and erases over a few prefixes
+            prefixes = [draw_prefix() for _ in range(rng.randrange(1, 4))]
+            batch = {}
+            for _ in range(rng.randrange(1, 60)):
+                key = rng.choice(prefixes) + (rng.randrange(40), rng.randrange(3))
+                erase = key in live and rng.random() < 0.5
+                batch[key] = ABSENT if erase else rng.randrange(1000)
+            batch = sorted(batch.items())
+            assert parted.merge(batch) == whole.apply_sorted(batch)
+            for prefix, run in groupby(batch, key=lambda edit: edit[0][:plen]):
+                tree = per_prefix.setdefault(prefix, ScanTree(op, 3))
+                tree.apply_sorted(list(run))
+            live = {key for key, _ in whole.records()}
+        parted.audit()
+        assert sorted(parted) == sorted(p for p, t in per_prefix.items() if t.size)
+        assert parted.size == whole.size == len(live)
+        assert list(parted.records()) == list(whole.records())
+        for key in sorted(live)[::7] + [draw_prefix() + (41, 0), (9,) * (plen + 2)]:
+            assert parted.find(key) == whole.find(key)
+
+        ranges = [((KEY_MIN,) * (plen + 2), (KEY_MAX,) * (plen + 2))]
+        for _ in range(150):
+            p = draw_prefix()
+            a, b = sorted(rng.randrange(-2, 43) for _ in range(2))
+            ranges.append((p + (a, 0), p + (b, 2)))  # inside one prefix
+            ends = sorted(draw_prefix() + (rng.randrange(40),) for _ in range(2))
+            ranges.append(tuple(ends))  # across prefixes, short ends
+        spans = [(lo[:plen] == hi[:plen]) for lo, hi in ranges]
+        assert 0 < sum(spans) < len(spans)
+        for lo, hi in ranges:
+            before = parted.stats["combines"]
+            got = parted.range_scan(lo, hi)
+            combines = parted.stats["combines"] - before
+            assert got == whole.range_scan(lo, hi)
+            want = 0
+            for tree in per_prefix.values():
+                before = tree.stats["combines"]
+                tree.range_scan(lo, hi)
+                want += tree.stats["combines"] - before
+            assert combines == want, (lo, hi)
+            assert parted.range_count(lo, hi) == whole.range_count(lo, hi)
+            assert list(parted.iter_range(lo, hi)) == list(whole.iter_range(lo, hi))
 
     def test_emptied_partition_is_dropped(self):
         ix = IntervalIndex(1, 0)
@@ -309,7 +366,7 @@ class TestPartitions:
 
     def test_map_and_tree_are_read_only(self):
         """The map changes only through its merges and ``reset``, which a
-        rollback undoes; the shared tree is set on the map, not the index."""
+        rollback undoes; the index's ``tree`` is the map, read-only."""
         ix = IntervalIndex(1, 0)
         ix.add(rec(1, 4, (3,)))
         parts, root = ix.parts, ix.parts[3,]
@@ -321,7 +378,7 @@ class TestPartitions:
             assert not hasattr(parts, name)
         with pytest.raises(AttributeError):
             ix.tree = ScanTree(MAX_OP, leaf_target=1)
-        assert ix.tree is parts.tree
+        assert ix.tree is parts is parts.tree
         parts.begin()
         ix.add(rec(0, 9, (8,)))
         assert ix.stab_and_remove((3,), 2) == [rec(1, 4, (3,))]

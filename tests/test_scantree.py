@@ -10,12 +10,18 @@ from leapjoin.scantree import (
     ABSENT,
     COUNT_OP,
     EMPTY,
-    GROUP_SUM_OP,
     MAX_OP,
     MIN_OP,
     ScanTree,
+    SemigroupOp,
     complement_iter,
     wrap64,
+)
+
+# a value-summing op whose combine is not idempotent, so the value of
+# every record counts once in every cached aggregate
+GROUP_SUM_OP = SemigroupOp(
+    "GROUP_SUM", lambda a, b: wrap64(a + b), lambda vs: wrap64(sum(vs))
 )
 
 SALES = [
@@ -240,7 +246,7 @@ class TestInsertSorted:
     def check(self, t, ref):
         t.audit()
         got = t.range_scan((KEY_MIN,), (KEY_MAX,))
-        assert dict(t.items()) == ref
+        assert dict(t.records()) == ref
         assert (got is EMPTY) == (not ref)
 
     @pytest.mark.parametrize("op", [MAX_OP, GROUP_SUM_OP])
@@ -370,7 +376,7 @@ class TestApplySorted:
             assert t.apply_sorted(batch) == added, f"step {step}"
             t.audit()
             assert t.size == len(ref)
-            assert list(t.items()) == sorted(ref.items())
+            assert list(t.records()) == sorted(ref.items())
             got = t.range_scan((KEY_MIN,), (KEY_MAX,))
             assert got == fold_all(op, ref.values())
             for _ in range(5):
@@ -388,19 +394,19 @@ class TestApplySorted:
     def test_erases_into_an_empty_tree_are_dropped(self):
         """An erase of an absent key is a no-op into an empty tree too.
 
-        The bulk path built it as a live record: ``size`` read 1, ``get``
+        The bulk path built it as a live record: ``size`` read 1, ``find``
         gave ``(ABSENT,)`` and ``audit`` failed.
         """
         t = ScanTree(MAX_OP)
         assert t.apply_sorted([((1,), ABSENT)]) == 0
-        assert t.root is None and t.size == 0 and t.get((1,)) is None
+        assert t.root is None and t.size == 0 and t.find((1,)) is None
         t.audit()
         assert t.apply_sorted([((1,), ABSENT), ((2,), 5), ((3,), ABSENT)]) == 1
-        assert list(t.items()) == [((2,), 5)] and t.size == 1
+        assert list(t.records()) == [((2,), 5)] and t.size == 1
         t.audit()
         # the same erases into the filled tree: also no-ops
         assert t.apply_sorted([((1,), ABSENT), ((3,), ABSENT)]) == 0
-        assert list(t.items()) == [((2,), 5)] and t.size == 1
+        assert list(t.records()) == [((2,), 5)] and t.size == 1
 
     @pytest.mark.parametrize("leaf_target", [1, 3, 12])
     def test_reapplying_present_records_changes_nothing(self, leaf_target):
@@ -409,7 +415,7 @@ class TestApplySorted:
         for _ in range(5):  # grown in batches, so the shape is not a bulk build
             t.apply_sorted(sorted({(rng.randrange(10**4),): 1 for _ in range(80)}.items()))
         nodes, rebuilds = tree_nodes(t), t.stats["rebuilds"]
-        for batch in (list(t.items()), rng.sample(list(t.items()), 30)):
+        for batch in (list(t.records()), rng.sample(list(t.records()), 30)):
             assert t.apply_sorted(sorted(batch)) == 0
             assert t.stats["rebuilds"] == rebuilds
             after = tree_nodes(t)
@@ -449,4 +455,4 @@ class TestApplySorted:
         assert all(a is b for a, b in zip(after, nodes))
         if filled:
             t.audit()
-            assert t.get((1,)) == (1,)
+            assert t.find((1,)) == (1,)

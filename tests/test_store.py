@@ -11,7 +11,14 @@ from leapjoin import store
 from leapjoin.errors import IntegrityError, UserError
 from leapjoin.keys import KEY_MAX, KEY_MIN, check_storable_tuple
 from leapjoin.scantree import ABSENT
-from leapjoin.store import ERASE, INSERT, Relation, delta_iter, surgery_iter
+from leapjoin.store import (
+    ERASE,
+    INSERT,
+    Relation,
+    RelationVersion,
+    delta_iter,
+    surgery_iter,
+)
 
 
 def fill(rel, tuples, value=None):
@@ -72,22 +79,6 @@ class TestTransactions:
         assert txn.lookup((1,)) == (10,)
         v2 = txn.commit()
         assert v2.root is v1.root
-
-    def test_clear_commits_an_empty_version(self):
-        rel = Relation("R", 1, leaf_capacity=4)
-        v1 = fill(rel, [(k,) for k in range(50)])
-        txn = rel.begin()
-        txn.insert((99,))
-        txn.clear()
-        assert txn.lookup((7,)) is None and txn.lookup((99,)) is None
-        v2 = txn.commit()
-        assert (v2.version_id, v2.root, v2.count) == (v1.version_id + 1, None, 0)
-        assert [d.delta for d in delta_iter(v1, v2)] == [ERASE] * 50
-        txn = rel.begin()
-        txn.clear()
-        txn.insert((3,))
-        v3 = txn.commit()
-        assert list(v3.records()) == [((3,), None)]
 
     def test_arity_mismatch_rejected(self):
         rel = Relation("R", 2)
@@ -418,7 +409,7 @@ def page_shape_digest():
     """Hash each version's page shape and pages_allocated over random rounds.
 
     Per leaf capacity: 60 rounds of per-key inserts, erases and value
-    changes, a few of them on a cleared workspace, in sizes from one
+    changes, a few of them onto an emptied version, in sizes from one
     edit to a few hundred, so leaves and branches both split and merge.
     """
     h = hashlib.sha256()
@@ -426,9 +417,10 @@ def page_shape_digest():
         rng = random.Random(f"pages-{cap}")
         rel = Relation("F", 2, is_function=True, leaf_capacity=cap)
         for round_ in range(60):
+            if rng.random() < 0.05:  # empty it, as bootstrap empties a head
+                v = rel.current
+                rel.current = RelationVersion(v.lineage, v.arity, v.version_id, None)
             txn = rel.begin()
-            if rng.random() < 0.05:
-                txn.clear()
             for _ in range(rng.choice([1, 3, 20, 200, 600])):
                 keys = (rng.randrange(40), rng.randrange(40))
                 cur = txn.lookup(keys)
@@ -877,8 +869,9 @@ def _walked(version):
 
 
 def _random_commit(rel, rng, dom):
-    """One random commit: per-key edits, a sorted batch, or a clear.
-    Returns the version and whether the workspace was cleared."""
+    """One random commit: per-key edits, a sorted batch, or a batch that
+    erases every record, so the pages merge away and the next commit is a
+    load."""
     present = dict(rel.current.records())
     fn = rel.is_function
 
@@ -889,13 +882,10 @@ def _random_commit(rel, rng, dom):
         return tuple(rng.randrange(dom) for _ in range(rel.arity))
 
     txn = rel.begin()
-    cleared = rng.random() < 0.1
     roll = rng.random()
-    if cleared:
-        txn.clear()
-        for _ in range(rng.randrange(4)):
-            txn.insert(draw_keys(), draw_value())
-    elif roll < 0.5:  # per-key edits
+    if roll < 0.1:  # every record erased
+        txn.write_sorted([(keys, ABSENT) for keys in sorted(present)])
+    elif roll < 0.55:  # per-key edits
         for _ in range(rng.choice([1, 3, 40])):
             keys, kind = draw_keys(), rng.random()
             cur = txn.lookup(keys)
@@ -921,7 +911,7 @@ def _random_commit(rel, rng, dom):
                 value = draw_value()
             writes.append((keys, value))
         txn.write_sorted(writes)
-    return txn.commit(), cleared
+    return txn.commit()
 
 
 class TestCommitLog:
@@ -935,13 +925,13 @@ class TestCommitLog:
         heights, logged = set(), 0
         for _ in range(150):
             old = rel.current
-            new, cleared = _random_commit(rel, rng, dom=12 if arity == 1 else 6)
+            new = _random_commit(rel, rng, dom=12 if arity == 1 else 6)
             heights.add(_height(new))
             walked = list(delta_iter(old, new))
             want = _expected_delta(dict(old.records()), dict(new.records()))
             assert [(d.keys, d.value, d.delta) for d in walked] == want
             surgeries = list(surgery_iter(old, _walked(new)))
-            if old.root is None or cleared:  # a load, or over a cleared workspace
+            if old.root is None:  # a load
                 assert new.log is None
                 continue
             logged += 1
@@ -1163,7 +1153,7 @@ class TestTrieCursorFirstOpen:
         assert c.next() == 10
         assert rel.current is v3
         txn = rel.begin()
-        txn.clear()
+        txn.write_sorted([(keys, ABSENT) for keys, _ in v3.records()])
         empty = txn.commit()
         c = empty.cursor()
         assert c.open() is None and c.at_end()
