@@ -185,8 +185,26 @@ def _getters(head_plan, key_depth_count, scan_backed):
     return target, None if vs is None else itemgetter(at(vs))
 
 
+def _checked(head_plan):
+    """Whether a head's batches are checked per write, in full.
+
+    Its writers make each batch in key order, and ``RuleInstance`` fixed
+    its relation's arity.  A key read from a value slot (a function's
+    value or a primitive's output) may not be storable, and a value a
+    primitive computes may be a NaN where the head stores it as it is (a
+    direct or min/max head; a group's fold refuses a NaN of a function
+    head, and makes every other group's value itself).  Every other key
+    is a stored relation's, and every other value a stored function's,
+    checked when it was stored.
+    """
+    return any(tag == "v" for tag, _ in head_plan.key_sources) or (
+        head_plan.value_computed and head_plan.kind in ("DIRECT", "MIN", "MAX")
+    )
+
+
 class HeadState:
-    """One head atom's store; its kind picks getters, update and render once."""
+    """One head atom's store; its kind picks getters, update, render and
+    write checks once."""
 
     def __init__(self, head_plan, relation, key_depth_count):
         self.plan = head_plan
@@ -208,6 +226,7 @@ class HeadState:
         self.target, self.payload = _getters(
             head_plan, key_depth_count, self.agg is not None
         )
+        self.checked = _checked(head_plan)
 
     def apply(self, deltas):
         """Stage (target_keys, payload, delta) updates; returns the open txn.
@@ -216,15 +235,17 @@ class HeadState:
         with no erase is sorted by its target keys alone, which a stable
         sort orders the same, and not at all if its keys never decrease
         (as inserts routed in evaluation order into a head whose keys
-        prefix the join order do).  The caller commits the transaction, or
-        aborts it; a raise aborts it here.
+        prefix the join order do).  The transaction is checked per write
+        only if the head's sources leave a write open to fault
+        (``checked``).  The caller commits it, or aborts it; a raise
+        aborts it here.
         """
         targets = partial(map, _delta_target)
         if ERASE in map(_delta_kind, deltas):
             deltas = sorted(deltas, key=_erases_first)
         elif any(map(gt, targets(deltas), targets(islice(deltas, 1, None)))):
             deltas = sorted(deltas, key=_delta_target)
-        txn = self.relation.begin()
+        txn = self.relation.begin(self.checked)
         try:
             self._update(txn, deltas)
         except BaseException:
@@ -241,6 +262,11 @@ class RuleInstance:
             if rel.is_function != hp.stores_value:
                 want = "function" if hp.stores_value else "relation"
                 raise UserError(f"head {hp.atom.pred} needs a {want}, not {rel.name}")
+            if rel.arity != len(hp.atom.key_args):
+                raise UserError(
+                    f"head {hp.atom.pred} needs arity {len(hp.atom.key_args)}, "
+                    f"not {rel.name}'s {rel.arity}"
+                )
         self.plan = plan
         self.heads = [
             HeadState(hp, rel, len(plan.key_order))

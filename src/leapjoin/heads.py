@@ -7,9 +7,16 @@ mechanisms.  The batch arrives ordered by key, erases first per key
 looks each run of equal keys up once (not at all while the head reads as
 empty, as at bootstrap), folds the run locally, and hands the
 transaction one sorted batch of final writes, one per changed key,
-through ``Transaction.write_sorted``, which refuses a batch out of order.
-A write is a ``(keys, value)`` pair, the value ``ABSENT`` when keys end
-absent, the one format of every ordered tree's sorted batch:
+through ``Transaction.write_sorted``.  Each write is checked once: a
+writer makes its writes in key order (the direct one refuses keys that
+decrease), a group's fold refuses what its step cannot keep (a function
+head's NaN among them), and ``HeadState`` begins the transaction checked
+in full only when a head key is read from a value slot or a primitive
+computes a value the head stores as it is, as such a key may be no
+storable key and such a value a NaN; then ``write_sorted`` checks every
+write again and refuses a batch out of order.  A write is a ``(keys,
+value)`` pair, the value ``ABSENT`` when keys end absent, the one format
+of every ordered tree's sorted batch:
 
 * direct -- projection-free rules insert/remove head records 1:1; into
   an empty head, a batch of inserts whose keys strictly increase (every
@@ -282,7 +289,12 @@ class Group(NamedTuple):
 
 
 def _function_value(name, keys, value, payload, sign):
-    if value is not None and value != payload:
+    if value is None:  # an insert into an empty group
+        if payload != payload:  # a NaN could never be erased by its value
+            raise UserError(
+                f"{name}: value {payload!r} at key {keys} is not equal to itself"
+            )
+    elif value != payload:
         if sign > 0:
             raise IntegrityError(
                 f"{name}: functional dependency violated at {keys}: "

@@ -20,8 +20,9 @@ position in order coordinates; otherwise the ``IndexPlan`` holds the
 record layout, as the evaluator's sort-key getter and its inverse, the
 oracle builder's bound prefix.  The plan also names each atom's
 iterator for traces and dumps (``b<i>.`` qualifies a disjunction
-branch's atoms) and decides each head's kind and whether its relation
-stores a value (``HeadPlan.stores_value``).
+branch's atoms) and decides each head's kind, whether its relation
+stores a value (``HeadPlan.stores_value``) and whether a primitive
+computes that value in some branch (``HeadPlan.value_computed``).
 """
 
 from collections import Counter
@@ -213,6 +214,7 @@ class HeadPlan:
     kind: str  # DIRECT | COUNTED | COUNT | GROUP_SUM | MIN | MAX | FLOAT_TOTAL
     key_sources: tuple  # per head key arg: ("k", depth) | ("v", value_idx)
     value_source: Optional[tuple]  # for function heads / agg input
+    value_computed: bool = False  # a primitive binds value_source in some branch
 
     @property
     def stores_value(self) -> bool:
@@ -400,6 +402,13 @@ def validate_key_order(rule: RuleIR, order=None) -> Plan:
 
     depth_of = {v: i + 1 for i, v in enumerate(order)}
     vslot = {v: i for i, v in enumerate(value_order)}
+    computed = {  # the value slots some branch binds by a primitive's output
+        ("v", step[3])
+        for bp in branches
+        for level in bp.steps
+        for step in level
+        if step[0] == "primbind"
+    }
 
     def source(v):
         """Where a head reads a variable: a key's depth or a value's slot."""
@@ -429,7 +438,9 @@ def validate_key_order(rule: RuleIR, order=None) -> Plan:
                     f"key order {list(order)}"
                 )
         value_source = None if value_var is None else source(value_var)
-        heads.append(HeadPlan(h, kind, key_sources, value_source))
+        heads.append(
+            HeadPlan(h, kind, key_sources, value_source, value_source in computed)
+        )
 
     index_specs = {
         (bi, pos, lvl): _index_plan(ap.depths, lvl, len(order))

@@ -11,18 +11,28 @@ reference counting then frees it with the pages no other version shares.
 
 A transaction takes writes key by key (``insert``/``erase``, as loads
 and input deltas do) or as exactly one sorted batch of final writes
-(``write_sorted``, as rule heads do), never both.  A batch list is
-checked and staged as it is, with no copy.  Either way ``commit`` merges
-one write format into the page tree through the same ``_apply``:
-``(keys, value)`` pairs sorted by keys, where the value ``ABSENT`` (the
-scan tree's marker, shared by every ordered tree) means keys end absent
-and any other pair becomes the page record as it is.  ``_apply`` builds
-bottom-up when the base is empty; one ``_pack`` cuts every leaf and
-branch it makes.  A version keeps no reference to its relation,
-so a dropped relation is freed by reference counting.  A commit over a
-non-empty base keeps its net change in the new version's ``log``: a weak
-reference to the base, the sorted writes it merged and the base records
-they superseded, which the leaf merge meets as it splices each write in.
+(``write_sorted``, as rule heads do), never both.  Each write is checked
+once, where it is taken: ``insert`` checks inline (arity, storable keys,
+a function's value given or a relation's absent, no NaN), ``erase`` its
+arity (a key ``insert`` refuses is never held), and neither looks
+anything up in an empty base; ``write_sorted`` makes insert's checks of
+each write and checks the batch's order, except in a transaction begun
+unchecked: a rule head's writers make the order, ``RuleInstance`` the
+arity, and a head whose sources make its keys storable and its values
+no NaN (``driver.HeadState``) has nothing left to check.  A batch list
+is checked and staged as it is; ``commit`` copies it, unless the
+transaction is unchecked.  Either way ``commit`` merges one write format
+into the page tree through the same ``_apply``: ``(keys, value)`` pairs
+sorted by keys, where the value ``ABSENT`` (the scan tree's marker,
+shared by every ordered tree) means keys end absent and any other pair
+becomes the page record as it is.  ``_apply`` builds bottom-up when the
+base is empty, from the sorted writes themselves unless one of them
+erases; one ``_pack`` cuts every leaf and branch it makes.  A version
+keeps no reference to its relation, so a dropped relation is freed by
+reference counting.  A commit over a non-empty base keeps its net change
+in the new version's ``log``: a weak reference to the base, the sorted
+writes it merged and the base records they superseded, which the leaf
+merge meets as it splices each write in.
 
 Three access paths matter downstream:
 
@@ -75,19 +85,20 @@ fan-out at most 32, so every per-page pass below is bounded):
 """
 
 from bisect import bisect_left, bisect_right
-from itertools import compress, count
-from operator import attrgetter, is_not, itemgetter
+from itertools import compress, count, repeat
+from operator import attrgetter, is_, is_not, itemgetter
 from typing import Iterator, NamedTuple, Optional
 from weakref import ref
 
 from .errors import IntegrityError, UserError
-from .keys import KEY_MAX, check_storable_tuple
+from .keys import KEY_MAX, KEY_MIN, check_storable_tuple
 from .scantree import ABSENT
 
 INSERT = "INSERT"
 ERASE = "ERASE"
 
 _rec_keys = itemgetter(0)
+_rec_value = itemgetter(1)
 _min_key = attrgetter("min_key")
 _count = attrgetter("count")
 _children = attrgetter("children")
@@ -227,12 +238,18 @@ class Relation:
         """The versions the relation itself keeps alive: the current one."""
         return (self.current,)
 
-    def begin(self) -> "Transaction":
-        """Open the single writer's workspace over the current version."""
+    def begin(self, checked=True) -> "Transaction":
+        """Open the single writer's workspace over the current version.
+
+        ``checked`` False is for a writer that makes each batch in key
+        order, of the relation's arity and of writes its sources make
+        storable, as a rule head does: ``write_sorted`` then checks
+        nothing and stages its list as it is.
+        """
         if self._txn_open:
             raise UserError(f"{self.name}: transaction already open")
         self._txn_open = True
-        return Transaction(self, self.current)
+        return Transaction(self, self.current, checked)
 
 
 class Transaction:
@@ -243,11 +260,19 @@ class Transaction:
     value | ABSENT, or exactly one sorted batch of final writes
     (``write_sorted``), kept as the list it arrived as.  ``commit`` hands
     the batch, or the sorted map's items, to the same ``_apply``.
+
+    Each write is checked once, where it is taken.  ``insert`` and
+    ``erase`` check inline and call a helper only to raise; over an empty
+    base they look nothing up, as it holds nothing.  ``write_sorted``
+    checks each write as ``insert`` does and the batch's order, unless
+    the transaction is begun unchecked (a rule head's whose sources rule
+    every fault out): its writer makes the order and the arity.
     """
 
-    def __init__(self, relation, base):
+    def __init__(self, relation, base, checked=True):
         self.relation = relation
         self.base = base
+        self.checked = checked  # False: write_sorted checks nothing
         self._edits = {}  # keys -> value | ABSENT
         self._batch = None  # the staged sorted (keys, value | ABSENT) batch
         self._done = False
@@ -257,6 +282,7 @@ class Transaction:
             raise UserError("transaction already closed")
 
     def _check_insert(self, keys, value):
+        """Raise the first of insert's errors that keys and value meet."""
         rel = self.relation
         if len(keys) != rel.arity:
             raise UserError(f"{rel.name}: expected arity {rel.arity}, got {len(keys)}")
@@ -278,8 +304,11 @@ class Transaction:
         return self._edits
 
     def lookup(self, keys: tuple):
-        """Effective (value,) under pending edits, or None if absent."""
+        """Effective (value,) under pending edits, or None if absent (as
+        keys ``insert`` refuses always are)."""
         edits = self._edit_map()
+        if not _storable(keys):
+            return None  # the base's keys may not even compare with them
         if keys in edits:
             return None if edits[keys] is ABSENT else (edits[keys],)
         return self.base.lookup(keys)
@@ -295,11 +324,15 @@ class Transaction:
         ``(keys, value)`` leaves keys holding value, whatever held it
         before; ``(keys, ABSENT)`` removes keys.  Each pair becomes the
         page record as it is.  Each insert is checked as ``insert``
-        checks it, and the keys must strictly increase.  A list is
-        checked and staged as it is, with no copy.  Any other iterable is
-        read into a list first; if it raises part-way, nothing is staged,
-        and the error of a write at fault among those read so far goes
-        first, as a check made while reading would have met it.
+        checks it, and the keys must strictly increase; a transaction
+        begun unchecked (``Relation.begin``) checks nothing.  A list is
+        checked and staged as it is, with no copy; ``commit`` copies it
+        unless the transaction is unchecked, whose writer keeps it no
+        longer and whose version may keep it as a page's records.  Any
+        other iterable is read into a list first; if it raises part-way,
+        nothing is staged, and the error of a write at fault among those
+        read so far goes first, as a check made while reading would have
+        met it.
         """
         self._check_open()
         if self._edit_map():
@@ -309,10 +342,12 @@ class Transaction:
             try:
                 batch.extend(writes)
             except Exception:
-                self._check_writes(batch)
+                if self.checked:
+                    self._check_writes(batch)
                 raise
             writes = batch
-        self._check_writes(writes)
+        if self.checked:
+            self._check_writes(writes)
         self._batch = writes
 
     def _check_writes(self, writes):
@@ -336,46 +371,76 @@ class Transaction:
 
     def insert(self, keys: tuple, value=None) -> bool:
         """Stage keys holding value; False if they already hold it."""
-        self._check_open()
+        if self._done:
+            raise UserError("transaction already closed")
         keys = tuple(keys)
-        self._check_insert(keys, value)
-        edits = self._edit_map()
-        if keys not in edits:
-            cur = base = self.base.lookup(keys)
-        elif edits[keys] is not ABSENT:
-            cur, base = (edits[keys],), None
-        else:  # a pending erase hides the base record
-            cur, base = None, self.base.lookup(keys)
-        if cur is not None:
-            if cur[0] != value:
+        rel = self.relation
+        if (
+            len(keys) != rel.arity
+            or (value is None) is rel.is_function
+            or value != value
+        ):
+            self._check_insert(keys, value)  # raises insert's error
+        for k in keys:
+            if type(k) is not int or not KEY_MIN < k < KEY_MAX:
+                check_storable_tuple(keys)  # raises, unless k is an int subclass
+                break
+        if self._batch is not None:
+            raise UserError(f"{rel.name}: transaction holds a sorted batch")
+        edits = self._edits
+        cur = edits.get(keys, ABSENT)
+        if cur is ABSENT and self.base.root is not None:
+            held = self.base.lookup(keys)
+            if held is not None:
+                if keys in edits:  # a pending erase hides the base record
+                    if held[0] == value:
+                        del edits[keys]  # erase+insert cancels out
+                        return True
+                else:
+                    cur = held[0]
+        if cur is not ABSENT:
+            if cur != value:
                 raise UserError(
-                    f"{self.relation.name}: conflicting value for key {keys}: "
-                    f"{cur[0]!r} vs {value!r}"
+                    f"{rel.name}: conflicting value for key {keys}: "
+                    f"{cur!r} vs {value!r}"
                 )
             return False  # duplicate insert is a no-op
-        if base is not None and base[0] == value:
-            self._edits.pop(keys, None)  # erase+insert cancels out
-        else:
-            self._edits[keys] = value
+        edits[keys] = value
         return True
 
-    def erase(self, keys: tuple, value=None):
-        self._check_open()
-        rel = self.relation
+    def erase(self, keys: tuple, value=None) -> bool:
+        """Stage keys ending absent.  True if they held a tuple; False,
+        changing nothing, if they held none (as keys ``insert`` refuses
+        never do), or if the relation is a function, ``value`` is given
+        and they held another value."""
+        if self._done:
+            raise UserError("transaction already closed")
         keys = tuple(keys)
+        rel = self.relation
         if len(keys) != rel.arity:
             raise UserError(f"{rel.name}: expected arity {rel.arity}, got {len(keys)}")
-        cur = self.lookup(keys)
-        if cur is None:
-            return False  # erasing an absent tuple is a no-op
-        if rel.is_function and value is not None and cur[0] != value:
+        if self._batch is not None:
+            raise UserError(f"{rel.name}: transaction holds a sorted batch")
+        for k in keys:
+            if type(k) is not int or not KEY_MIN < k < KEY_MAX:
+                if not _storable(keys):  # unless k is an int subclass
+                    return False  # no key insert refuses is held
+                break
+        edits, base = self._edits, self.base
+        staged = cur = edits.get(keys, ABSENT)
+        if staged is ABSENT:
+            if keys in edits or base.root is None:
+                return False  # a pending erase, or an empty base: no tuple
+            held = base.lookup(keys)
+            if held is None:
+                return False  # erasing an absent tuple is a no-op
+            cur = held[0]
+        if rel.is_function and value is not None and cur != value:
             return False  # exact tuple (keys+value) not present
-        if self._edits.get(keys, ABSENT) is not ABSENT:
-            base = self.base.lookup(keys)
-            if base is None:
-                del self._edits[keys]  # insert+erase cancels out
-                return True
-        self._edits[keys] = ABSENT
+        if staged is not ABSENT and (base.root is None or base.lookup(keys) is None):
+            del edits[keys]  # insert+erase cancels out
+        else:
+            edits[keys] = ABSENT
         return True
 
     def abort(self):
@@ -389,6 +454,8 @@ class Transaction:
         edits = self._batch
         if edits is None:
             edits = sorted(self._edits.items())
+        elif self.checked:  # the version keeps no list its caller holds
+            edits = edits[:]
         superseded = []
         root = base.root
         if edits:
@@ -409,6 +476,11 @@ class Transaction:
             base.lineage, base.arity, base.version_id + 1, root, log
         )
         return rel.current
+
+
+def _storable(keys):
+    """Whether ``insert`` takes keys as keys (``check_storable_tuple``)."""
+    return all(isinstance(k, int) and KEY_MIN < k < KEY_MAX for k in keys)
 
 
 def _pack(items, fit, part, make, alloc):
@@ -507,8 +579,10 @@ def _apply(node, edits, rel, alloc, superseded):
     """
     cap = rel.leaf_capacity
     if not isinstance(node, _Branch):  # a leaf, or no base at all
-        if node is None:
-            records = [e for e in edits if e[1] is not ABSENT]
+        if node is None:  # the sorted writes are the records, unless one erases
+            records = edits
+            if any(map(is_, map(_rec_value, edits), repeat(ABSENT))):  # C-level
+                records = [e for e in edits if e[1] is not ABSENT]
         else:
             records = _merged_records(node.records, edits, superseded)
         return _pack(records, 2 * cap, cap, _Leaf, alloc)

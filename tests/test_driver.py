@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import sys
 import tracemalloc
@@ -54,6 +55,15 @@ class TestHeadRelationKind:
         assert eng.plan.heads[0].stores_value
         with pytest.raises(UserError, match="^head S needs a function, not S2$"):
             RuleInstance(eng.plan, [Relation("S2", 1)])
+
+    def test_a_head_relation_of_another_arity_is_refused(self):
+        eng = Engine("S(x) <- A2(x,y).", {"A2": (2, False)})
+        for arity in (2, 3):
+            message = f"^head S needs arity 1, not S2's {arity}$"
+            with pytest.raises(UserError, match=message):
+                RuleInstance(eng.plan, [Relation("S2", arity, is_function=True)])
+        with pytest.raises(UserError, match="^head S needs a function, not S2$"):
+            RuleInstance(eng.plan, [Relation("S2", 2)])  # the kind is checked first
 
     def test_function_for_a_direct_relation_head_is_refused(self):
         eng = Engine("C(x) <- A(x).", {"A": (1, False)})
@@ -398,6 +408,132 @@ def edit(eng, name, keys, value=None, erase=False):
     else:
         txn.insert(keys, value)
     txn.commit()
+
+
+class TestValueSourcedHeadWrites:
+    """A head key read from a value slot (a function's value or a
+    primitive's output) may be no storable key, and a head value a
+    primitive computes may be a NaN: a round that writes one raises the
+    store's refusal and publishes no head, at bootstrap and in
+    ``maintain``, and a later clean round equals a fresh bootstrap."""
+
+    CASES = [
+        # (rule, relation spec, clean rows, faulty row, refusal)
+        (
+            "H(z) <- F[x]=z.",
+            {"F": (1, True)},
+            [(1, 3), (2, 4), (3, 4)],
+            (9, 1.5),
+            r"^key 1.5 outside storable range$",
+        ),
+        (
+            "H(z) <- A(x), add[x,x]=z.",
+            {"A": (1, False)},
+            [(1,), (5,), (2**61,)],
+            (2**62,),
+            r"^key 9223372036854775808 outside storable range$",
+        ),
+        (
+            "H(x,z) <- F[x]=z.",
+            {"F": (1, True)},
+            [(1, 3), (2, 4)],
+            (9, 2**63),
+            r"^key 9223372036854775808 outside storable range$",
+        ),
+        (
+            "H[x]=z <- F[x]=v, sub[v,v]=z.",
+            {"F": (1, True)},
+            [(1, 3), (2, 2.5)],
+            (9, math.inf),
+            r"^H: value nan at key \(9,\) is not equal to itself$",
+        ),
+        (  # a projected function head: its group's fold refuses the NaN
+            "H[x]=z <- F2[x,y]=v, sub[v,v]=z.",
+            {"F2": (2, True)},
+            [(1, 1, 3), (1, 2, 3), (2, 1, 2.5)],
+            (9, 1, math.inf),
+            r"^H: value nan at key \(9,\) is not equal to itself$",
+        ),
+        (
+            "M[x]=m <- agg<< m=max(z) >> F2[x,y]=v, sub[v,v]=z.",
+            {"F2": (2, True)},
+            [(1, 1, 3), (1, 2, 4), (2, 1, 2.5)],
+            (9, 1, math.inf),
+            r"^M: value nan at key \(9,\) is not equal to itself$",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "rule,spec,rows,fault,refusal", CASES, ids=[c[0] for c in CASES]
+    )
+    def test_refused_at_bootstrap_and_in_a_round(
+        self, rule, spec, rows, fault, refusal
+    ):
+        eng = Engine(rule, spec)
+        (name, (arity, func)), = spec.items()
+        eng.load(name, rows)
+        keys, value = fault[:arity], fault[arity] if func else None
+        bootstrap(eng.inst, eng.versions())
+        for step in (maintain, bootstrap):
+            versions = [h.relation.current for h in eng.inst.heads]
+            bound = dict(eng.inst.bound_versions)
+            edit(eng, name, keys, value)
+            with pytest.raises(UserError, match=refusal):
+                step(eng.inst, eng.versions())
+            assert [h.relation.current for h in eng.inst.heads] == versions
+            assert eng.inst.bound_versions == bound
+            edit(eng, name, keys, erase=True)
+            maintain(eng.inst, eng.versions())
+            assert head_records(eng.inst) == head_records(eng.fresh_reference())
+            assert all(head_records(eng.inst))
+
+    @pytest.mark.parametrize(
+        "rule,spec,checked",
+        [
+            ("C(x) <- A(x), B(x).", {"A": (1, False), "B": (1, False)}, False),
+            ("H[x]=v <- F[x]=v.", {"F": (1, True)}, False),
+            ("M[x]=m <- agg<< m=max(v) >> F2[x,y]=v.", {"F2": (2, True)}, False),
+            ("S[x]=s <- agg<< s=sum(v) >> F2[x,y]=v.", {"F2": (2, True)}, False),
+            ("H(z) <- F[x]=z.", {"F": (1, True)}, True),
+            ("H(z) <- A(x), add[x,x]=z.", {"A": (1, False)}, True),
+            ("H[x]=z <- F[x]=v, add[v,v]=z.", {"F": (1, True)}, True),
+            ("H[z]=v <- F[x]=v, add[x,x]=z.", {"F": (1, True)}, True),
+            (
+                "M[x]=m <- agg<< m=max(z) >> F2[x,y]=v, add[v,v]=z.",
+                {"F2": (2, True)},
+                True,
+            ),
+            # a group's fold makes its value, or refuses a NaN itself
+            (
+                "S[x]=s <- agg<< s=sum(z) >> F2[x,y]=v, add[v,v]=z.",
+                {"F2": (2, True)},
+                False,
+            ),
+            ("H[x]=z <- F2[x,y]=v, add[x,x]=z.", {"F2": (2, True)}, False),
+        ],
+    )
+    def test_a_head_checks_only_what_its_sources_leave_open(
+        self, rule, spec, checked, monkeypatch
+    ):
+        """A head's transaction checks every write only if its sources
+        leave one open to fault, and a head that needs no check makes
+        none."""
+        eng = Engine(rule, spec)
+        assert [h.checked for h in eng.inst.heads] == [checked]
+        eng.random_fill(random.Random(7), per_relation=30, dom=9)
+        counts = []
+        real = store.Transaction._check_writes
+
+        def counted(txn, writes):
+            counts.append(len(writes))
+            return real(txn, writes)
+
+        monkeypatch.setattr(store.Transaction, "_check_writes", counted)
+        bootstrap(eng.inst, eng.versions())
+        eng.random_edits(random.Random(8), 6, dom=9)
+        maintain(eng.inst, eng.versions())
+        assert head_records(eng.inst) == head_records(eng.fresh_reference())
+        assert bool(counts) is checked
 
 
 class TestFailedRound:

@@ -126,6 +126,137 @@ class TestTransactions:
             assert v.count == len(ref)
 
 
+class _PerKeyModel:
+    """A dict that answers ``insert``, ``erase`` and ``lookup`` as a
+    transaction does: the same return values and the same refusal texts,
+    in the order the store raises them."""
+
+    def __init__(self, rel, records):
+        self.name, self.arity, self.func = rel.name, rel.arity, rel.is_function
+        self.live = dict(records)
+
+    def insert(self, keys, value):
+        name = self.name
+        if len(keys) != self.arity:
+            raise UserError(f"{name}: expected arity {self.arity}, got {len(keys)}")
+        check_storable_tuple(keys)
+        if self.func and value is None:
+            raise UserError(f"{name}: function tuple requires a value")
+        if not self.func and value is not None:
+            raise UserError(f"{name}: relation tuples carry no value")
+        if value != value:
+            raise UserError(
+                f"{name}: value {value!r} at key {keys} is not equal to itself"
+            )
+        if keys in self.live:
+            if self.live[keys] != value:
+                raise UserError(
+                    f"{name}: conflicting value for key {keys}: "
+                    f"{self.live[keys]!r} vs {value!r}"
+                )
+            return False
+        self.live[keys] = value
+        return True
+
+    def erase(self, keys, value):
+        name = self.name
+        if len(keys) != self.arity:
+            raise UserError(f"{name}: expected arity {self.arity}, got {len(keys)}")
+        if self.lookup(keys) is None:
+            return False
+        if self.func and value is not None and self.live[keys] != value:
+            return False  # the exact tuple is not present
+        del self.live[keys]
+        return True
+
+    def lookup(self, keys):
+        try:
+            check_storable_tuple(keys)
+        except UserError:
+            return None  # a key insert refuses is never held
+        return (self.live[keys],) if keys in self.live else None
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except UserError as e:
+        return UserError, str(e)
+
+
+class TestPerKeyModel:
+    """Per-key inserts, erases and lookups answer as a dict does, over an
+    empty base and a filled one, for a relation and a function: every
+    return value, every refusal text, and the records each commit
+    leaves."""
+
+    ODD_KEYS = [KEY_MIN, KEY_MAX, 2**63, 1.5, 2.0, True, "k"]
+
+    def draw_keys(self, rng, arity):
+        keys = [rng.randrange(-3, 25) for _ in range(arity)]
+        roll = rng.random()
+        if roll < 0.06:  # a key outside the storable range, or not an int
+            keys[rng.randrange(arity)] = rng.choice(self.ODD_KEYS)
+        elif roll < 0.1:  # the wrong arity
+            keys = keys + [1] if rng.random() < 0.5 else keys[:-1]
+        return tuple(keys)
+
+    def draw_value(self, rng, func, live):
+        roll = rng.random()
+        if roll < 0.05:
+            return math.nan
+        if roll < 0.1:
+            return 5 if not func else None  # the wrong kind of value
+        if not func:
+            return None
+        if live is not None and roll < 0.6:
+            return live[0]  # the value the key holds
+        return rng.choice([1, 2, -7, 2.5])
+
+    @pytest.mark.parametrize("filled", [False, True])
+    @pytest.mark.parametrize("arity", [1, 2])
+    @pytest.mark.parametrize("func", [False, True])
+    def test_random_calls_match_dict(self, func, arity, filled):
+        rng = random.Random(f"per-key-{func}-{arity}-{filled}")
+        rel = Relation("F" if func else "R", arity, is_function=func, leaf_capacity=4)
+        refusals = set()
+        for round_ in range(30):
+            if not filled:  # every round starts from an empty base
+                rel.current = RelationVersion(
+                    rel.current.lineage, arity, rel.current.version_id, None
+                )
+            assert (rel.current.root is None) is (not filled or round_ == 0)
+            model = _PerKeyModel(rel, rel.current.records())
+            txn = rel.begin()
+            for step in range(rng.randrange(1, 60)):
+                roll = rng.random()
+                keys = self.draw_keys(rng, arity)
+                value = self.draw_value(rng, func, model.lookup(keys))
+                if roll < 0.55:
+                    want = _outcome(model.insert, keys, value)
+                    got = _outcome(txn.insert, keys, value)
+                elif roll < 0.9:
+                    value = value if func and rng.random() < 0.5 else None
+                    want = _outcome(model.erase, keys, value)
+                    got = _outcome(txn.erase, keys, value)
+                else:
+                    want = model.lookup(keys)
+                    got = txn.lookup(keys)
+                assert got == want, (round_, step, keys, value)
+                if isinstance(got, tuple) and got[0] is UserError:
+                    refusals.add(got[1])
+            v = txn.commit()
+            assert list(v.records()) == sorted(model.live.items()), round_
+            assert v.count == len(model.live)
+        wanted = ["expected arity", "outside storable"]
+        if func:
+            wanted += ["requires a value", "not equal to itself", "conflicting value"]
+        else:  # a relation refuses a NaN as a value before it looks at it
+            wanted += ["relation tuples carry no value"]
+        for text in wanted:  # every refusal was met
+            assert any(text in refusal for refusal in refusals), text
+
+
 def tree_shape(node):
     """Nested page structure: a leaf as its records, a branch as a list."""
     if node is None:
@@ -216,6 +347,41 @@ class TestWriteSorted:
     def test_empty_transaction_reads_as_empty(self):
         rel = Relation("R", 1)
         assert rel.begin().reader() is None
+
+    @pytest.mark.parametrize("filled", [False, True])
+    @pytest.mark.parametrize("size", [3, 300])
+    def test_a_committed_batch_is_not_its_callers_list(self, size, filled):
+        """A version keeps no list its caller passed: changing the list
+        after the commit changes neither the records nor the log."""
+        rel = Relation("F", 1, is_function=True, leaf_capacity=4)
+        if filled:
+            txn = rel.begin()
+            txn.write_sorted([((k,), -k) for k in range(0, 2 * size, 2)])
+            txn.commit()
+        base = rel.current
+        writes = [((k,), k * 10) for k in range(size)]
+        txn = rel.begin()
+        txn.write_sorted(writes)
+        v = txn.commit()
+        records, delta = list(v.records()), list(surgery_iter(base, v))
+        writes[0] = ((0,), "changed")
+        writes.append(((10**6,), 1))
+        assert list(v.records()) == records
+        assert list(surgery_iter(base, v)) == delta
+
+    @pytest.mark.parametrize("size", [3, 300])
+    def test_a_batch_onto_an_empty_base_drops_its_erases(self, size):
+        """Onto an empty base the sorted writes are the records, unless one
+        erases: an erase of a key the base lacks leaves no record."""
+        for erases in ([], [0], [size - 1], list(range(0, size, 7))):
+            rel = Relation("F", 1, is_function=True, leaf_capacity=4)
+            writes = [((k,), ABSENT if k in erases else k * 10) for k in range(size)]
+            txn = rel.begin()
+            txn.write_sorted(writes)
+            v = txn.commit()
+            want = [((k,), k * 10) for k in range(size) if k not in erases]
+            assert list(v.records()) == want
+            assert v.count == len(want)
 
     @pytest.mark.parametrize(
         "writes,message",
